@@ -1,8 +1,12 @@
 """Throw every fault plugin at the protocol across many seeded schedules and
-let the invariant observer hunt for safety or liveness holes.  Then break a
-gate on purpose to show the observer is not asleep.
+let the invariant observer hunt for safety or liveness holes.
 
     python3 demos/demo_adversary_hunt.py
+
+To see the observer catch a deliberately broken gate, run the acceptance
+suite's mutation check:
+
+    pytest tests/test_acceptance.py -k criterion_9 -s
 """
 
 from falcon_bft import (
@@ -17,14 +21,14 @@ from falcon_bft import (
 
 KINDS = ("equivocate", "silent", "wrong_aaba_bit")
 
-print("fuzzing 60 adversarial schedules (n=4 and n=7)...")
+print("fuzzing 60 randomly delayed schedules (n=4 and n=7)...")
 total = 0
 for i in range(60):
     n, f = (4, 1) if i % 2 == 0 else (7, 2)
     cfg = SimConfig(
         params=SystemParams(n, f),
         seed=i,
-        mode="adversarial",
+        mode="random",
         delay_min=1,
         delay_max=5,
         num_instances=5,
@@ -35,18 +39,3 @@ for i in range(60):
     result = run_simulation(cfg)
     total += len(observe_invariants(result)) + len(check_liveness(result))
 print(f"violations found: {total}")
-
-print()
-print("now removing the second-echo ordering gate (a known unsafe variant)...")
-cfg = SimConfig(
-    params=SystemParams(4, 1),
-    seed=9,
-    num_instances=1,
-    tx_load=2,
-    rules=(DelayRule(body="Echo1", delay=8),),
-    disable_echo2_gate=True,
-)
-broken = observe_invariants(run_simulation(cfg))
-print(f"violations found: {len(broken)}")
-for v in broken[:3]:
-    print(" ", v)

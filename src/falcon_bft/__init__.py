@@ -26,7 +26,6 @@ from .simnet import (
     InvalidConfig,
     RunResult,
     SimConfig,
-    round_of,
     run_simulation,
     schedule,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "check_liveness",
     "coin",
     "observe_invariants",
-    "round_of",
     "run_simulation",
     "schedule",
 ]

@@ -93,13 +93,11 @@ class AabaInstance:
         node_id: int,
         params: SystemParams,
         registry: KeyRegistry,
-        q_check_enabled: bool = True,
     ):
         self.addr = addr
         self.node_id = node_id
         self.params = params
         self.registry = registry
-        self.q_check_enabled = q_check_enabled
 
         self.input: Optional[AabaInput] = None
         self.cnt0 = 0
@@ -132,8 +130,6 @@ class AabaInstance:
         """External validity: proof must be a grade-1 certificate for digest."""
         if digest is None or proof is None:
             return False
-        if not self.q_check_enabled:
-            return True
         gbc_addr = InstanceAddr(self.addr.acsq_id, Proto.GBC, self.addr.index)
         msg = gbc_message(gbc_addr, digest)
         return self.registry.verify_threshold(proof, msg, 1, self.params.quorum)

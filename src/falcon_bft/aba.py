@@ -47,7 +47,6 @@ class AbaInstance:
         self.decided: Optional[int] = None
         self.halted = False  # external halt: absorb everything
         self.retired = False  # gadget-complete: stop emitting
-        self.rounds_run = 0
 
         self.bval_sent: Dict[int, Set[int]] = {}
         self.aux_sent: Set[int] = set()
@@ -161,7 +160,6 @@ class AbaInstance:
                 }
                 if len(accepted) >= self.params.quorum:
                     self.advanced.add(rnd)
-                    self.rounds_run = rnd
                     values = set(accepted.values())
                     c = self.coin_for(rnd)
                     if values == {c}:

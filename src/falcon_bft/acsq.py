@@ -48,8 +48,6 @@ class AcsqInstance:
         registry: KeyRegistry,
         log: Callable,
         input_policy: Optional[Callable] = None,
-        echo2_requires_grade1: bool = True,
-        q_check_enabled: bool = True,
     ):
         self.k = k
         self.node_id = node_id
@@ -57,8 +55,6 @@ class AcsqInstance:
         self.registry = registry
         self.log = log
         self.input_policy = input_policy or self.default_input_policy
-        self.echo2_requires_grade1 = echo2_requires_grade1
-        self.q_check_enabled = q_check_enabled
 
         self.active = False
         self.muted = False
@@ -95,18 +91,13 @@ class AcsqInstance:
                 self.params,
                 self.registry,
                 silenced=(not self.active) or self.muted,
-                echo2_requires_grade1=self.echo2_requires_grade1,
             )
         return self.gbc[j]
 
     def aaba_for(self, j: int) -> AabaInstance:
         if j not in self.aaba:
             self.aaba[j] = AabaInstance(
-                self.aaba_addr(j),
-                self.node_id,
-                self.params,
-                self.registry,
-                q_check_enabled=self.q_check_enabled,
+                self.aaba_addr(j), self.node_id, self.params, self.registry
             )
         return self.aaba[j]
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import metrics
 from .observer import check_liveness, observe_invariants
 from .scenario import ScenarioError, load_scenario
-from .simnet import InvalidConfig, run_simulation
+from .simnet import MODES, InvalidConfig, run_simulation
 
 
 def _write_outputs(out_dir: Path, result, violations) -> None:
@@ -97,15 +97,14 @@ def main(argv=None) -> int:
     run_p.add_argument("scenario")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--mode", choices=["lockstep", "random", "adversarial"],
-                       default=None)
+    run_p.add_argument("--mode", choices=MODES, default=None)
     run_p.set_defaults(func=cmd_run)
 
     check_p = sub.add_parser("check", help="run every *.ini scenario in a directory")
     check_p.add_argument("scenario_dir")
     check_p.add_argument("--seed", type=int, default=None)
     check_p.add_argument("--out", default=None)
-    check_p.add_argument("--mode", default=None)
+    check_p.add_argument("--mode", choices=MODES, default=None)
     check_p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

@@ -98,10 +98,6 @@ def decode_block(data: bytes, off: int = 0) -> Tuple[Block, int]:
     return Block(creator, instance, tuple(txs)), off
 
 
-def block_digest(block: Block) -> bytes:
-    return sha256(encode_block(block))
-
-
 class Proto(enum.Enum):
     GBC = 1
     AABA = 2

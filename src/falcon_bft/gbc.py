@@ -70,8 +70,7 @@ class GbcInstance:
 
     `silenced` covers both the pre-activation passive mode and the post-trigger
     mute: no new partial signatures are emitted, but pools still accumulate and
-    deliveries still complete.  echo2_requires_grade1 is a mutation hook for
-    the acceptance suite's detector-sanity check.
+    deliveries still complete.
     """
 
     def __init__(
@@ -81,14 +80,12 @@ class GbcInstance:
         params: SystemParams,
         registry: KeyRegistry,
         silenced: bool = False,
-        echo2_requires_grade1: bool = True,
     ):
         self.addr = addr
         self.node_id = node_id
         self.params = params
         self.registry = registry
         self.silenced = silenced
-        self.echo2_requires_grade1 = echo2_requires_grade1
 
         self.started = False
         self.received_block: Optional[Block] = None
@@ -99,7 +96,6 @@ class GbcInstance:
         self.pool2: Dict[bytes, Dict[int, PartialSig]] = {}
         self.delivered1: Optional[GradedDelivery] = None
         self.delivered2: Optional[GradedDelivery] = None
-        self.ignored_proposals = 0
 
     # -- broadcaster ---------------------------------------------------------
 
@@ -117,13 +113,10 @@ class GbcInstance:
         if block.creator != self.addr.index or block.instance != self.addr.acsq_id:
             return []
         if self.received_block is not None:
-            self.ignored_proposals += 1
             return []
         self.received_block = block
         out: List[object] = [BodyReceived(block)]
         out.extend(self._maybe_echo1())
-        if not self.echo2_requires_grade1:
-            out.extend(self._maybe_echo2())
         out.extend(self._try_deliveries())
         return out
 
@@ -136,16 +129,9 @@ class GbcInstance:
         return [Send(self.addr, Echo1(ps))]
 
     def _maybe_echo2(self) -> List[object]:
-        if self.echoed2 or self.silenced:
+        if self.echoed2 or self.silenced or self.delivered1 is None:
             return []
-        if self.echo2_requires_grade1:
-            if self.delivered1 is None:
-                return []
-            digest = self.delivered1.block.digest
-        else:
-            if self.received_block is None:
-                return []
-            digest = self.received_block.digest
+        digest = self.delivered1.block.digest
         self.echoed2 = True
         ps = self.registry.partial_sign(self.node_id, gbc_message(self.addr, digest), 2)
         return [Send(self.addr, Echo2(ps))]
@@ -196,9 +182,7 @@ class GbcInstance:
                 self.delivered1 = GradedDelivery(block, 1, sig)
                 out.append(Deliver(self.delivered1))
                 out.extend(self._maybe_echo2())
-        if self.delivered2 is None and (
-            self.delivered1 is not None or not self.echo2_requires_grade1
-        ):
+        if self.delivered2 is None and self.delivered1 is not None:
             t2 = tagged_digest(msg, 2)
             pool = self.pool2.get(t2, {})
             if len(pool) >= self.params.quorum:

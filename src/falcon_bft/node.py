@@ -22,17 +22,15 @@ from .core_types import Block, Envelope, Send, SystemParams, Transaction
 from .crypto import KeyRegistry
 from .sorter import Chain, SortCursor, SortView, partial_sort
 
+# an instance is pruned once it is sorted and more than this many below k
+RETENTION = 2
+
 
 @dataclass
 class NodeConfig:
     num_instances: int = 1
     block_cap: int = 32
-    retention: int = 2
     integral_sort: bool = False
-    # detector-sanity mutation hooks; production value is False for all three
-    disable_echo2_gate: bool = False
-    disable_q_check: bool = False
-    disable_sort_gate: bool = False
 
 
 class Node:
@@ -58,7 +56,6 @@ class Node:
         self.instances: Dict[int, AcsqInstance] = {}
         self.held: Dict[int, List[Envelope]] = {}
         self.pruned_below = 1
-        self.started = False
 
     # -- harness surface ---------------------------------------------------------
 
@@ -69,7 +66,6 @@ class Node:
         self.buffer.append(tx)
 
     def start(self) -> List[Envelope]:
-        self.started = True
         return self._wrap(self._drive())
 
     def handle(self, env: Envelope) -> List[Envelope]:
@@ -105,8 +101,6 @@ class Node:
                 self.registry,
                 log=lambda kind, **f: self.log(kind, **f),
                 input_policy=self._input_policy(),
-                echo2_requires_grade1=not self.config.disable_echo2_gate,
-                q_check_enabled=not self.config.disable_q_check,
             )
         return self.instances[k]
 
@@ -185,15 +179,6 @@ class Node:
             self.buffer_ids -= remove
 
     def _run_sorts(self) -> None:
-        if self.config.disable_sort_gate:
-            for k in sorted(self.instances):
-                inst = self.instances[k]
-                view = SortView(k, self.params.n, inst.include_map(), set(inst.S_ex))
-                done = partial_sort(self.cursor, view, self.chain, instance_gate=False,
-                                    integral=self.config.integral_sort)
-                if done:
-                    self._commit(k, done)
-            return
         while True:
             k = self.cursor.done_id + 1
             inst = self.instances.get(k)
@@ -208,7 +193,7 @@ class Node:
                 break
 
     def _prune(self) -> None:
-        horizon = min(self.k - self.config.retention, self.cursor.done_id)
+        horizon = min(self.k - RETENTION, self.cursor.done_id)
         for k in sorted(self.instances):
             if k >= horizon:
                 break

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .simnet import RunResult, SimConfig
-
-
-def _correct(config: SimConfig) -> Tuple[int, ...]:
-    return config.correct_nodes()
+from .simnet import RunResult
 
 
 def _order(rec: dict) -> Tuple[int, int]:
@@ -26,7 +22,7 @@ def check_chain_safety(result: RunResult) -> List[dict]:
     """No two correct nodes disagree on any filled slot."""
     out = []
     chains = result.chains()
-    correct = _correct(result.config)
+    correct = result.config.correct_nodes()
     for a_idx in range(len(correct)):
         for b_idx in range(a_idx + 1, len(correct)):
             a, b = correct[a_idx], correct[b_idx]
@@ -47,7 +43,7 @@ def check_chain_safety(result: RunResult) -> List[dict]:
 def check_acs_agreement(result: RunResult) -> List[dict]:
     """Returned correct nodes agree on each instance's included blocks and exclusions."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     returned: Dict[int, Dict[int, dict]] = {}
     for rec in result.log.of_kind("instance_return"):
         if rec["node"] in correct:
@@ -82,7 +78,7 @@ def check_acs_agreement(result: RunResult) -> List[dict]:
 def check_acs_blocks_match(result: RunResult) -> List[dict]:
     """Included digests per (instance, index) agree across correct nodes."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     seen: Dict[Tuple[int, int], Dict[int, str]] = {}
     for rec in result.log.records:
         if rec["kind"] in ("gbc_deliver", "da_adopt") and rec["node"] in correct:
@@ -104,7 +100,7 @@ def check_acs_blocks_match(result: RunResult) -> List[dict]:
 def check_validity(result: RunResult) -> List[dict]:
     """Every returned instance carries at least a quorum of included blocks."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     quorum = result.config.params.quorum
     for rec in result.log.of_kind("instance_return"):
         if rec["node"] in correct and rec["acs_size"] < quorum:
@@ -122,7 +118,7 @@ def check_validity(result: RunResult) -> List[dict]:
 def check_totality(result: RunResult) -> List[dict]:
     """All correct nodes return every instance in the measured window."""
     out = []
-    correct = _correct(result.config)
+    correct = result.config.correct_nodes()
     returned = {
         (rec["node"], rec["k"]) for rec in result.log.of_kind("instance_return")
     }
@@ -176,7 +172,7 @@ def check_optimistic_validity(result: RunResult) -> List[dict]:
 def check_delivery_correlation(result: RunResult) -> List[dict]:
     """A grade-2 delivery needs f+1 strictly earlier correct grade-1 deliveries."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     need = result.config.params.small_quorum
     grade1: Dict[Tuple[int, int, str], List[Tuple[Tuple[int, int], int]]] = {}
     for rec in result.log.of_kind("gbc_deliver"):
@@ -206,7 +202,7 @@ def check_delivery_correlation(result: RunResult) -> List[dict]:
 def check_receipt_correlation(result: RunResult) -> List[dict]:
     """A grade-1 delivery needs f+1 correct nodes already holding the body."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     need = result.config.params.small_quorum
     received: Dict[Tuple[int, str], List[Tuple[Tuple[int, int], int]]] = {}
     for rec in result.log.of_kind("body_received"):
@@ -237,7 +233,7 @@ def check_aaba(result: RunResult) -> List[dict]:
     """Agreement, 1-validity and biased-validity of every agreement instance."""
     out = []
     config = result.config
-    correct = set(_correct(config))
+    correct = set(config.correct_nodes())
     outputs: Dict[Tuple[int, int], Dict[int, int]] = {}
     for rec in result.log.of_kind("aaba_output"):
         if rec["node"] in correct:
@@ -313,7 +309,7 @@ def check_decide_once(result: RunResult) -> List[dict]:
 def check_commit_order(result: RunResult) -> List[dict]:
     """Commits at a correct node walk instances in order, creators ascending."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     per_node: Dict[int, List[dict]] = {}
     for rec in result.log.of_kind("commit"):
         if rec["node"] in correct:
@@ -337,7 +333,7 @@ def check_commit_order(result: RunResult) -> List[dict]:
 def check_conflict_markers(result: RunResult) -> List[dict]:
     """Surface events the state machines flagged as impossible-for-correct-nodes."""
     out = []
-    correct = set(_correct(result.config))
+    correct = set(result.config.correct_nodes())
     for rec in result.log.of_kind("late_grade2_after_exclusion"):
         if rec["node"] in correct:
             out.append(
@@ -388,7 +384,7 @@ def check_liveness(result: RunResult, min_checked: int = 0) -> List[dict]:
     """
     out = []
     config = result.config
-    correct = _correct(config)
+    correct = config.correct_nodes()
     proposals: Dict[int, List[Tuple[int, int]]] = {i: [] for i in correct}
     for rec in result.log.of_kind("propose"):
         if rec["node"] in proposals:

@@ -82,10 +82,6 @@ def parse_fault(node: str, raw: str) -> FaultSpec:
         node_id = int(node)
     except ValueError as exc:
         raise ScenarioError(f"bad fault node {node!r}") from exc
-    if kind == "delay_target":
-        raise ScenarioError(
-            "scope [adversary] rules with from=/to= instead of delay_target"
-        )
     at_time = 0
     if arg:
         if kind != "crash":

@@ -6,8 +6,8 @@ number is assigned at send time, so equal-time deliveries replay in send
 order and a (config, seed) pair maps to exactly one event log, byte for
 byte.  Lockstep mode delivers every message one tick after it was sent,
 which makes a tick equal to one communication round; random mode draws
-per-message delays from the seeded generator; delay rules (standalone or
-attached to a fault) add extra ticks to matching messages.
+per-message delays from the seeded generator; delay rules add extra ticks
+to matching messages.
 
 Fault plugins act strictly through their own node's keys and the delay
 knobs: crash silences a node from a given tick, equivocation sends
@@ -27,10 +27,13 @@ from typing import Dict, List, Optional, Tuple
 from .aaba import AabaInput
 from .acsq import AcsqInstance
 from .core_types import (
+    AABA_BODIES,
+    GBC_BODIES,
     Amp,
     Block,
     Envelope,
     Propose,
+    Proto,
     Send,
     SystemParams,
     Transaction,
@@ -43,14 +46,9 @@ class InvalidConfig(Exception):
     pass
 
 
-class NotLockstep(Exception):
-    pass
-
-
-FAULT_KINDS = ("crash", "equivocate", "silent", "wrong_aaba_bit", "delay_target")
-# delay_target only attaches delay rules to one node's traffic; the node
-# itself keeps following the protocol and stays in the correct set
-BYZANTINE_KINDS = ("crash", "equivocate", "silent", "wrong_aaba_bit")
+MODES = ("lockstep", "random")
+_RULE_PROTOS = tuple(p.name.lower() for p in Proto)
+_RULE_BODIES = tuple(cls.__name__ for cls in GBC_BODIES + AABA_BODIES)
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,13 @@ class FaultSpec:
     node: int
     kind: str
     at_time: int = 0
-    rules: Tuple[DelayRule, ...] = ()
 
 
 @dataclass
 class SimConfig:
     params: SystemParams
     seed: int = 0
-    mode: str = "lockstep"  # lockstep | random | adversarial
+    mode: str = "lockstep"  # one of MODES
     delay_min: int = 1
     delay_max: int = 3
     rules: Tuple[DelayRule, ...] = ()
@@ -103,39 +100,35 @@ class SimConfig:
     tx_size: int = 8
     block_cap: int = 32
     integral_sort: bool = False
-    disable_echo2_gate: bool = False
-    disable_q_check: bool = False
-    disable_sort_gate: bool = False
 
     def validate(self) -> None:
-        if self.mode not in ("lockstep", "random", "adversarial"):
+        if self.mode not in MODES:
             raise InvalidConfig(f"unknown mode {self.mode!r}")
         if not 1 <= self.delay_min <= self.delay_max:
             raise InvalidConfig("need 1 <= delay_min <= delay_max")
         if self.num_instances < 1:
             raise InvalidConfig("need at least one instance")
         seen = set()
-        byzantine = set()
         for fs in self.faults:
-            if fs.kind not in FAULT_KINDS:
+            if fs.kind not in _FAULT_NODE_CLASSES:
                 raise InvalidConfig(f"unknown fault kind {fs.kind!r}")
             if not 1 <= fs.node <= self.params.n:
                 raise InvalidConfig(f"fault node {fs.node} out of range")
             if fs.node in seen:
                 raise InvalidConfig(f"duplicate fault for node {fs.node}")
             seen.add(fs.node)
-            if fs.kind in BYZANTINE_KINDS:
-                byzantine.add(fs.node)
-        if len(byzantine) > self.params.f:
+        if len(seen) > self.params.f:
             raise InvalidConfig("more faulty nodes than the tolerance f")
         for rule in self.rules:
             if rule.delay < 0:
                 raise InvalidConfig("rule delays must be finite and non-negative")
+            if rule.proto is not None and rule.proto not in _RULE_PROTOS:
+                raise InvalidConfig(f"unknown rule proto {rule.proto!r}")
+            if rule.body is not None and rule.body not in _RULE_BODIES:
+                raise InvalidConfig(f"unknown rule body {rule.body!r}")
 
     def faulty_nodes(self) -> Tuple[int, ...]:
-        return tuple(
-            sorted(fs.node for fs in self.faults if fs.kind in BYZANTINE_KINDS)
-        )
+        return tuple(sorted(fs.node for fs in self.faults))
 
     def correct_nodes(self) -> Tuple[int, ...]:
         bad = set(self.faulty_nodes())
@@ -188,7 +181,6 @@ class WrongBitNode(Node):
 
 _FAULT_NODE_CLASSES = {
     "crash": Node,
-    "delay_target": Node,
     "silent": SilentNode,
     "equivocate": EquivocatingNode,
     "wrong_aaba_bit": WrongBitNode,
@@ -232,9 +224,6 @@ class Simulation:
         self._seq = 0
         self._queue: List[Tuple[int, int, Envelope]] = []
 
-        self.rules: Tuple[DelayRule, ...] = config.rules + tuple(
-            rule for fs in config.faults for rule in fs.rules
-        )
         self.crashed_at: Dict[int, int] = {
             fs.node: fs.at_time for fs in config.faults if fs.kind == "crash"
         }
@@ -242,9 +231,6 @@ class Simulation:
             num_instances=config.num_instances,
             block_cap=config.block_cap,
             integral_sort=config.integral_sort,
-            disable_echo2_gate=config.disable_echo2_gate,
-            disable_q_check=config.disable_q_check,
-            disable_sort_gate=config.disable_sort_gate,
         )
         kinds = {fs.node: fs.kind for fs in config.faults}
         self.nodes: Dict[int, Node] = {}
@@ -275,7 +261,7 @@ class Simulation:
         else:
             base = self.rng.randint(self.config.delay_min, self.config.delay_max)
         extra = 0
-        for rule in self.rules:
+        for rule in self.config.rules:
             if rule.matches(env):
                 extra = rule.delay
                 break
@@ -378,10 +364,3 @@ def schedule(config: SimConfig) -> Simulation:
 
 def run_simulation(config: SimConfig) -> RunResult:
     return schedule(config).run()
-
-
-def round_of(record: dict, config: SimConfig) -> int:
-    """Lockstep hop index of a log record; a hop is one communication round."""
-    if config.mode != "lockstep":
-        raise NotLockstep("round accounting needs lockstep mode")
-    return record["t"]

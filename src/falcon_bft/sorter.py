@@ -3,9 +3,9 @@
 Within an instance, index j commits as soon as every smaller index is
 decided (included or excluded); across instances, instance k may only
 write to the chain once instance k-1 is fully sorted.  Slots keep whole
-blocks so cross-node safety is byte-equality of slots; a separate
-execution log records each transaction id once, skipping duplicates that
-were already committed in an earlier block.
+blocks so cross-node safety is byte-equality of slots; the chain also
+keeps the set of committed transaction ids, which the node uses to drop
+re-injected transactions.
 """
 
 from __future__ import annotations
@@ -19,25 +19,17 @@ from .crypto import sha256
 
 @dataclass
 class Chain:
-    """Append-only committed-block vector plus the execution dedup log."""
+    """Append-only committed-block vector plus the set of committed txids."""
 
     slots: List[Block] = field(default_factory=list)
-    exec_log: List[bytes] = field(default_factory=list)
     committed_txids: Set[bytes] = field(default_factory=set)
 
     def __len__(self) -> int:
         return len(self.slots)
 
-    def append(self, block: Block) -> List[bytes]:
-        """Write the next slot; returns the txids newly added to the exec log."""
+    def append(self, block: Block) -> None:
         self.slots.append(block)
-        fresh = []
-        for tx in block.txs:
-            if tx.txid not in self.committed_txids:
-                self.committed_txids.add(tx.txid)
-                self.exec_log.append(tx.txid)
-                fresh.append(tx.txid)
-        return fresh
+        self.committed_txids.update(tx.txid for tx in block.txs)
 
     def digest(self) -> bytes:
         return sha256(b"".join(b.digest for b in self.slots))
@@ -65,16 +57,14 @@ def partial_sort(
     cursor: SortCursor,
     view: SortView,
     chain: Chain,
-    instance_gate: bool = True,
     integral: bool = False,
 ) -> List[Block]:
     """Advance the sort cursor for one instance; returns blocks committed now.
 
     `integral` is the foil mode used by the stability comparison: nothing
-    commits until every index of the instance is decided.  `instance_gate`
-    off is a mutation hook for the detector-sanity acceptance check.
+    commits until every index of the instance is decided.
     """
-    if instance_gate and cursor.done_id != view.k - 1:
+    if cursor.done_id != view.k - 1:
         return []
     idx = cursor.idx.get(view.k, 0)
     if integral:
@@ -91,6 +81,6 @@ def partial_sort(
             committed.append(view.included[j])
         idx = j
     cursor.idx[view.k] = idx
-    if idx == view.n and (not instance_gate or cursor.done_id == view.k - 1):
-        cursor.done_id = max(cursor.done_id, view.k)
+    if idx == view.n:
+        cursor.done_id = view.k
     return committed

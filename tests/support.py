@@ -1,14 +1,26 @@
 """Shared test harnesses: tiny message buses for driving protocol clusters
-outside the full node stack, plus certificate builders."""
+outside the full node stack, certificate builders, and gate mutants that
+the detector-sanity tests install with pytest's monkeypatch."""
 
 from __future__ import annotations
 
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from falcon_bft.core_types import InstanceAddr, Proto, Send, SystemParams
-from falcon_bft.crypto import KeyRegistry, ThresholdSig
-from falcon_bft.gbc import gbc_message
+from falcon_bft import node as node_module
+from falcon_bft.aaba import AabaInstance
+from falcon_bft.core_types import (
+    Echo2,
+    GradedDelivery,
+    InstanceAddr,
+    Proto,
+    Send,
+    SystemParams,
+)
+from falcon_bft.crypto import KeyRegistry, ThresholdSig, tagged_digest
+from falcon_bft.gbc import Deliver, GbcInstance, gbc_message
+from falcon_bft.node import Node
+from falcon_bft.sorter import SortView
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:
@@ -99,3 +111,68 @@ class ShuffleBus:
             steps += 1
         assert not self.pool, f"bus still busy after {max_steps} deliveries"
         return steps
+
+
+# -- gate mutants -------------------------------------------------------------
+# Each one removes a single safety gate from the unmodified library by
+# replacing a name the library already looks up; the observer must catch it.
+
+
+class EagerEcho2Gbc(GbcInstance):
+    """Graded broadcast without the grade-1 gate: the Echo2 goes out with the
+    Echo1, and grade 2 delivers whether or not grade 1 has."""
+
+    def _maybe_echo1(self) -> List[object]:
+        return super()._maybe_echo1() + self._maybe_echo2()
+
+    def _maybe_echo2(self) -> List[object]:
+        if self.echoed2 or self.silenced or self.received_block is None:
+            return []
+        self.echoed2 = True
+        msg = gbc_message(self.addr, self.received_block.digest)
+        return [Send(self.addr, Echo2(self.registry.partial_sign(self.node_id, msg, 2)))]
+
+    def _try_deliveries(self) -> List[object]:
+        out = super()._try_deliveries()
+        block = self.received_block
+        if block is None or self.delivered2 is not None:
+            return out
+        pool = self.pool2.get(tagged_digest(gbc_message(self.addr, block.digest), 2), {})
+        if len(pool) >= self.params.quorum:
+            sig = self.registry.combine(pool.values(), self.params.quorum)
+            self.delivered2 = GradedDelivery(block, 2, sig)
+            out.append(Deliver(self.delivered2))
+        return out
+
+
+def _q_check_any(self, digest, proof) -> bool:
+    """One-input validity without the certificate check."""
+    return digest is not None and proof is not None
+
+
+def _sort_every_instance(self: Node) -> None:
+    """Partial sorting without the cross-instance gate: every live instance
+    writes to the chain as soon as its own low indices are decided."""
+    cursor = self.cursor
+    for k in sorted(self.instances):
+        inst = self.instances[k]
+        view = SortView(k, self.params.n, inst.include_map(), set(inst.S_ex))
+        saved, cursor.done_id = cursor.done_id, k - 1
+        done = node_module.partial_sort(
+            cursor, view, self.chain, integral=self.config.integral_sort
+        )
+        cursor.done_id = max(saved, k) if cursor.done_id == k else saved
+        if done:
+            self._commit(k, done)
+
+
+def break_echo2_gate(monkeypatch) -> None:
+    monkeypatch.setattr("falcon_bft.acsq.GbcInstance", EagerEcho2Gbc)
+
+
+def break_q_check(monkeypatch) -> None:
+    monkeypatch.setattr(AabaInstance, "q_check", _q_check_any)
+
+
+def break_sort_gate(monkeypatch) -> None:
+    monkeypatch.setattr(Node, "_run_sorts", _sort_every_instance)

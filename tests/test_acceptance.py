@@ -29,7 +29,14 @@ from falcon_bft.metrics import (
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
-from support import LockstepBus, ShuffleBus, make_registry
+from support import (
+    LockstepBus,
+    ShuffleBus,
+    break_echo2_gate,
+    break_q_check,
+    break_sort_gate,
+    make_registry,
+)
 
 BYZ_KINDS = ("equivocate", "silent", "wrong_aaba_bit")
 
@@ -213,7 +220,7 @@ def fuzz_config(i):
     return SimConfig(
         params=SystemParams(n, f),
         seed=i,
-        mode="adversarial",
+        mode="random",
         delay_min=1,
         delay_max=5,
         num_instances=5,
@@ -330,7 +337,7 @@ def test_criterion_8_determinism():
     cfg = SimConfig(
         params=SystemParams(7, 2),
         seed=8,
-        mode="adversarial",
+        mode="random",
         num_instances=3,
         tx_load=4,
         faults=(FaultSpec(7, "equivocate"), FaultSpec(6, "wrong_aaba_bit")),
@@ -347,19 +354,26 @@ def test_criterion_8_determinism():
 # -- criterion 9 -----------------------------------------------------------------------------
 
 
-def test_criterion_9_mutation_sanity():
+def run_mutated(monkeypatch, break_gate, config):
+    """Run `config` with one gate removed, then put the library back."""
+    with monkeypatch.context() as patch:
+        break_gate(patch)
+        return run_simulation(config)
+
+
+def test_criterion_9_mutation_sanity(monkeypatch):
     # removing the grade-1 gate on second-round echoes breaks delivery correlation
-    gate_cfg = dict(
+    gate_cfg = SimConfig(
         params=SystemParams(4, 1), seed=9, num_instances=1, tx_load=2,
         rules=(DelayRule(body="Echo1", delay=8),),
     )
-    mutated = run_simulation(SimConfig(**gate_cfg, disable_echo2_gate=True))
+    mutated = run_mutated(monkeypatch, break_echo2_gate, gate_cfg)
     found = {v["check"] for v in observe_invariants(mutated)}
     assert "delivery_correlation" in found
-    assert observe_invariants(run_simulation(SimConfig(**gate_cfg))) == []
+    assert observe_invariants(run_simulation(gate_cfg)) == []
 
     # removing the one-input validity check lets a forged certificate through
-    q_cfg = dict(
+    q_cfg = SimConfig(
         params=SystemParams(4, 1), seed=2, num_instances=2, tx_load=2,
         faults=(FaultSpec(4, "wrong_aaba_bit"),),
         rules=(
@@ -368,22 +382,22 @@ def test_criterion_9_mutation_sanity():
             DelayRule(sender=2, body="Amp", delay=3),
         ),
     )
-    mutated = run_simulation(SimConfig(**q_cfg, disable_q_check=True))
+    mutated = run_mutated(monkeypatch, break_q_check, q_cfg)
     found = {v["check"] for v in observe_invariants(mutated)}
     assert found & {"aaba_1_validity", "totality"}
-    assert observe_invariants(run_simulation(SimConfig(**q_cfg))) == []
+    assert observe_invariants(run_simulation(q_cfg)) == []
 
     # removing the sorter's instance gate interleaves instances differently
     # at differently-paced nodes and breaks chain safety
-    sort_cfg = dict(
+    sort_cfg = SimConfig(
         params=SystemParams(4, 1), seed=3, num_instances=2, tx_load=2,
         rules=(
             DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),
             DelayRule(recipient=2, body="Echo2", acsq_id=2, delay=10),
         ),
     )
-    mutated = run_simulation(SimConfig(**sort_cfg, disable_sort_gate=True))
+    mutated = run_mutated(monkeypatch, break_sort_gate, sort_cfg)
     found = {v["check"] for v in observe_invariants(mutated)}
     assert "chain_safety" in found
-    assert observe_invariants(run_simulation(SimConfig(**sort_cfg))) == []
-    report(9, "each disabled gate is caught by the invariant checks it protects")
+    assert observe_invariants(run_simulation(sort_cfg)) == []
+    report(9, "each removed gate is caught by the invariant checks it protects")

@@ -67,6 +67,15 @@ def test_malformed_scenario_nonzero_exit_no_outputs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_mistyped_rule_nonzero_exit_no_outputs(tmp_path):
+    # upper-case proto would match no message; it must not run as a no-op rule
+    text = FAVORABLE + "\n[adversary]\nrule1 = proto=GBC delay=5\n"
+    scenario = write(tmp_path, text, "typo.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_missing_scenario_nonzero(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
 

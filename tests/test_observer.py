@@ -9,6 +9,8 @@ from falcon_bft.observer import (
 )
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
+from support import break_echo2_gate, break_q_check, break_sort_gate
+
 
 def favorable(seed=1, **kwargs):
     kwargs.setdefault("tx_load", 4)
@@ -58,18 +60,18 @@ def test_dropped_commit_breaks_liveness():
     assert found and all(v["check"] == "liveness" for v in found)
 
 
-def test_echo2_gate_mutation_breaks_delivery_correlation():
+def test_echo2_gate_mutation_breaks_delivery_correlation(monkeypatch):
     cfg = favorable(
         num_instances=1,
         rules=(DelayRule(body="Echo1", delay=8),),
-        disable_echo2_gate=True,
     )
+    break_echo2_gate(monkeypatch)
     res = run_simulation(cfg)
     report = observe_invariants(res)
     assert any(v["check"] == "delivery_correlation" for v in report)
 
 
-def test_q_check_mutation_breaks_one_validity():
+def test_q_check_mutation_breaks_one_validity(monkeypatch):
     cfg = favorable(
         seed=2,
         faults=(FaultSpec(4, "wrong_aaba_bit"),),
@@ -78,21 +80,23 @@ def test_q_check_mutation_breaks_one_validity():
             DelayRule(sender=1, body="Amp", delay=3),
             DelayRule(sender=2, body="Amp", delay=3),
         ),
-        disable_q_check=True,
     )
+    break_q_check(monkeypatch)
     res = run_simulation(cfg)
     checks = {v["check"] for v in observe_invariants(res)}
     assert "aaba_1_validity" in checks or "totality" in checks
 
 
-def test_sort_gate_mutation_breaks_chain_safety():
+def test_sort_gate_mutation_breaks_chain_safety(monkeypatch):
     rules = (
         DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),
         DelayRule(recipient=2, body="Echo2", acsq_id=2, delay=10),
     )
-    cfg = favorable(seed=3, rules=rules, disable_sort_gate=True)
-    res = run_simulation(cfg)
+    cfg = favorable(seed=3, rules=rules)
+    with monkeypatch.context() as patch:
+        break_sort_gate(patch)
+        res = run_simulation(cfg)
     assert any(v["check"] == "chain_safety" for v in observe_invariants(res))
     # identical scenario with the gate intact is clean
-    clean = run_simulation(favorable(seed=3, rules=rules))
+    clean = run_simulation(cfg)
     assert observe_invariants(clean) == []

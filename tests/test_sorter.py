@@ -63,7 +63,7 @@ def test_integral_mode_commits_only_when_all_decided():
     assert cursor.done_id == 1
 
 
-def test_duplicate_txs_kept_in_slots_but_deduped_in_exec_log():
+def test_duplicate_txs_kept_in_slots_and_committed_once():
     chain = Chain()
     cursor = SortCursor()
     shared = Transaction(b"shared")
@@ -71,9 +71,8 @@ def test_duplicate_txs_kept_in_slots_but_deduped_in_exec_log():
     b2 = Block(2, 1, (shared, Transaction(b"own")))
     view = SortView(1, 2, {1: b1, 2: b2}, set())
     partial_sort(cursor, view, chain)
-    assert len(chain.slots) == 2  # both blocks occupy slots
-    assert chain.exec_log.count(shared.txid) == 1
-    assert len(chain.exec_log) == 2
+    assert chain.slots == [b1, b2]  # both blocks occupy slots
+    assert chain.committed_txids == {shared.txid, b2.txs[1].txid}
 
 
 def test_chain_digest_tracks_slots():
