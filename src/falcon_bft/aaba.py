@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .aba import AbaInstance
+from .aba import AbaInstance, DoubleInput
 from .core_types import (
     AbaDecided,
     Amp,
@@ -51,10 +51,6 @@ from .core_types import (
 )
 from .crypto import KeyRegistry, ThresholdSig
 from .gbc import gbc_message
-
-
-class DoubleInput(Exception):
-    pass
 
 
 class InvalidOneInput(Exception):
@@ -90,12 +86,10 @@ class AabaInstance:
     def __init__(
         self,
         addr: InstanceAddr,
-        node_id: int,
         params: SystemParams,
         registry: KeyRegistry,
     ):
         self.addr = addr
-        self.node_id = node_id
         self.params = params
         self.registry = registry
 
@@ -116,9 +110,7 @@ class AabaInstance:
         self.known_proof: Optional[Tuple[bytes, ThresholdSig]] = None
         self.buffered: List[Tuple[int, object]] = []
 
-        self.inner = AbaInstance(
-            addr, node_id, params, coin_secret=registry.coin_secret
-        )
+        self.inner = AbaInstance(addr, params, coin_secret=registry.coin_secret)
 
     @property
     def engaged(self) -> bool:

@@ -29,15 +29,8 @@ class DoubleInput(Exception):
 
 
 class AbaInstance:
-    def __init__(
-        self,
-        addr: InstanceAddr,
-        node_id: int,
-        params: SystemParams,
-        coin_secret: bytes,
-    ):
+    def __init__(self, addr: InstanceAddr, params: SystemParams, coin_secret: bytes):
         self.addr = addr
-        self.node_id = node_id
         self.params = params
         self.coin_secret = coin_secret
 

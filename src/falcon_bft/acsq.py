@@ -4,8 +4,10 @@ delivery assistance, and block-query recovery.
 The broadcast stage runs until either all n blocks are grade-2 delivered
 (agreement skipped entirely) or the driver fires this instance's trigger,
 after which the node waits for a grade-2 quorum, mutes its broadcast-stage
-partial signatures, and opens one AABA instance per missing index: input
-⟨1, digest, cert⟩ when the block was grade-1 delivered, 0 otherwise.
+partial signatures, and opens one AABA instance per missing index.  The
+driver's `input_policy` gives each its input; the honest rule
+(`honest_input`) is ⟨1, digest, cert⟩ when the block was grade-1 delivered,
+0 otherwise.
 
 Any grade-2 certificate adopted later, from a peer's assistance message or
 from pools completing after the mute, immediately decides that index and
@@ -24,7 +26,6 @@ from .core_types import (
     Assist,
     Block,
     Echo1,
-    Echo2,
     Envelope,
     GradedDelivery,
     InstanceAddr,
@@ -47,17 +48,17 @@ class AcsqInstance:
         params: SystemParams,
         registry: KeyRegistry,
         log: Callable,
-        input_policy: Optional[Callable] = None,
+        input_policy: Callable,
     ):
         self.k = k
         self.node_id = node_id
         self.params = params
         self.registry = registry
         self.log = log
-        self.input_policy = input_policy or self.default_input_policy
+        # (instance, j) -> sends: gives index j its agreement input
+        self.input_policy = input_policy
 
         self.active = False
-        self.muted = False
         self.trigger_active = False
         self.agreement_started = False
         self.returned = False
@@ -90,46 +91,27 @@ class AcsqInstance:
                 self.node_id,
                 self.params,
                 self.registry,
-                silenced=(not self.active) or self.muted,
+                silenced=(not self.active) or self.agreement_started,
             )
         return self.gbc[j]
 
     def aaba_for(self, j: int) -> AabaInstance:
         if j not in self.aaba:
-            self.aaba[j] = AabaInstance(
-                self.aaba_addr(j), self.node_id, self.params, self.registry
-            )
+            self.aaba[j] = AabaInstance(self.aaba_addr(j), self.params, self.registry)
         return self.aaba[j]
-
-    @property
-    def m2_count(self) -> int:
-        return len(self.M2)
-
-    def include_map(self) -> Dict[int, Block]:
-        return dict(self.M_acs)
 
     # -- activation ----------------------------------------------------------------
 
-    def activate(
-        self, own_block: Optional[Block], propose_sends: Optional[List[Send]] = None
-    ) -> List[Send]:
-        """Go active: catch up withheld echoes and broadcast our own block.
-
-        `propose_sends` lets a fault plugin replace the single broadcast with
-        its own per-recipient proposals (equivocation).
-        """
+    def activate(self, own_block: Optional[Block]) -> List[Send]:
+        """Go active: catch up withheld echoes and broadcast our own block."""
         if self.active:
             return []
         self.active = True
         self.log("activate", k=self.k)
         out: List[Send] = []
         for j in sorted(self.gbc):
-            sub = [] if self.muted else self.gbc[j].unsilence()
-            out.extend(self._absorb(j, sub))
-        if propose_sends is not None:
-            self.gbc_for(self.node_id).started = True
-            out.extend(propose_sends)
-        elif own_block is not None:
+            out.extend(self._absorb(j, self.gbc[j].unsilence()))
+        if own_block is not None:
             out.extend(self._absorb(self.node_id, self.gbc_for(self.node_id).start(own_block)))
         out.extend(self._check_stage())
         return out
@@ -144,6 +126,9 @@ class AcsqInstance:
     # -- envelope routing --------------------------------------------------------------
 
     def handle(self, env: Envelope) -> List[Send]:
+        if not 1 <= env.addr.index <= self.params.n:
+            self.log("drop", k=self.k, j=env.addr.index, reason="bad_index")
+            return []
         if env.addr.proto is Proto.GBC:
             return self._handle_gbc(env)
         return self._handle_aaba(env)
@@ -156,10 +141,8 @@ class AcsqInstance:
             sub = g.on_propose(env.sender, body.block)
         elif isinstance(body, Echo1):
             sub = g.on_echo1(body.partial)
-        elif isinstance(body, Echo2):
+        else:  # Echo2, the one other body an Envelope admits on a GBC address
             sub = g.on_echo2(body.partial)
-        else:
-            sub = []
         return self._absorb(j, sub)
 
     def _handle_aaba(self, env: Envelope) -> List[Send]:
@@ -225,7 +208,7 @@ class AcsqInstance:
         if j in self.aaba:
             self.aaba[j].halt()
         out.extend(self._check_stage())
-        out.extend(self._resolve_check())
+        self._resolve_check()
         return out
 
     def _note_body(self, block: Block, via: str) -> List[Send]:
@@ -265,7 +248,6 @@ class AcsqInstance:
 
     def _enter_agreement(self) -> List[Send]:
         self.agreement_started = True
-        self.muted = True
         for g in self.gbc.values():
             g.silenced = True
         self.log("agreement_enter", k=self.k, m2=len(self.M2))
@@ -275,19 +257,18 @@ class AcsqInstance:
                 continue
             self.S_a.add(j)
             out.extend(self.input_policy(self, j))
-        out.extend(self._resolve_check())
+        self._resolve_check()
         return out
 
-    @staticmethod
-    def default_input_policy(inst: "AcsqInstance", j: int) -> List[Send]:
+    def honest_input(self, j: int) -> List[Send]:
         """Honest input rule: grade-1 delivery turns into a certified one-input."""
-        m1 = inst.M1.get(j)
+        m1 = self.M1.get(j)
         if m1 is not None:
             value = AabaInput.one(m1.block.digest, m1.proof)
         else:
             value = AabaInput.zero()
-        inst.log("aaba_input", k=inst.k, j=j, bit=value.bit, q_valid=value.bit == 1)
-        return inst._absorb(j, inst.aaba_for(j).give_input(value))
+        self.log("aaba_input", k=self.k, j=j, bit=value.bit, q_valid=value.bit == 1)
+        return self._absorb(j, self.aaba_for(j).give_input(value))
 
     # -- agreement results ----------------------------------------------------------------
 
@@ -302,7 +283,7 @@ class AcsqInstance:
         else:
             self.pending_includes[j] = None
             out.extend(self._advance_includes())
-        out.extend(self._resolve_check())
+        self._resolve_check()
         return out
 
     def _advance_includes(self) -> List[Send]:
@@ -323,7 +304,7 @@ class AcsqInstance:
                 del self.pending_includes[j]
                 self.M_acs[j] = block
                 self.log("decide", k=self.k, j=j, outcome="include", source="aaba")
-                out.extend(self._resolve_check())
+                self._resolve_check()
             elif digest not in self.queried:
                 self.queried.add(digest)
                 self.log("query_sent", k=self.k, j=j, digest=digest.hex())
@@ -358,14 +339,13 @@ class AcsqInstance:
 
     # -- completion ------------------------------------------------------------------------------
 
-    def _resolve_check(self) -> List[Send]:
+    def _resolve_check(self) -> None:
         if (
             self.agreement_started
             and not self.returned
             and all(j in self.S_ex or j in self.M_acs for j in self.S_a)
         ):
             self._do_return()
-        return []
 
     def _do_return(self) -> None:
         self.returned = True

@@ -4,24 +4,41 @@ All types here are immutable values, safe to copy between nodes.  The
 canonical encoding is length-prefixed everywhere so that no two distinct
 values encode to the same bytes; it doubles as the on-disk fixture format
 for unit tests (hex-dumped) and as the wire format whose round-trip the
-envelope tests pin down.
+envelope tests pin down.  Bytes that are not an encoding raise DecodeError.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
+
+
+class DecodeError(ValueError):
+    """The bytes are not the canonical encoding of any value."""
 
 
 def u32(value: int) -> bytes:
     return value.to_bytes(4, "big")
 
 
+def _take(data: bytes, off: int, size: int) -> Tuple[bytes, int]:
+    end = off + size
+    if end > len(data):
+        raise DecodeError(f"need {size} bytes at offset {off}, have {len(data) - off}")
+    return data[off:end], end
+
+
+def read_u8(data: bytes, off: int) -> Tuple[int, int]:
+    raw, off = _take(data, off, 1)
+    return raw[0], off
+
+
 def read_u32(data: bytes, off: int) -> Tuple[int, int]:
-    return int.from_bytes(data[off : off + 4], "big"), off + 4
+    raw, off = _take(data, off, 4)
+    return int.from_bytes(raw, "big"), off
 
 
 def lp(data: bytes) -> bytes:
@@ -31,7 +48,15 @@ def lp(data: bytes) -> bytes:
 
 def read_lp(data: bytes, off: int) -> Tuple[bytes, int]:
     n, off = read_u32(data, off)
-    return data[off : off + n], off + n
+    return _take(data, off, n)
+
+
+def _decode_exact(decode: Callable, data: bytes):
+    """Decode one value that must span all of `data` (a length prefix's payload)."""
+    value, off = decode(data, 0)
+    if off != len(data):
+        raise DecodeError(f"{len(data) - off} trailing bytes")
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,6 +128,9 @@ class Proto(enum.Enum):
     AABA = 2
 
 
+_PROTOS = {p.value: p for p in Proto}
+
+
 @dataclass(frozen=True)
 class InstanceAddr:
     """Routing address: ACSQ instance id plus sub-protocol slot.
@@ -120,10 +148,11 @@ class InstanceAddr:
 
 def decode_addr(data: bytes, off: int) -> Tuple[InstanceAddr, int]:
     acsq_id, off = read_u32(data, off)
-    proto = Proto(data[off])
-    off += 1
+    raw_proto, off = read_u8(data, off)
+    if raw_proto not in _PROTOS:
+        raise DecodeError(f"unknown proto {raw_proto}")
     index, off = read_u32(data, off)
-    return InstanceAddr(acsq_id, proto, index), off
+    return InstanceAddr(acsq_id, _PROTOS[raw_proto], index), off
 
 
 @dataclass(frozen=True)
@@ -286,7 +315,7 @@ def _enc_delivery(gd: GradedDelivery) -> bytes:
 
 def _dec_delivery(data: bytes, off: int) -> Tuple[GradedDelivery, int]:
     raw, off = read_lp(data, off)
-    block, _ = decode_block(raw)
+    block = _decode_exact(decode_block, raw)
     grade, off = read_u32(data, off)
     proof, off = _dec_threshold(data, off)
     return GradedDelivery(block, grade, proof), off
@@ -297,10 +326,11 @@ def _enc_opt(data: Optional[bytes]) -> bytes:
 
 
 def _dec_opt(data: bytes, off: int) -> Tuple[Optional[bytes], int]:
-    flag = data[off]
-    off += 1
+    flag, off = read_u8(data, off)
     if flag == 0:
         return None, off
+    if flag != 1:
+        raise DecodeError(f"bad option flag {flag}")
     return read_lp(data, off)
 
 
@@ -331,11 +361,13 @@ def encode_body(body: Body) -> bytes:
 
 
 def decode_body(data: bytes, off: int) -> Tuple[Body, int]:
-    cls = _TAG_BODIES[data[off]]
-    off += 1
+    tag, off = read_u8(data, off)
+    if tag not in _TAG_BODIES:
+        raise DecodeError(f"unknown body tag {tag}")
+    cls = _TAG_BODIES[tag]
     if cls is Propose:
         raw, off = read_lp(data, off)
-        return Propose(decode_block(raw)[0]), off
+        return Propose(_decode_exact(decode_block, raw)), off
     if cls in (Echo1, Echo2):
         ps, off = _dec_partial(data, off)
         return cls(ps), off
@@ -343,7 +375,7 @@ def decode_body(data: bytes, off: int) -> Tuple[Body, int]:
         bit, off = read_u32(data, off)
         digest, off = _dec_opt(data, off)
         raw_proof, off = _dec_opt(data, off)
-        proof = None if raw_proof is None else _dec_threshold(raw_proof, 0)[0]
+        proof = None if raw_proof is None else _decode_exact(_dec_threshold, raw_proof)
         return cls(bit, digest, proof), off
     if cls is Sho2:
         bit, off = read_u32(data, off)
@@ -363,10 +395,8 @@ def decode_body(data: bytes, off: int) -> Tuple[Body, int]:
     if cls is Query:
         digest, off = read_lp(data, off)
         return Query(digest), off
-    if cls is QueryResp:
-        raw, off = read_lp(data, off)
-        return QueryResp(decode_block(raw)[0]), off
-    raise TypeError(f"unknown tag at {off}")
+    raw, off = read_lp(data, off)  # QueryResp
+    return QueryResp(_decode_exact(decode_block, raw)), off
 
 
 def encode_envelope(env: Envelope) -> bytes:
@@ -378,14 +408,20 @@ def encode_envelope(env: Envelope) -> bytes:
     )
 
 
-def decode_envelope(data: bytes) -> Envelope:
-    sender, off = read_u32(data, 0)
+def _dec_envelope(data: bytes, off: int) -> Tuple[Envelope, int]:
+    sender, off = read_u32(data, off)
     recipient, off = read_u32(data, off)
     addr, off = decode_addr(data, off)
     body, off = decode_body(data, off)
-    if off != len(data):
-        raise ValueError("trailing bytes in envelope")
-    return Envelope(sender, recipient, addr, body)
+    try:
+        return Envelope(sender, recipient, addr, body), off
+    except ValueError as exc:  # body kind does not fit the address
+        raise DecodeError(str(exc)) from None
+
+
+def decode_envelope(data: bytes) -> Envelope:
+    """Inverse of encode_envelope; raises DecodeError on any other bytes."""
+    return _decode_exact(_dec_envelope, data)
 
 
 # --- emissions from state machines ------------------------------------------

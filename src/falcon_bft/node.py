@@ -5,47 +5,49 @@ grade-2 quorum the node activates k+1 (proposing its next block), and the
 first grade-2 delivery inside k+1 fires k's agreement trigger.  Messages
 for k+1 arriving before local activation are processed passively: pools
 fill and deliveries can complete, but no partial signatures leave the node.
-Messages beyond k+1 wait in a holding area.
+Messages beyond k+1 wait in a holding area; messages past the last instance
+the run can activate are dropped.
 
 One instance past the configured window is still activated so the last
 measured instance has a successor to fire its trigger from; that extra
 instance is never waited on.
+
+How a node drives an instance lives here and nowhere else: which block it
+proposes (`_own_block`), what its agreement input for a missing index is
+(`_agreement_input`), and how its outgoing messages are addressed
+(`_wrap`).  These three methods are the one seam for fault plugins, which
+override them in `Node` subclasses; a crash is no plugin but the network
+dropping the node's traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from .acsq import AcsqInstance
-from .core_types import Block, Envelope, Send, SystemParams, Transaction
+from .core_types import Block, Envelope, Send, Transaction
 from .crypto import KeyRegistry
-from .sorter import Chain, SortCursor, SortView, partial_sort
+from .sorter import Chain, SortCursor, partial_sort
+
+if TYPE_CHECKING:
+    from .simnet import SimConfig
 
 # an instance is pruned once it is sorted and more than this many below k
 RETENTION = 2
-
-
-@dataclass
-class NodeConfig:
-    num_instances: int = 1
-    block_cap: int = 32
-    integral_sort: bool = False
 
 
 class Node:
     def __init__(
         self,
         node_id: int,
-        params: SystemParams,
+        config: "SimConfig",
         registry: KeyRegistry,
-        config: NodeConfig,
         log: Callable,
     ):
         self.node_id = node_id
-        self.params = params
-        self.registry = registry
         self.config = config
+        self.params = config.params
+        self.registry = registry
         self.log = log
 
         self.buffer: List[Transaction] = []
@@ -70,6 +72,9 @@ class Node:
 
     def handle(self, env: Envelope) -> List[Envelope]:
         k = env.addr.acsq_id
+        if k > self.config.num_instances + 1:
+            self.log("drop", k=k, reason="beyond_window")
+            return []
         if k > self.k + 1:
             self.held.setdefault(k, []).append(env)
             self.log("held", k=k, body=type(env.body).__name__)
@@ -99,64 +104,51 @@ class Node:
                 self.node_id,
                 self.params,
                 self.registry,
-                log=lambda kind, **f: self.log(kind, **f),
-                input_policy=self._input_policy(),
+                log=self.log,
+                input_policy=self._agreement_input,
             )
         return self.instances[k]
 
-    def _input_policy(self) -> Callable:
-        return AcsqInstance.default_input_policy
-
     def _drive(self) -> List[Send]:
         out: List[Send] = []
-        cap = self.config.num_instances
-        while True:
-            if self.k > cap:
-                break
+        while self.k <= self.config.num_instances:
             inst = self._instance(self.k)
             if not inst.active:
                 out.extend(self._activate(self.k))
             nxt = self.instances.get(self.k + 1)
-            if inst.m2_count >= self.params.quorum and self.k + 1 <= cap + 1:
-                if nxt is None or not nxt.active:
-                    out.extend(self._activate(self.k + 1))
-                    nxt = self.instances[self.k + 1]
-            if nxt is not None and nxt.m2_count >= 1 and not inst.trigger_active:
+            if len(inst.M2) >= self.params.quorum and (nxt is None or not nxt.active):
+                out.extend(self._activate(self.k + 1))
+                nxt = self.instances[self.k + 1]
+            if nxt is not None and nxt.M2:
                 out.extend(inst.set_trigger())
-            if inst.returned:
-                self.k += 1
-                self.log("adopt", k=self.k)
-                out.extend(self._release_held())
-                continue
-            break
+            if not inst.returned:
+                break
+            self.k += 1
+            self.log("adopt", k=self.k)
+            out.extend(self._release_held())
         self._run_sorts()
         self._prune()
         return out
 
     def _activate(self, k: int) -> List[Send]:
-        inst = self._instance(k)
-        block = self._own_block(k)
-        sends = self._propose_sends(inst, block)
-        if sends is None:
-            return inst.activate(block)
-        return inst.activate(None, propose_sends=sends)
+        return self._instance(k).activate(self._own_block(k))
 
     def _own_block(self, k: int) -> Optional[Block]:
+        """The block this node proposes in instance k; None proposes nothing."""
         txs = tuple(self.buffer[: self.config.block_cap])
         block = Block(self.node_id, k, txs)
         self.log("propose", k=k, digest=block.digest.hex(), txs=len(txs))
         return block
 
-    def _propose_sends(self, inst: AcsqInstance, block: Optional[Block]):
-        """Hook for fault plugins; None means broadcast the block normally."""
-        return None
+    def _agreement_input(self, inst: AcsqInstance, j: int) -> List[Send]:
+        """Give index j's agreement its input once instance `inst` enters agreement."""
+        return inst.honest_input(j)
 
     def _release_held(self) -> List[Send]:
         out: List[Send] = []
         k = self.k + 1
         for env in self.held.pop(k, []):
-            if k >= self.pruned_below:
-                out.extend(self._instance(k).handle(env))
+            out.extend(self._instance(k).handle(env))
         return out
 
     # -- sorting -------------------------------------------------------------------------
@@ -184,9 +176,8 @@ class Node:
             inst = self.instances.get(k)
             if inst is None:
                 break
-            view = SortView(k, self.params.n, inst.include_map(), set(inst.S_ex))
-            done = partial_sort(self.cursor, view, self.chain,
-                                integral=self.config.integral_sort)
+            done = partial_sort(self.cursor, k, self.params.n, inst.M_acs, inst.S_ex,
+                                self.chain, integral=self.config.integral_sort)
             if done:
                 self._commit(k, done)
             if self.cursor.done_id < k:
@@ -203,6 +194,7 @@ class Node:
     # -- emission plumbing ------------------------------------------------------------------
 
     def _wrap(self, sends: List[Send]) -> List[Envelope]:
+        """Address each send; a broadcast goes to every node in id order."""
         out: List[Envelope] = []
         for send in sends:
             if send.to is None:

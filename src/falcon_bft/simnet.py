@@ -9,11 +9,14 @@ which makes a tick equal to one communication round; random mode draws
 per-message delays from the seeded generator; delay rules add extra ticks
 to matching messages.
 
-Fault plugins act strictly through their own node's keys and the delay
-knobs: crash silences a node from a given tick, equivocation sends
-per-recipient contradictory proposals, silence withholds the node's own
-proposals, and wrong-bit inverts the node's agreement inputs (its forged
-one-inputs carry junk certificates that verifiers reject).
+Misbehaviour enters one way: a fault plugin is a `Node` subclass that
+overrides the driver's seam, `_own_block`, `_wrap` or `_agreement_input`,
+and acts only through its own node's keys.  Silence proposes no block,
+equivocation readdresses its proposal so that the nodes of the other
+parity get a twin block, and wrong-bit inverts the node's agreement inputs
+(its forged one-inputs carry junk certificates that verifiers reject).
+Crash is not a plugin: the network drops a crashed node's traffic from a
+given tick on.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .aaba import AabaInput
@@ -39,7 +42,7 @@ from .core_types import (
     Transaction,
 )
 from .crypto import KeyRegistry, ThresholdSig, sha256
-from .node import Node, NodeConfig
+from .node import Node
 
 
 class InvalidConfig(Exception):
@@ -108,6 +111,10 @@ class SimConfig:
             raise InvalidConfig("need 1 <= delay_min <= delay_max")
         if self.num_instances < 1:
             raise InvalidConfig("need at least one instance")
+        if self.tx_load < 0 or self.tx_size < 0:
+            raise InvalidConfig("tx_load and tx_size must be non-negative")
+        if self.block_cap < 1:
+            raise InvalidConfig("block_cap must be at least 1")
         seen = set()
         for fs in self.faults:
             if fs.kind not in _FAULT_NODE_CLASSES:
@@ -116,6 +123,8 @@ class SimConfig:
                 raise InvalidConfig(f"fault node {fs.node} out of range")
             if fs.node in seen:
                 raise InvalidConfig(f"duplicate fault for node {fs.node}")
+            if fs.at_time != 0 and fs.kind != "crash":
+                raise InvalidConfig(f"at_time applies to crash faults only, not {fs.kind!r}")
             seen.add(fs.node)
         if len(seen) > self.params.f:
             raise InvalidConfig("more faulty nodes than the tolerance f")
@@ -127,11 +136,8 @@ class SimConfig:
             if rule.body is not None and rule.body not in _RULE_BODIES:
                 raise InvalidConfig(f"unknown rule body {rule.body!r}")
 
-    def faulty_nodes(self) -> Tuple[int, ...]:
-        return tuple(sorted(fs.node for fs in self.faults))
-
     def correct_nodes(self) -> Tuple[int, ...]:
-        bad = set(self.faulty_nodes())
+        bad = {fs.node for fs in self.faults}
         return tuple(i for i in self.params.node_ids() if i not in bad)
 
 
@@ -146,37 +152,40 @@ class SilentNode(Node):
 
 
 class EquivocatingNode(Node):
-    """Sends contradictory proposals: one variant to each half of the nodes."""
+    """Sends contradictory proposals: its block to the nodes of its own
+    parity, a twin block to the others."""
 
-    def _propose_sends(self, inst: AcsqInstance, block: Optional[Block]):
-        if block is None:
-            return None
-        marker = Transaction(b"equiv:%d:%d" % (self.node_id, inst.k))
-        twin = Block(self.node_id, inst.k, block.txs + (marker,))
-        self.log("equivocate", k=inst.k, a=block.digest.hex(), b=twin.digest.hex())
-        sends = []
-        for r in self.params.node_ids():
-            pick = block if r % 2 == self.node_id % 2 else twin
-            sends.append(Send(inst.gbc_addr(self.node_id), Propose(pick), to=r))
-        return sends
+    def _own_block(self, k: int) -> Block:
+        block = super()._own_block(k)
+        self.log("equivocate", k=k, a=block.digest.hex(), b=_twin(block).digest.hex())
+        return block
+
+    def _wrap(self, sends: List[Send]) -> List[Envelope]:
+        out = super()._wrap(sends)
+        for i, env in enumerate(out):
+            if isinstance(env.body, Propose) and env.recipient % 2 != self.node_id % 2:
+                out[i] = replace(env, body=Propose(_twin(env.body.block)))
+        return out
+
+
+def _twin(block: Block) -> Block:
+    """The equivocator's second block: the same txs plus a marker tx."""
+    marker = Transaction(b"equiv:%d:%d" % (block.creator, block.instance))
+    return Block(block.creator, block.instance, block.txs + (marker,))
 
 
 class WrongBitNode(Node):
     """Inverts its agreement inputs: certified deliveries become zero votes,
     unseen blocks become forged one votes (rejected by the validity check)."""
 
-    def _input_policy(self):
-        def policy(inst: AcsqInstance, j: int) -> List[Send]:
-            m1 = inst.M1.get(j)
-            if m1 is not None:
-                inst.log("aaba_input", k=inst.k, j=j, bit=0, q_valid=False)
-                return inst._absorb(j, inst.aaba_for(j).give_input(AabaInput.zero()))
-            junk = sha256(b"forged:%d:%d:%d" % (self.node_id, inst.k, j))
-            proof = ThresholdSig(tagged=junk, parts=((self.node_id, junk),))
-            inst.log("aaba_input", k=inst.k, j=j, bit=1, q_valid=False)
-            return [Send(inst.aaba_addr(j), Amp(1, junk, proof))]
-
-        return policy
+    def _agreement_input(self, inst: AcsqInstance, j: int) -> List[Send]:
+        if j in inst.M1:
+            inst.log("aaba_input", k=inst.k, j=j, bit=0, q_valid=False)
+            return inst._absorb(j, inst.aaba_for(j).give_input(AabaInput.zero()))
+        junk = sha256(b"forged:%d:%d:%d" % (self.node_id, inst.k, j))
+        proof = ThresholdSig(tagged=junk, parts=((self.node_id, junk),))
+        inst.log("aaba_input", k=inst.k, j=j, bit=1, q_valid=False)
+        return [Send(inst.aaba_addr(j), Amp(1, junk, proof))]
 
 
 _FAULT_NODE_CLASSES = {
@@ -227,18 +236,11 @@ class Simulation:
         self.crashed_at: Dict[int, int] = {
             fs.node: fs.at_time for fs in config.faults if fs.kind == "crash"
         }
-        node_config = NodeConfig(
-            num_instances=config.num_instances,
-            block_cap=config.block_cap,
-            integral_sort=config.integral_sort,
-        )
         kinds = {fs.node: fs.kind for fs in config.faults}
         self.nodes: Dict[int, Node] = {}
         for i in self.params.node_ids():
             cls = _FAULT_NODE_CLASSES.get(kinds.get(i, ""), Node)
-            self.nodes[i] = cls(
-                i, self.params, self.registry, node_config, log=self._logger(i)
-            )
+            self.nodes[i] = cls(i, config, self.registry, log=self._logger(i))
         self._batches_injected = 0
         self.injected: List[Tuple[Transaction, int, int]] = []  # tx, batch, time
 
@@ -268,9 +270,8 @@ class Simulation:
         return base + extra
 
     def _dispatch(self, envelopes: List[Envelope]) -> None:
+        # every sender is live: it just started or handled an envelope
         for env in envelopes:
-            if self._crashed(env.sender):
-                continue
             self.log.append(
                 {
                     "kind": "send",

@@ -43,44 +43,36 @@ class SortCursor:
     idx: Dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
-class SortView:
-    """What the sorter needs to see of one instance's decisions."""
-
-    k: int
-    n: int
-    included: Dict[int, Block]
-    excluded: Set[int]
-
-
 def partial_sort(
     cursor: SortCursor,
-    view: SortView,
+    k: int,
+    n: int,
+    included: Dict[int, Block],
+    excluded: Set[int],
     chain: Chain,
     integral: bool = False,
 ) -> List[Block]:
-    """Advance the sort cursor for one instance; returns blocks committed now.
+    """Advance the sort cursor for instance k; returns blocks committed now.
 
-    `integral` is the foil mode used by the stability comparison: nothing
-    commits until every index of the instance is decided.
+    `included` and `excluded` are the instance's decisions over indices 1..n,
+    read and never written.  `integral` is the foil mode used by the
+    stability comparison: nothing commits until every index is decided.
     """
-    if cursor.done_id != view.k - 1:
+    if cursor.done_id != k - 1:
         return []
-    idx = cursor.idx.get(view.k, 0)
+    idx = cursor.idx.get(k, 0)
     if integral:
-        decided = sum(
-            1 for j in range(1, view.n + 1) if j in view.included or j in view.excluded
-        )
-        if decided < view.n:
+        decided = sum(1 for j in range(1, n + 1) if j in included or j in excluded)
+        if decided < n:
             return []
     committed = []
-    while idx < view.n and (idx + 1 in view.included or idx + 1 in view.excluded):
+    while idx < n and (idx + 1 in included or idx + 1 in excluded):
         j = idx + 1
-        if j in view.included:
-            chain.append(view.included[j])
-            committed.append(view.included[j])
+        if j in included:
+            chain.append(included[j])
+            committed.append(included[j])
         idx = j
-    cursor.idx[view.k] = idx
-    if idx == view.n:
-        cursor.done_id = view.k
+    cursor.idx[k] = idx
+    if idx == n:
+        cursor.done_id = k
     return committed

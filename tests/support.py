@@ -20,7 +20,6 @@ from falcon_bft.core_types import (
 from falcon_bft.crypto import KeyRegistry, ThresholdSig, tagged_digest
 from falcon_bft.gbc import Deliver, GbcInstance, gbc_message
 from falcon_bft.node import Node
-from falcon_bft.sorter import SortView
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:
@@ -156,10 +155,10 @@ def _sort_every_instance(self: Node) -> None:
     cursor = self.cursor
     for k in sorted(self.instances):
         inst = self.instances[k]
-        view = SortView(k, self.params.n, inst.include_map(), set(inst.S_ex))
         saved, cursor.done_id = cursor.done_id, k - 1
         done = node_module.partial_sort(
-            cursor, view, self.chain, integral=self.config.integral_sort
+            cursor, k, self.params.n, inst.M_acs, inst.S_ex, self.chain,
+            integral=self.config.integral_sort,
         )
         cursor.done_id = max(saved, k) if cursor.done_id == k else saved
         if done:

@@ -24,7 +24,7 @@ def make_cluster(n=4, f=1, registry=None):
     params = SystemParams(n, f)
     registry = registry or make_registry(n)
     nodes = {
-        i: AabaInstance(ADDR, i, params, registry) for i in range(1, n + 1)
+        i: AabaInstance(ADDR, params, registry) for i in range(1, n + 1)
     }
     outputs = {}
 

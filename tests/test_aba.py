@@ -18,7 +18,7 @@ ADDR = InstanceAddr(1, Proto.AABA, 1)
 def make_cluster(n, f, secret=b"aba-test"):
     params = SystemParams(n, f)
     nodes = {
-        i: AbaInstance(ADDR, i, params, coin_secret=secret)
+        i: AbaInstance(ADDR, params, coin_secret=secret)
         for i in range(1, n + 1)
     }
 

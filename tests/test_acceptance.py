@@ -129,7 +129,7 @@ def aaba_cluster(n, f, registry=None, addr=None):
     params = SystemParams(n, f)
     registry = registry or make_registry(n)
     addr = addr or InstanceAddr(1, Proto.AABA, 1)
-    nodes = {i: AabaInstance(addr, i, params, registry) for i in range(1, n + 1)}
+    nodes = {i: AabaInstance(addr, params, registry) for i in range(1, n + 1)}
     outputs = {}
 
     def handler(i):

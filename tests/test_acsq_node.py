@@ -1,7 +1,7 @@
 """Integration behavior of the ACSQ instance and node driver, exercised
 through full simulated runs."""
 
-from falcon_bft.core_types import SystemParams
+from falcon_bft.core_types import Block, Envelope, InstanceAddr, Propose, Proto, Sho2, SystemParams
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
@@ -222,3 +222,31 @@ def test_driver_keeps_at_most_two_live_instances():
         elif rec["kind"] == "activate":
             driver = adopted.get(rec["node"], 1)
             assert rec["k"] <= driver + 1
+
+
+def test_out_of_range_index_dropped_without_new_state():
+    res = run(instances=2)
+    node = res.nodes[1]
+    inst = node.instances[node.k]
+    gbcs, aabas = set(inst.gbc), set(inst.aaba)
+    bad = (0, 5, 10**6)
+    for j in bad:
+        assert node.handle(Envelope(2, 1, InstanceAddr(node.k, Proto.AABA, j), Sho2(0))) == []
+        propose = Propose(Block(j, node.k, ()))
+        assert node.handle(Envelope(j, 1, InstanceAddr(node.k, Proto.GBC, j), propose)) == []
+    assert (set(inst.gbc), set(inst.aaba)) == (gbcs, aabas)
+    drops = [r for r in res.log.of_kind("drop") if r["reason"] == "bad_index"]
+    assert [r["j"] for r in drops] == [j for j in bad for _ in range(2)]
+
+
+def test_instance_past_window_dropped_not_held():
+    res = run(instances=2)
+    node = res.nodes[1]
+    assert node.held == {}
+    last = res.config.num_instances + 1  # the extra instance that fires the last trigger
+    for k in (last + 1, 10**6, 10**6 + 1):
+        assert node.handle(Envelope(2, 1, InstanceAddr(k, Proto.AABA, 1), Sho2(0))) == []
+    assert node.held == {}
+    assert max(node.instances) == last
+    drops = [r for r in res.log.of_kind("drop") if r["reason"] == "beyond_window"]
+    assert [r["k"] for r in drops] == [last + 1, 10**6, 10**6 + 1]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from falcon_bft.core_types import (
     Sho2,
     Stop,
     SystemParams,
+    DecodeError,
     Transaction,
     decode_envelope,
     encode_block,
@@ -145,12 +147,53 @@ def test_envelope_decode_rejects_trailing_bytes():
         decode_envelope(encode_envelope(env) + b"\x00")
 
 
+FIXTURES = [
+    bytes.fromhex(line)
+    for line in (Path(__file__).parent / "fixtures" / "envelopes.hex").read_text().splitlines()
+]
+
+
 def test_wire_format_frozen_against_fixtures():
     # hex-dumped envelopes pin the canonical encoding across refactors
-    from pathlib import Path
-
-    fixture = Path(__file__).parent / "fixtures" / "envelopes.hex"
-    for line in fixture.read_text().splitlines():
-        raw = bytes.fromhex(line)
+    for raw in FIXTURES:
         env = decode_envelope(raw)
         assert encode_envelope(env) == raw
+
+
+def test_every_fixture_truncation_raises_decode_error():
+    cuts = 0
+    for raw in FIXTURES:
+        for end in range(len(raw)):
+            with pytest.raises(DecodeError):
+                decode_envelope(raw[:end])
+            cuts += 1
+    assert cuts == sum(len(raw) for raw in FIXTURES)
+
+
+def _one_tx_propose(count: int) -> bytes:
+    """A Propose for a one-tx block with the block's tx count overwritten."""
+    block = Block(2, 1, (Transaction(b"only"),))
+    raw = bytearray(encode_envelope(Envelope(2, 3, InstanceAddr(1, Proto.GBC, 2), Propose(block))))
+    at = 4 + 4 + 9 + 1 + 4 + 8  # sender, recipient, addr, tag, length prefix, creator+instance
+    assert raw[at : at + 4] == (1).to_bytes(4, "big")
+    raw[at : at + 4] = count.to_bytes(4, "big")
+    return bytes(raw)
+
+
+def test_inflated_tx_count_raises_decode_error():
+    # the nested block must fill its length prefix with exactly `count` txs;
+    # no empty transactions are invented to make up the difference
+    for count in (1000, 0x7FFFFFFF, 0):
+        with pytest.raises(DecodeError):
+            decode_envelope(_one_tx_propose(count))
+
+
+def test_bad_tag_and_proto_raise_decode_error():
+    raw = encode_envelope(Envelope(1, 2, InstanceAddr(1, Proto.AABA, 1), Stop()))
+    proto_at, tag_at = 12, 17
+    assert raw[proto_at] == Proto.AABA.value
+    for at, value in ((tag_at, 99), (proto_at, 7), (proto_at, Proto.GBC.value)):
+        bad = bytearray(raw)
+        bad[at] = value
+        with pytest.raises(DecodeError):
+            decode_envelope(bytes(bad))

@@ -1,5 +1,5 @@
 from falcon_bft.core_types import Block, Transaction
-from falcon_bft.sorter import Chain, SortCursor, SortView, partial_sort
+from falcon_bft.sorter import Chain, SortCursor, partial_sort
 
 
 def blk(creator, instance=1, payload=None):
@@ -11,8 +11,7 @@ def test_commits_across_excluded_index():
     chain = Chain()
     cursor = SortCursor()
     b1, b3 = blk(1), blk(3)
-    view = SortView(1, 3, {1: b1, 3: b3}, {2})
-    committed = partial_sort(cursor, view, chain)
+    committed = partial_sort(cursor, 1, 3, {1: b1, 3: b3}, {2}, chain)
     assert [b.creator for b in committed] == [1, 3]
     assert cursor.idx[1] == 3
     assert cursor.done_id == 1
@@ -22,8 +21,7 @@ def test_commits_across_excluded_index():
 def test_prefix_gate_blocks_later_indices():
     chain = Chain()
     cursor = SortCursor()
-    view = SortView(1, 3, {2: blk(2), 3: blk(3)}, set())
-    assert partial_sort(cursor, view, chain) == []
+    assert partial_sort(cursor, 1, 3, {2: blk(2), 3: blk(3)}, set(), chain) == []
     assert cursor.idx.get(1, 0) == 0
     assert len(chain) == 0
 
@@ -32,23 +30,22 @@ def test_progressive_commit_resumes():
     chain = Chain()
     cursor = SortCursor()
     included = {1: blk(1)}
-    view = SortView(1, 3, included, set())
-    assert [b.creator for b in partial_sort(cursor, view, chain)] == [1]
+    excluded = set()
+    assert [b.creator for b in partial_sort(cursor, 1, 3, included, excluded, chain)] == [1]
     included[3] = blk(3)
-    assert partial_sort(cursor, view, chain) == []  # index 2 still undecided
-    view2 = SortView(1, 3, included, {2})
-    assert [b.creator for b in partial_sort(cursor, view2, chain)] == [3]
+    assert partial_sort(cursor, 1, 3, included, excluded, chain) == []  # index 2 undecided
+    excluded.add(2)
+    assert [b.creator for b in partial_sort(cursor, 1, 3, included, excluded, chain)] == [3]
     assert cursor.done_id == 1
 
 
 def test_instance_gate_defers_successor():
     chain = Chain()
     cursor = SortCursor()
-    view2 = SortView(2, 2, {1: blk(1, 2), 2: blk(2, 2)}, set())
-    assert partial_sort(cursor, view2, chain) == []  # instance 1 not done
-    view1 = SortView(1, 2, {1: blk(1, 1), 2: blk(2, 1)}, set())
-    assert len(partial_sort(cursor, view1, chain)) == 2
-    assert len(partial_sort(cursor, view2, chain)) == 2
+    second = {1: blk(1, 2), 2: blk(2, 2)}
+    assert partial_sort(cursor, 2, 2, second, set(), chain) == []  # instance 1 not done
+    assert len(partial_sort(cursor, 1, 2, {1: blk(1, 1), 2: blk(2, 1)}, set(), chain)) == 2
+    assert len(partial_sort(cursor, 2, 2, second, set(), chain)) == 2
     assert [b.instance for b in chain.slots] == [1, 1, 2, 2]
 
 
@@ -56,10 +53,8 @@ def test_integral_mode_commits_only_when_all_decided():
     chain = Chain()
     cursor = SortCursor()
     included = {1: blk(1), 2: blk(2)}
-    view = SortView(1, 3, included, set())
-    assert partial_sort(cursor, view, chain, integral=True) == []
-    view_full = SortView(1, 3, included, {3})
-    assert len(partial_sort(cursor, view_full, chain, integral=True)) == 2
+    assert partial_sort(cursor, 1, 3, included, set(), chain, integral=True) == []
+    assert len(partial_sort(cursor, 1, 3, included, {3}, chain, integral=True)) == 2
     assert cursor.done_id == 1
 
 
@@ -69,8 +64,7 @@ def test_duplicate_txs_kept_in_slots_and_committed_once():
     shared = Transaction(b"shared")
     b1 = Block(1, 1, (shared,))
     b2 = Block(2, 1, (shared, Transaction(b"own")))
-    view = SortView(1, 2, {1: b1, 2: b2}, set())
-    partial_sort(cursor, view, chain)
+    partial_sort(cursor, 1, 2, {1: b1, 2: b2}, set(), chain)
     assert chain.slots == [b1, b2]  # both blocks occupy slots
     assert chain.committed_txids == {shared.txid, b2.txs[1].txid}
 
