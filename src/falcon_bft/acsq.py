@@ -135,8 +135,13 @@ class AcsqInstance:
 
     def _handle_gbc(self, env: Envelope) -> List[Send]:
         j = env.addr.index
-        g = self.gbc_for(j)
         body = env.body
+        # a share counts only from its own signer: relayed from another
+        # broadcast, it would take the signer's one place in the pool
+        if not isinstance(body, Propose) and body.partial.signer != env.sender:
+            self.log("drop", k=self.k, j=j, reason="bad_signer")
+            return []
+        g = self.gbc_for(j)
         if isinstance(body, Propose):
             sub = g.on_propose(env.sender, body.block)
         elif isinstance(body, Echo1):

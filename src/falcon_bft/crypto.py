@@ -86,7 +86,7 @@ class KeyRegistry:
         self.coin_secret = sha256(b"falcon-coin" + system_seed)
 
     def _mac(self, signer: int, tagged: bytes) -> bytes:
-        return hmac.new(self._keys[signer], tagged, hashlib.sha256).digest()
+        return hmac.digest(self._keys[signer], tagged, "sha256")
 
     def partial_sign(self, signer: int, message: bytes, tag: int) -> PartialSig:
         t = tagged_digest(message, tag)

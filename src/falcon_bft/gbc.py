@@ -11,7 +11,7 @@ delivery imply that f+1 correct nodes already delivered at grade 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core_types import (
     Block,
@@ -89,9 +89,13 @@ class GbcInstance:
 
         self.started = False
         self.received_block: Optional[Block] = None
+        # the received block's grade-1 and grade-2 tagged digests
+        self.tags: Optional[Tuple[bytes, bytes]] = None
         self.echoed1 = False
         self.echoed2 = False
-        # pools keyed by the partial's tagged digest; signer -> partial
+        # pools keyed by the partial's tagged digest; signer -> partial.  A
+        # signer's first verified share per grade is its only one, so a pool
+        # holds at most n shares whatever a faulty signer sends.
         self.pool1: Dict[bytes, Dict[int, PartialSig]] = {}
         self.pool2: Dict[bytes, Dict[int, PartialSig]] = {}
         self.delivered1: Optional[GradedDelivery] = None
@@ -114,7 +118,7 @@ class GbcInstance:
             return []
         if self.received_block is not None:
             return []
-        self.received_block = block
+        self._receive(block)
         out: List[object] = [BodyReceived(block)]
         out.extend(self._maybe_echo1())
         out.extend(self._try_deliveries())
@@ -145,16 +149,28 @@ class GbcInstance:
         out.extend(self._maybe_echo2())
         return out
 
+    # A pool is read only until its grade delivers, so a later share is
+    # dropped before it is verified.
+
     def on_echo1(self, ps: PartialSig) -> List[object]:
-        if not self.registry.verify_partial(ps):
+        if self.delivered1 is not None:
             return []
-        self.pool1.setdefault(ps.tagged, {})[ps.signer] = ps
-        return self._try_deliveries()
+        return self._pool_share(self.pool1, ps)
 
     def on_echo2(self, ps: PartialSig) -> List[object]:
+        if self.delivered2 is not None:
+            return []
+        return self._pool_share(self.pool2, ps)
+
+    def _pool_share(self, pool: Dict[bytes, Dict[int, PartialSig]], ps: PartialSig) -> List[object]:
+        # only a verified share enters the pool, so a forged share under a
+        # signer's id cannot shut out the real one; the caller has bound the
+        # share to its sender, so a relayed one cannot either
+        if any(ps.signer in shares for shares in pool.values()):
+            return []
         if not self.registry.verify_partial(ps):
             return []
-        self.pool2.setdefault(ps.tagged, {})[ps.signer] = ps
+        pool.setdefault(ps.tagged, {})[ps.signer] = ps
         return self._try_deliveries()
 
     def learn_body(self, block: Block) -> List[object]:
@@ -162,9 +178,14 @@ class GbcInstance:
         if block.creator != self.addr.index or block.instance != self.addr.acsq_id:
             return []
         if self.received_block is None:
-            self.received_block = block
+            self._receive(block)
             return [BodyReceived(block)] + self._try_deliveries()
         return self._try_deliveries()
+
+    def _receive(self, block: Block) -> None:
+        self.received_block = block
+        msg = gbc_message(self.addr, block.digest)
+        self.tags = (tagged_digest(msg, 1), tagged_digest(msg, 2))
 
     # -- delivery ------------------------------------------------------------
 
@@ -173,9 +194,8 @@ class GbcInstance:
         block = self.received_block
         if block is None:
             return out
-        msg = gbc_message(self.addr, block.digest)
+        t1, t2 = self.tags
         if self.delivered1 is None:
-            t1 = tagged_digest(msg, 1)
             pool = self.pool1.get(t1, {})
             if len(pool) >= self.params.quorum:
                 sig = self.registry.combine(pool.values(), self.params.quorum)
@@ -183,7 +203,6 @@ class GbcInstance:
                 out.append(Deliver(self.delivered1))
                 out.extend(self._maybe_echo2())
         if self.delivered2 is None and self.delivered1 is not None:
-            t2 = tagged_digest(msg, 2)
             pool = self.pool2.get(t2, {})
             if len(pool) >= self.params.quorum:
                 sig = self.registry.combine(pool.values(), self.params.quorum)

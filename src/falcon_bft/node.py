@@ -8,6 +8,11 @@ fill and deliveries can complete, but no partial signatures leave the node.
 Messages beyond k+1 wait in a holding area; messages past the last instance
 the run can activate are dropped.
 
+The driver (`_drive`, with sorting and pruning) runs only on progress:
+after an envelope grew the handled instance's `M2`, `M_acs` or `S_ex`, or
+made it return.  Nothing else it reads changes outside the driver itself,
+so a run without such a change would do nothing.
+
 One instance past the configured window is still activated so the last
 measured instance has a successor to fire its trigger from; that extra
 instance is never waited on.
@@ -22,7 +27,7 @@ dropping the node's traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
@@ -34,6 +39,15 @@ if TYPE_CHECKING:
 
 # an instance is pruned once it is sorted and more than this many below k
 RETENTION = 2
+
+
+def _progress(inst: AcsqInstance) -> Tuple[int, int, int, bool]:
+    """Everything `_drive` reads of an instance that only `handle` changes.
+
+    All four parts only grow, so an unchanged value means `_drive` has
+    nothing to do.
+    """
+    return len(inst.M2), len(inst.M_acs), len(inst.S_ex), inst.returned
 
 
 class Node:
@@ -82,8 +96,11 @@ class Node:
         if k not in self.instances and k < self.pruned_below:
             self.log("drop", k=k, reason="pruned_instance")
             return []
-        sends = self._instance(k).handle(env)
-        sends.extend(self._drive())
+        inst = self._instance(k)
+        before = _progress(inst)
+        sends = inst.handle(env)
+        if _progress(inst) != before:
+            sends.extend(self._drive())
         return self._wrap(sends)
 
     def snapshot(self) -> dict:
@@ -140,8 +157,13 @@ class Node:
         self.log("propose", k=k, digest=block.digest.hex(), txs=len(txs))
         return block
 
-    def _agreement_input(self, inst: AcsqInstance, j: int) -> List[Send]:
-        """Give index j's agreement its input once instance `inst` enters agreement."""
+    @staticmethod
+    def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
+        """Give index j's agreement its input once instance `inst` enters agreement.
+
+        A static method, so the instance holding it holds no reference back
+        to its node.
+        """
         return inst.honest_input(j)
 
     def _release_held(self) -> List[Send]:

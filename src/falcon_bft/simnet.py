@@ -1,6 +1,7 @@
 """Deterministic discrete-event network with programmable adversaries.
 
-Time is an integer tick count.  Every message delivery is scheduled as
+Time is an integer tick count, kept by the run's `EventLog` so that one
+clock stamps every record.  Every message delivery is scheduled as
 (deliver_time, sequence_number, envelope) in a priority queue; the sequence
 number is assigned at send time, so equal-time deliveries replay in send
 order and a (config, seed) pair maps to exactly one event log, byte for
@@ -25,7 +26,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .aaba import AabaInput
 from .acsq import AcsqInstance
@@ -178,12 +179,13 @@ class WrongBitNode(Node):
     """Inverts its agreement inputs: certified deliveries become zero votes,
     unseen blocks become forged one votes (rejected by the validity check)."""
 
-    def _agreement_input(self, inst: AcsqInstance, j: int) -> List[Send]:
+    @staticmethod
+    def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
         if j in inst.M1:
             inst.log("aaba_input", k=inst.k, j=j, bit=0, q_valid=False)
             return inst._absorb(j, inst.aaba_for(j).give_input(AabaInput.zero()))
-        junk = sha256(b"forged:%d:%d:%d" % (self.node_id, inst.k, j))
-        proof = ThresholdSig(tagged=junk, parts=((self.node_id, junk),))
+        junk = sha256(b"forged:%d:%d:%d" % (inst.node_id, inst.k, j))
+        proof = ThresholdSig(tagged=junk, parts=((inst.node_id, junk),))
         inst.log("aaba_input", k=inst.k, j=j, bit=1, q_valid=False)
         return [Send(inst.aaba_addr(j), Amp(1, junk, proof))]
 
@@ -200,20 +202,33 @@ _FAULT_NODE_CLASSES = {
 
 
 class EventLog:
-    """Append-only, totally ordered run record; exportable as canonical lines."""
+    """Append-only, totally ordered run record; exportable as canonical lines.
+
+    The log owns the run's clock: `time` is the current tick, and every
+    record a node writes through its `logger` is stamped with it.
+    """
 
     def __init__(self):
         self.records: List[dict] = []
+        self.time = 0
 
     def append(self, record: dict) -> None:
         record["i"] = len(self.records)
         self.records.append(record)
 
+    def logger(self, node_id: int) -> Callable:
+        """Node `node_id`'s record function; it holds the log and nothing else."""
+
+        def log(kind: str, **fields):
+            rec = {"kind": kind, "t": self.time, "node": node_id}
+            rec.update(fields)
+            self.append(rec)
+
+        return log
+
     def to_lines(self) -> bytes:
-        return b"".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-            for r in self.records
-        )
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        return b"".join(encode(r).encode() + b"\n" for r in self.records)
 
     def of_kind(self, kind: str) -> List[dict]:
         return [r for r in self.records if r["kind"] == kind]
@@ -229,7 +244,6 @@ class Simulation:
         self.registry = KeyRegistry(self.params.n, system_seed=b"%d" % config.seed)
         self.rng = random.Random(config.seed)
         self.log = EventLog()
-        self.time = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, Envelope]] = []
 
@@ -240,20 +254,13 @@ class Simulation:
         self.nodes: Dict[int, Node] = {}
         for i in self.params.node_ids():
             cls = _FAULT_NODE_CLASSES.get(kinds.get(i, ""), Node)
-            self.nodes[i] = cls(i, config, self.registry, log=self._logger(i))
+            self.nodes[i] = cls(i, config, self.registry, log=self.log.logger(i))
+        self._correct = config.correct_nodes()
         self._batches_injected = 0
         self.injected: List[Tuple[Transaction, int, int]] = []  # tx, batch, time
 
-    def _logger(self, node_id: int):
-        def log(kind: str, **fields):
-            rec = {"kind": kind, "t": self.time, "node": node_id}
-            rec.update(fields)
-            self.log.append(rec)
-
-        return log
-
     def _crashed(self, node_id: int) -> bool:
-        return node_id in self.crashed_at and self.time >= self.crashed_at[node_id]
+        return node_id in self.crashed_at and self.log.time >= self.crashed_at[node_id]
 
     # -- scheduling ----------------------------------------------------------------
 
@@ -275,7 +282,7 @@ class Simulation:
             self.log.append(
                 {
                     "kind": "send",
-                    "t": self.time,
+                    "t": self.log.time,
                     "node": env.sender,
                     "to": env.recipient,
                     "k": env.addr.acsq_id,
@@ -286,7 +293,7 @@ class Simulation:
             )
             self._seq += 1
             heapq.heappush(
-                self._queue, (self.time + self._delay_for(env), self._seq, env)
+                self._queue, (self.log.time + self._delay_for(env), self._seq, env)
             )
 
     # -- tx load --------------------------------------------------------------------
@@ -295,11 +302,11 @@ class Simulation:
         for t in range(self.config.tx_load):
             payload = b"tx:%d:%d:" % (batch, t) + bytes(self.config.tx_size)
             tx = Transaction(payload)
-            self.injected.append((tx, batch, self.time))
+            self.injected.append((tx, batch, self.log.time))
             self.log.append(
                 {
                     "kind": "inject",
-                    "t": self.time,
+                    "t": self.log.time,
                     "node": 0,
                     "batch": batch,
                     "txid": tx.txid.hex(),
@@ -314,7 +321,7 @@ class Simulation:
         if self._batches_injected >= self.config.num_instances:
             return
         nxt = self._batches_injected + 1
-        if all(self.nodes[i].k >= nxt for i in self.config.correct_nodes()):
+        if all(self.nodes[i].k >= nxt for i in self._correct):
             self._inject_batch(nxt)
 
     # -- run -----------------------------------------------------------------------------
@@ -327,7 +334,7 @@ class Simulation:
         processed = 0
         while self._queue:
             t, _, env = heapq.heappop(self._queue)
-            self.time = t
+            self.log.time = t
             if self._crashed(env.recipient):
                 self.log.append(
                     {"kind": "drop", "t": t, "node": env.recipient, "reason": "crashed"}

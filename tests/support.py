@@ -17,7 +17,7 @@ from falcon_bft.core_types import (
     Send,
     SystemParams,
 )
-from falcon_bft.crypto import KeyRegistry, ThresholdSig, tagged_digest
+from falcon_bft.crypto import KeyRegistry, ThresholdSig
 from falcon_bft.gbc import Deliver, GbcInstance, gbc_message
 from falcon_bft.node import Node
 
@@ -136,7 +136,7 @@ class EagerEcho2Gbc(GbcInstance):
         block = self.received_block
         if block is None or self.delivered2 is not None:
             return out
-        pool = self.pool2.get(tagged_digest(gbc_message(self.addr, block.digest), 2), {})
+        pool = self.pool2.get(self.tags[1], {})
         if len(pool) >= self.params.quorum:
             sig = self.registry.combine(pool.values(), self.params.quorum)
             self.delivered2 = GradedDelivery(block, 2, sig)

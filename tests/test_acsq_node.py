@@ -1,9 +1,26 @@
 """Integration behavior of the ACSQ instance and node driver, exercised
 through full simulated runs."""
 
-from falcon_bft.core_types import Block, Envelope, InstanceAddr, Propose, Proto, Sho2, SystemParams
+import pytest
+
+from falcon_bft.acsq import AcsqInstance
+from falcon_bft.core_types import (
+    Block,
+    Echo1,
+    Echo2,
+    Envelope,
+    InstanceAddr,
+    Propose,
+    Proto,
+    Sho2,
+    SystemParams,
+    Transaction,
+)
+from falcon_bft.gbc import gbc_message
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
+
+from support import make_registry
 
 
 def run(seed=1, n=4, f=1, instances=2, **kwargs):
@@ -250,3 +267,27 @@ def test_instance_past_window_dropped_not_held():
     assert max(node.instances) == last
     drops = [r for r in res.log.of_kind("drop") if r["reason"] == "beyond_window"]
     assert [r["k"] for r in drops] == [last + 1, 10**6, 10**6 + 1]
+
+
+@pytest.mark.parametrize("relayed, tag", [(Echo1, 1), (Echo2, 2)])
+def test_relayed_share_does_not_shut_out_its_signer(relayed, tag):
+    # node 4 relays signer 2's valid share from index 3's broadcast onto
+    # index 2's, ahead of node 2's own share; node 1 must still deliver
+    registry = make_registry(4)
+    records = []
+    inst = AcsqInstance(
+        1, 1, SystemParams(4, 1), registry,
+        log=lambda kind, **fields: records.append(dict(fields, kind=kind)),
+        input_policy=lambda inst, j: [],
+    )
+    addr = InstanceAddr(1, Proto.GBC, 2)
+    block = Block(2, 1, (Transaction(b"tx"),))
+    elsewhere = gbc_message(InstanceAddr(1, Proto.GBC, 3), Block(3, 1, ()).digest)
+    inst.handle(Envelope(2, 1, addr, Propose(block)))
+    assert inst.handle(Envelope(4, 1, addr, relayed(registry.partial_sign(2, elsewhere, tag)))) == []
+    msg = gbc_message(addr, block.digest)
+    for echo, t in ((Echo1, 1), (Echo2, 2)):
+        for signer in (1, 2, 3):
+            inst.handle(Envelope(signer, 1, addr, echo(registry.partial_sign(signer, msg, t))))
+    assert 2 in inst.M2
+    assert [r["reason"] for r in records if r["kind"] == "drop"] == ["bad_signer"]

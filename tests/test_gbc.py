@@ -215,3 +215,45 @@ def test_verify_delivery_rejects_wrong_grade_and_subquorum():
     # certificate bound to a different instance address
     other_addr = InstanceAddr(2, Proto.GBC, 1)
     assert not verify_delivery(GradedDelivery(block, 1, sig1), other_addr, PARAMS, registry)
+
+
+def test_one_signer_cannot_grow_the_pool():
+    # validly signed echoes over 10 000 distinct digests: only the first is kept
+    registry = make_registry(4)
+    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    for i in range(10_000):
+        g.on_echo1(registry.partial_sign(4, b"junk:%d" % i, 1))
+    assert sum(4 in pool for pool in g.pool1.values()) <= 1
+    assert len(g.pool1) <= 1
+
+
+def test_forged_share_does_not_shut_out_the_real_one():
+    registry = make_registry(4)
+    other = make_registry(4, seed=b"other")
+    g = GbcInstance(ADDR, 1, PARAMS, registry)
+    block = make_block()
+    g.on_propose(1, block)
+    g.on_echo1(other.partial_sign(2, gbc_message(ADDR, block.digest), 1))
+    real = echo1_for(registry, 2, block)
+    g.on_echo1(real)
+    assert g.pool1[real.tagged][2] == real
+
+
+def test_late_echoes_dropped_unverified(monkeypatch):
+    registry = make_registry(4)
+    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    block = make_block()
+    g.on_propose(1, block)
+    for signer in (1, 2, 3):
+        g.on_echo1(echo1_for(registry, signer, block))
+        g.on_echo2(echo2_for(registry, signer, block))
+    assert g.delivered2 is not None
+    pools = {t: dict(p) for t, p in g.pool1.items()}, {t: dict(p) for t, p in g.pool2.items()}
+
+    def no_verify(ps):
+        raise AssertionError("a late share was verified")
+
+    monkeypatch.setattr(registry, "verify_partial", no_verify)
+    assert g.on_echo1(echo1_for(registry, 4, block)) == []
+    assert g.on_echo2(echo2_for(registry, 4, block)) == []
+    assert (g.pool1, g.pool2) == pools
