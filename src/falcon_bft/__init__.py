@@ -9,44 +9,16 @@ The harness side: a seeded discrete-event network with fault plugins
 (`metrics`), and a scenario-file CLI (`scenario`, `cli`).
 """
 
-from .core_types import (
-    Block,
-    Envelope,
-    GradedDelivery,
-    InstanceAddr,
-    Proto,
-    SystemParams,
-    Transaction,
-)
-from .crypto import KeyRegistry, coin
+from .core_types import SystemParams
 from .observer import check_liveness, observe_invariants
-from .simnet import (
-    DelayRule,
-    FaultSpec,
-    InvalidConfig,
-    RunResult,
-    SimConfig,
-    run_simulation,
-    schedule,
-)
+from .simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
 __all__ = [
-    "Block",
     "DelayRule",
-    "Envelope",
     "FaultSpec",
-    "GradedDelivery",
-    "InstanceAddr",
-    "InvalidConfig",
-    "KeyRegistry",
-    "Proto",
-    "RunResult",
     "SimConfig",
     "SystemParams",
-    "Transaction",
     "check_liveness",
-    "coin",
     "observe_invariants",
     "run_simulation",
-    "schedule",
 ]

@@ -50,7 +50,7 @@ from .core_types import (
     SystemParams,
 )
 from .crypto import KeyRegistry, ThresholdSig
-from .gbc import gbc_message
+from .gbc import cert_tag
 
 
 class InvalidOneInput(Exception):
@@ -123,8 +123,8 @@ class AabaInstance:
         if digest is None or proof is None:
             return False
         gbc_addr = InstanceAddr(self.addr.acsq_id, Proto.GBC, self.addr.index)
-        msg = gbc_message(gbc_addr, digest)
-        return self.registry.verify_threshold(proof, msg, 1, self.params.quorum)
+        tagged = cert_tag(gbc_addr, digest, 1)
+        return self.registry.verify_threshold(proof, tagged, self.params.quorum)
 
     def _note_proof(self, digest: Optional[bytes], proof: Optional[ThresholdSig]):
         if self.known_proof is None and self.q_check(digest, proof):

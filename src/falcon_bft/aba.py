@@ -43,7 +43,6 @@ class AbaInstance:
 
         self.bval_sent: Dict[int, Set[int]] = {}
         self.aux_sent: Set[int] = set()
-        self.advanced: Set[int] = set()
         self.bin_values: Dict[int, Set[int]] = {}
         self.bval_pool: Dict[int, Dict[int, Set[int]]] = {}  # round -> bit -> senders
         self.aux_pool: Dict[int, Dict[int, int]] = {}  # round -> sender -> bit
@@ -145,24 +144,22 @@ class AbaInstance:
                 w = min(binv)
                 out.append(Send(self.addr, Aux(rnd, w)))
                 progress = True
-            if rnd not in self.advanced:
-                accepted = {
-                    s: b
-                    for s, b in self.aux_pool.get(rnd, {}).items()
-                    if b in binv
-                }
-                if len(accepted) >= self.params.quorum:
-                    self.advanced.add(rnd)
-                    values = set(accepted.values())
-                    c = self.coin_for(rnd)
-                    if values == {c}:
-                        out.extend(self._decide(c))
-                        self.est = c
-                    elif len(values) == 1:
-                        self.est = values.pop()
-                    else:
-                        self.est = c
-                    self.round = rnd + 1
-                    out.extend(self._broadcast_bval(self.round, self.est))
-                    progress = True
+            accepted = {
+                s: b
+                for s, b in self.aux_pool.get(rnd, {}).items()
+                if b in binv
+            }
+            if len(accepted) >= self.params.quorum:
+                values = set(accepted.values())
+                c = self.coin_for(rnd)
+                if values == {c}:
+                    out.extend(self._decide(c))
+                    self.est = c
+                elif len(values) == 1:
+                    self.est = values.pop()
+                else:
+                    self.est = c
+                self.round = rnd + 1
+                out.extend(self._broadcast_bval(self.round, self.est))
+                progress = True
         return out

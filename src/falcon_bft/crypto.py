@@ -88,9 +88,8 @@ class KeyRegistry:
     def _mac(self, signer: int, tagged: bytes) -> bytes:
         return hmac.digest(self._keys[signer], tagged, "sha256")
 
-    def partial_sign(self, signer: int, message: bytes, tag: int) -> PartialSig:
-        t = tagged_digest(message, tag)
-        return PartialSig(signer=signer, tagged=t, mac=self._mac(signer, t))
+    def partial_sign(self, signer: int, tagged: bytes) -> PartialSig:
+        return PartialSig(signer=signer, tagged=tagged, mac=self._mac(signer, tagged))
 
     def verify_partial(self, ps: PartialSig) -> bool:
         """Check the MAC only; binding to a concrete message needs verify_partial_for."""
@@ -122,10 +121,8 @@ class KeyRegistry:
         parts = tuple(sorted(by_signer.items()))
         return ThresholdSig(tagged=tagged, parts=parts)
 
-    def verify_threshold(
-        self, ts: ThresholdSig, message: bytes, tag: int, quorum: int
-    ) -> bool:
-        if ts.tagged != tagged_digest(message, tag):
+    def verify_threshold(self, ts: ThresholdSig, tagged: bytes, quorum: int) -> bool:
+        if ts.tagged != tagged:
             return False
         signers = {s for s, _ in ts.parts}
         if len(signers) != len(ts.parts) or len(signers) < quorum:

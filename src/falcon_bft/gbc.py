@@ -48,9 +48,10 @@ class BodyReceived:
         self.block = block
 
 
-def gbc_message(addr: InstanceAddr, digest: bytes) -> bytes:
-    """Signed payload for echoes: instance address bound to the block digest."""
-    return addr.encode() + digest
+def cert_tag(addr: InstanceAddr, digest: bytes, grade: int) -> bytes:
+    """What a grade-`grade` echo or certificate for `digest` in GBC `addr` signs:
+    the instance address bound to the block digest, tagged with the grade."""
+    return tagged_digest(addr.encode() + digest, grade)
 
 
 def verify_delivery(
@@ -61,8 +62,8 @@ def verify_delivery(
         return False
     if gd.block.creator != addr.index or gd.block.instance != addr.acsq_id:
         return False
-    msg = gbc_message(addr, gd.block.digest)
-    return registry.verify_threshold(gd.proof, msg, gd.grade, params.quorum)
+    tagged = cert_tag(addr, gd.block.digest, gd.grade)
+    return registry.verify_threshold(gd.proof, tagged, params.quorum)
 
 
 class GbcInstance:
@@ -128,16 +129,15 @@ class GbcInstance:
         if self.echoed1 or self.silenced or self.received_block is None:
             return []
         self.echoed1 = True
-        msg = gbc_message(self.addr, self.received_block.digest)
-        ps = self.registry.partial_sign(self.node_id, msg, 1)
+        ps = self.registry.partial_sign(self.node_id, self.tags[0])
         return [Send(self.addr, Echo1(ps))]
 
     def _maybe_echo2(self) -> List[object]:
         if self.echoed2 or self.silenced or self.delivered1 is None:
             return []
-        digest = self.delivered1.block.digest
+        # delivered1 holds the received block, whose tags these are
         self.echoed2 = True
-        ps = self.registry.partial_sign(self.node_id, gbc_message(self.addr, digest), 2)
+        ps = self.registry.partial_sign(self.node_id, self.tags[1])
         return [Send(self.addr, Echo2(ps))]
 
     def unsilence(self) -> List[object]:
@@ -184,8 +184,7 @@ class GbcInstance:
 
     def _receive(self, block: Block) -> None:
         self.received_block = block
-        msg = gbc_message(self.addr, block.digest)
-        self.tags = (tagged_digest(msg, 1), tagged_digest(msg, 2))
+        self.tags = (cert_tag(self.addr, block.digest, 1), cert_tag(self.addr, block.digest, 2))
 
     # -- delivery ------------------------------------------------------------
 

@@ -120,7 +120,7 @@ class TxRecord:
 def tx_records(result: RunResult) -> List[TxRecord]:
     """First commit of each injected tx at each correct node."""
     correct = set(result.config.correct_nodes())
-    submit = {tx.txid.hex(): when for tx, _, when in result.injected}
+    submit = {rec["txid"]: rec["t"] for rec in result.log.of_kind("inject")}
     stages = {
         (s.node, s.k, s.j): s for s in decompose_latency(result)
     }

@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 
 # an instance is pruned once it is sorted and more than this many below k
 RETENTION = 2
+# the most buffered transactions one proposed block carries
+BLOCK_CAP = 32
 
 
 def _progress(inst: AcsqInstance) -> Tuple[int, int, int, bool]:
@@ -152,7 +154,7 @@ class Node:
 
     def _own_block(self, k: int) -> Optional[Block]:
         """The block this node proposes in instance k; None proposes nothing."""
-        txs = tuple(self.buffer[: self.config.block_cap])
+        txs = tuple(self.buffer[:BLOCK_CAP])
         block = Block(self.node_id, k, txs)
         self.log("propose", k=k, digest=block.digest.hex(), txs=len(txs))
         return block

@@ -9,7 +9,7 @@ is removed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .simnet import RunResult
 
@@ -169,64 +169,65 @@ def check_optimistic_validity(result: RunResult) -> List[dict]:
     return out
 
 
-def check_delivery_correlation(result: RunResult) -> List[dict]:
-    """A grade-2 delivery needs f+1 strictly earlier correct grade-1 deliveries."""
+def _check_correlation(
+    result: RunResult,
+    check: str,
+    prior: List[dict],
+    records: List[dict],
+    key: Callable[[dict], tuple],
+    what: str,
+) -> List[dict]:
+    """Each record at a correct node needs f+1 correct nodes with a strictly
+    earlier `prior` record on the same key."""
     out = []
     correct = set(result.config.correct_nodes())
     need = result.config.params.small_quorum
-    grade1: Dict[Tuple[int, int, str], List[Tuple[Tuple[int, int], int]]] = {}
-    for rec in result.log.of_kind("gbc_deliver"):
-        if rec["grade"] == 1 and rec["node"] in correct:
-            key = (rec["k"], rec["j"], rec["digest"])
-            grade1.setdefault(key, []).append((_order(rec), rec["node"]))
-    for rec in result.log.of_kind("gbc_deliver"):
-        if rec["grade"] != 2 or rec["node"] not in correct:
+    seen: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
+    for rec in prior:
+        if rec["node"] in correct:
+            seen.setdefault(key(rec), []).append((_order(rec), rec["node"]))
+    for rec in records:
+        if rec["node"] not in correct:
             continue
-        key = (rec["k"], rec["j"], rec["digest"])
         earlier = {
-            node for order, node in grade1.get(key, []) if order < _order(rec)
+            node for order, node in seen.get(key(rec), []) if order < _order(rec)
         }
         if len(earlier) < need:
             out.append(
                 {
-                    "check": "delivery_correlation",
+                    "check": check,
                     "k": rec["k"],
                     "j": rec["j"],
                     "node": rec["node"],
-                    "detail": f"only {len(earlier)} prior grade-1 deliveries",
+                    "detail": f"only {len(earlier)} {what}",
                 }
             )
     return out
+
+
+def check_delivery_correlation(result: RunResult) -> List[dict]:
+    """A grade-2 delivery needs f+1 strictly earlier correct grade-1 deliveries."""
+    delivered = result.log.of_kind("gbc_deliver")
+    return _check_correlation(
+        result,
+        "delivery_correlation",
+        [rec for rec in delivered if rec["grade"] == 1],
+        [rec for rec in delivered if rec["grade"] == 2],
+        lambda rec: (rec["k"], rec["j"], rec["digest"]),
+        "prior grade-1 deliveries",
+    )
 
 
 def check_receipt_correlation(result: RunResult) -> List[dict]:
     """A grade-1 delivery needs f+1 correct nodes already holding the body."""
-    out = []
-    correct = set(result.config.correct_nodes())
-    need = result.config.params.small_quorum
-    received: Dict[Tuple[int, str], List[Tuple[Tuple[int, int], int]]] = {}
-    for rec in result.log.of_kind("body_received"):
-        if rec["node"] in correct:
-            key = (rec["k"], rec["digest"])
-            received.setdefault(key, []).append((_order(rec), rec["node"]))
-    for rec in result.log.of_kind("gbc_deliver"):
-        if rec["grade"] != 1 or rec["node"] not in correct:
-            continue
-        key = (rec["k"], rec["digest"])
-        earlier = {
-            node for order, node in received.get(key, []) if order < _order(rec)
-        }
-        if len(earlier) < need:
-            out.append(
-                {
-                    "check": "receipt_correlation",
-                    "k": rec["k"],
-                    "j": rec["j"],
-                    "node": rec["node"],
-                    "detail": f"only {len(earlier)} prior bodies held",
-                }
-            )
-    return out
+    return _check_correlation(
+        result,
+        "receipt_correlation",
+        result.log.of_kind("body_received"),
+        [rec for rec in result.log.of_kind("gbc_deliver") if rec["grade"] == 1],
+        lambda rec: (rec["k"], rec["digest"]),
+        "prior bodies held",
+    )
 
 
 def check_aaba(result: RunResult) -> List[dict]:
@@ -396,7 +397,8 @@ def check_liveness(result: RunResult, min_checked: int = 0) -> List[dict]:
             if key not in commits:
                 commits[key] = rec["k"]
     checked = 0
-    for tx, batch, when in result.injected:
+    for inject in result.log.of_kind("inject"):
+        txid, batch, when = inject["txid"], inject["batch"], inject["t"]
         k_star = 0
         feasible = True
         for node in correct:
@@ -410,13 +412,13 @@ def check_liveness(result: RunResult, min_checked: int = 0) -> List[dict]:
             continue
         checked += 1
         for node in correct:
-            got = commits.get((node, tx.txid.hex()))
+            got = commits.get((node, txid))
             if got is None or got > deadline:
                 out.append(
                     {
                         "check": "liveness",
                         "node": node,
-                        "txid": tx.txid.hex()[:12],
+                        "txid": txid[:12],
                         "detail": f"injected t={when} batch={batch}, "
                         f"deadline k={deadline}, committed k={got}",
                     }

@@ -27,17 +27,11 @@ from __future__ import annotations
 
 import configparser
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .core_types import SystemParams
 from .simnet import DelayRule, FaultSpec, SimConfig
 
-_SYSTEM_KEYS = {
-    "n", "f", "seed", "instances", "tx_load", "tx_size", "block_cap",
-    "integral_sort",
-}
-_NETWORK_KEYS = {"mode", "delay_min", "delay_max"}
-_RULE_KEYS = {"from", "to", "body", "acsq", "proto", "index", "delay"}
 _SECTIONS = {"system", "network", "faults", "adversary"}
 
 
@@ -53,25 +47,56 @@ def _parse_bool(raw: str) -> bool:
     raise ScenarioError(f"not a boolean: {raw!r}")
 
 
+# Every settable key, by where it appears: key -> (field, parser).  [system]
+# and [network] keys set `SimConfig` fields, except n and f, which set
+# `SystemParams`; the tokens of an [adversary] rule set `DelayRule` fields.
+# A key a file leaves unset takes its field's default.
+_KEYS = {
+    "system": {
+        "n": ("n", int),
+        "f": ("f", int),
+        "seed": ("seed", int),
+        "instances": ("num_instances", int),
+        "tx_load": ("tx_load", int),
+        "integral_sort": ("integral_sort", _parse_bool),
+    },
+    "network": {
+        "mode": ("mode", str),
+        "delay_min": ("delay_min", int),
+        "delay_max": ("delay_max", int),
+    },
+    "rule": {
+        "from": ("sender", int),
+        "to": ("recipient", int),
+        "body": ("body", str),
+        "acsq": ("acsq_id", int),
+        "proto": ("proto", str),
+        "index": ("index", int),
+        "delay": ("delay", int),
+    },
+}
+
+
+def _fields(where: str, items: Iterable[Tuple[str, str]]) -> Dict[str, object]:
+    """The field values of the keys a file sets; a bad value raises ValueError."""
+    table = _KEYS[where]
+    out: Dict[str, object] = {}
+    for key, raw in items:
+        if key not in table:
+            raise ScenarioError(f"unknown {where} key {key!r}")
+        field, parse = table[key]
+        out[field] = parse(raw)
+    return out
+
+
 def parse_rule(raw: str) -> DelayRule:
-    fields = {}
+    tokens = []
     for token in raw.split():
         if "=" not in token:
             raise ScenarioError(f"bad rule token {token!r}")
-        key, value = token.split("=", 1)
-        if key not in _RULE_KEYS:
-            raise ScenarioError(f"unknown rule key {key!r}")
-        fields[key] = value
+        tokens.append(token.split("=", 1))
     try:
-        return DelayRule(
-            sender=int(fields["from"]) if "from" in fields else None,
-            recipient=int(fields["to"]) if "to" in fields else None,
-            body=fields.get("body"),
-            acsq_id=int(fields["acsq"]) if "acsq" in fields else None,
-            proto=fields.get("proto"),
-            index=int(fields["index"]) if "index" in fields else None,
-            delay=int(fields.get("delay", "0")),
-        )
+        return DelayRule(**_fields("rule", tokens))
     except ValueError as exc:
         raise ScenarioError(f"bad rule {raw!r}: {exc}") from exc
 
@@ -104,47 +129,17 @@ def load_scenario(path: str | Path) -> SimConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ScenarioError(f"unknown section [{section}]")
-    sys_sec = parser["system"] if parser.has_section("system") else {}
-    for key in sys_sec:
-        if key not in _SYSTEM_KEYS:
-            raise ScenarioError(f"unknown key {key!r} in [system]")
-    net_sec = parser["network"] if parser.has_section("network") else {}
-    for key in net_sec:
-        if key not in _NETWORK_KEYS:
-            raise ScenarioError(f"unknown key {key!r} in [network]")
 
+    def items(section: str) -> Iterable[Tuple[str, str]]:
+        return parser[section].items() if parser.has_section(section) else ()
+
+    faults = tuple(parse_fault(node, raw) for node, raw in items("faults"))
+    rules = tuple(parse_rule(raw) for _, raw in sorted(items("adversary")))
     try:
-        params = SystemParams(
-            n=int(sys_sec.get("n", "4")), f=int(sys_sec.get("f", "1"))
-        )
+        settings = _fields("system", items("system"))
+        settings.update(_fields("network", items("network")))
+        # SystemParams has no defaults; a scenario's are n = 4, f = 1
+        params = SystemParams(n=settings.pop("n", 4), f=settings.pop("f", 1))
+        return SimConfig(params=params, rules=rules, faults=faults, **settings)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-
-    faults: List[FaultSpec] = []
-    if parser.has_section("faults"):
-        for node, raw in parser["faults"].items():
-            faults.append(parse_fault(node, raw))
-    rules: List[Tuple[str, DelayRule]] = []
-    if parser.has_section("adversary"):
-        for name, raw in parser["adversary"].items():
-            rules.append((name, parse_rule(raw)))
-    rules.sort(key=lambda item: item[0])
-
-    try:
-        config = SimConfig(
-            params=params,
-            seed=int(sys_sec.get("seed", "0")),
-            mode=net_sec.get("mode", "lockstep"),
-            delay_min=int(net_sec.get("delay_min", "1")),
-            delay_max=int(net_sec.get("delay_max", "3")),
-            rules=tuple(rule for _, rule in rules),
-            faults=tuple(faults),
-            num_instances=int(sys_sec.get("instances", "1")),
-            tx_load=int(sys_sec.get("tx_load", "4")),
-            tx_size=int(sys_sec.get("tx_size", "8")),
-            block_cap=int(sys_sec.get("block_cap", "32")),
-            integral_sort=_parse_bool(sys_sec.get("integral_sort", "false")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return config

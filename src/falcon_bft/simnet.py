@@ -51,6 +51,8 @@ class InvalidConfig(Exception):
 
 
 MODES = ("lockstep", "random")
+# zero bytes that pad each injected transaction's payload
+TX_SIZE = 8
 _RULE_PROTOS = tuple(p.name.lower() for p in Proto)
 _RULE_BODIES = tuple(cls.__name__ for cls in GBC_BODIES + AABA_BODIES)
 
@@ -101,8 +103,6 @@ class SimConfig:
     faults: Tuple[FaultSpec, ...] = ()
     num_instances: int = 1
     tx_load: int = 4
-    tx_size: int = 8
-    block_cap: int = 32
     integral_sort: bool = False
 
     def validate(self) -> None:
@@ -112,10 +112,8 @@ class SimConfig:
             raise InvalidConfig("need 1 <= delay_min <= delay_max")
         if self.num_instances < 1:
             raise InvalidConfig("need at least one instance")
-        if self.tx_load < 0 or self.tx_size < 0:
-            raise InvalidConfig("tx_load and tx_size must be non-negative")
-        if self.block_cap < 1:
-            raise InvalidConfig("block_cap must be at least 1")
+        if self.tx_load < 0:
+            raise InvalidConfig("tx_load must be non-negative")
         seen = set()
         for fs in self.faults:
             if fs.kind not in _FAULT_NODE_CLASSES:
@@ -257,7 +255,6 @@ class Simulation:
             self.nodes[i] = cls(i, config, self.registry, log=self.log.logger(i))
         self._correct = config.correct_nodes()
         self._batches_injected = 0
-        self.injected: List[Tuple[Transaction, int, int]] = []  # tx, batch, time
 
     def _crashed(self, node_id: int) -> bool:
         return node_id in self.crashed_at and self.log.time >= self.crashed_at[node_id]
@@ -300,9 +297,7 @@ class Simulation:
 
     def _inject_batch(self, batch: int) -> None:
         for t in range(self.config.tx_load):
-            payload = b"tx:%d:%d:" % (batch, t) + bytes(self.config.tx_size)
-            tx = Transaction(payload)
-            self.injected.append((tx, batch, self.log.time))
+            tx = Transaction(b"tx:%d:%d:" % (batch, t) + bytes(TX_SIZE))
             self.log.append(
                 {
                     "kind": "inject",
@@ -345,7 +340,7 @@ class Simulation:
             processed += 1
             if processed > self.MAX_EVENTS:
                 raise RuntimeError("simulation failed to quiesce")
-        return RunResult(self.config, self.log, self.nodes, self.injected)
+        return RunResult(self.config, self.log, self.nodes)
 
 
 @dataclass
@@ -353,7 +348,6 @@ class RunResult:
     config: SimConfig
     log: EventLog
     nodes: Dict[int, Node]
-    injected: List[Tuple[Transaction, int, int]]
 
     def snapshots(self) -> List[dict]:
         return [self.nodes[i].snapshot() for i in sorted(self.nodes)]

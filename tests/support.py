@@ -18,7 +18,7 @@ from falcon_bft.core_types import (
     SystemParams,
 )
 from falcon_bft.crypto import KeyRegistry, ThresholdSig
-from falcon_bft.gbc import Deliver, GbcInstance, gbc_message
+from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
 from falcon_bft.node import Node
 
 
@@ -30,10 +30,9 @@ def grade1_cert(
     registry: KeyRegistry, params: SystemParams, k: int, j: int, digest: bytes
 ) -> ThresholdSig:
     """A valid grade-1 quorum certificate for a digest in GBC (k, j)."""
-    addr = InstanceAddr(k, Proto.GBC, j)
-    msg = gbc_message(addr, digest)
+    tagged = cert_tag(InstanceAddr(k, Proto.GBC, j), digest, 1)
     partials = [
-        registry.partial_sign(i, msg, 1) for i in range(1, params.quorum + 1)
+        registry.partial_sign(i, tagged) for i in range(1, params.quorum + 1)
     ]
     return registry.combine(partials, params.quorum)
 
@@ -128,8 +127,7 @@ class EagerEcho2Gbc(GbcInstance):
         if self.echoed2 or self.silenced or self.received_block is None:
             return []
         self.echoed2 = True
-        msg = gbc_message(self.addr, self.received_block.digest)
-        return [Send(self.addr, Echo2(self.registry.partial_sign(self.node_id, msg, 2)))]
+        return [Send(self.addr, Echo2(self.registry.partial_sign(self.node_id, self.tags[1])))]
 
     def _try_deliveries(self) -> List[object]:
         out = super()._try_deliveries()

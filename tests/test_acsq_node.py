@@ -5,18 +5,24 @@ import pytest
 
 from falcon_bft.acsq import AcsqInstance
 from falcon_bft.core_types import (
+    Assist,
     Block,
     Echo1,
     Echo2,
     Envelope,
+    GradedDelivery,
     InstanceAddr,
     Propose,
     Proto,
+    Query,
+    QueryResp,
+    Send,
     Sho2,
     SystemParams,
     Transaction,
 )
-from falcon_bft.gbc import gbc_message
+from falcon_bft.crypto import tagged_digest
+from falcon_bft.gbc import cert_tag
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
@@ -194,7 +200,7 @@ def test_traffic_below_pruning_horizon_dropped():
     )
     from falcon_bft.core_types import Echo1, Envelope, InstanceAddr, Proto
 
-    ps = res.nodes[2].registry.partial_sign(2, b"stale", 1)
+    ps = res.nodes[2].registry.partial_sign(2, tagged_digest(b"stale", 1))
     env = Envelope(2, 1, InstanceAddr(1, Proto.GBC, stale["j"]), Echo1(ps))
     assert node.handle(env) == []
     drops = [r for r in res.log.of_kind("drop") if r.get("reason") == "pruned_instance"]
@@ -203,13 +209,14 @@ def test_traffic_below_pruning_horizon_dropped():
 
 def test_block_cap_limits_proposals():
     from falcon_bft.core_types import Transaction
+    from falcon_bft.node import BLOCK_CAP
 
     res = run(instances=1, tx_load=2)
     node = res.nodes[1]
     for i in range(50):
         node.inject_tx(Transaction(b"cap-test-%d" % i))
     block = node._own_block(99)
-    assert len(block.txs) == 32  # default cap takes the buffer prefix
+    assert len(block.txs) == BLOCK_CAP  # the cap takes the buffer prefix
     empty_node_block = res.nodes[2]._own_block(99)
     assert res.nodes[2].buffer == [] and empty_node_block.txs == ()
 
@@ -282,12 +289,72 @@ def test_relayed_share_does_not_shut_out_its_signer(relayed, tag):
     )
     addr = InstanceAddr(1, Proto.GBC, 2)
     block = Block(2, 1, (Transaction(b"tx"),))
-    elsewhere = gbc_message(InstanceAddr(1, Proto.GBC, 3), Block(3, 1, ()).digest)
+    elsewhere = cert_tag(InstanceAddr(1, Proto.GBC, 3), Block(3, 1, ()).digest, tag)
     inst.handle(Envelope(2, 1, addr, Propose(block)))
-    assert inst.handle(Envelope(4, 1, addr, relayed(registry.partial_sign(2, elsewhere, tag)))) == []
-    msg = gbc_message(addr, block.digest)
+    assert inst.handle(Envelope(4, 1, addr, relayed(registry.partial_sign(2, elsewhere)))) == []
     for echo, t in ((Echo1, 1), (Echo2, 2)):
         for signer in (1, 2, 3):
-            inst.handle(Envelope(signer, 1, addr, echo(registry.partial_sign(signer, msg, t))))
+            tagged = cert_tag(addr, block.digest, t)
+            inst.handle(Envelope(signer, 1, addr, echo(registry.partial_sign(signer, tagged))))
     assert 2 in inst.M2
     assert [r["reason"] for r in records if r["kind"] == "drop"] == ["bad_signer"]
+
+
+def _lone_instance():
+    """Instance 1 at node 1 of four, outside any run, with its log records."""
+    registry = make_registry(4)
+    records = []
+    inst = AcsqInstance(
+        1, 1, SystemParams(4, 1), registry,
+        log=lambda kind, **fields: records.append(dict(fields, kind=kind)),
+        input_policy=lambda inst, j: [],
+    )
+    return inst, registry, records
+
+
+def _drops(records):
+    return [r["reason"] for r in records if r["kind"] == "drop"]
+
+
+def test_assist_without_a_grade2_certificate_dropped():
+    inst, registry, records = _lone_instance()
+    addr = InstanceAddr(1, Proto.AABA, 2)
+    block = Block(2, 1, (Transaction(b"tx"),))
+
+    def cert(digest, grade):
+        tagged = cert_tag(InstanceAddr(1, Proto.GBC, 2), digest, grade)
+        return registry.combine([registry.partial_sign(i, tagged) for i in (1, 2, 3)], 3)
+
+    other = Block(2, 1, (Transaction(b"other"),)).digest
+    for gd in (
+        GradedDelivery(block, 1, cert(block.digest, 1)),  # a grade-1 delivery
+        GradedDelivery(block, 2, cert(other, 2)),  # a certificate over another digest
+    ):
+        assert inst.handle(Envelope(3, 1, addr, Assist(gd))) == []
+    assert inst.M2 == {}
+    assert _drops(records) == ["bad_assist", "bad_assist"]
+    good = GradedDelivery(block, 2, cert(block.digest, 2))
+    inst.handle(Envelope(3, 1, addr, Assist(good)))
+    assert inst.M2 == {2: good}
+
+
+def test_query_resp_for_another_slot_dropped():
+    inst, _, records = _lone_instance()
+    addr = InstanceAddr(1, Proto.AABA, 2)
+    for block in (Block(3, 1, ()), Block(2, 2, ())):  # wrong creator, wrong instance
+        assert inst.handle(Envelope(3, 1, addr, QueryResp(block))) == []
+    assert inst.known_blocks == {}
+    assert _drops(records) == ["bad_query_resp", "bad_query_resp"]
+
+
+def test_deferred_query_answered_once_the_body_arrives():
+    inst, _, records = _lone_instance()
+    block = Block(2, 1, (Transaction(b"tx"),))
+    aaba = InstanceAddr(1, Proto.AABA, 2)
+    assert inst.handle(Envelope(3, 1, aaba, Query(block.digest))) == []
+    assert inst.pending_queries == {block.digest: [3]}
+    out = inst.handle(Envelope(2, 1, InstanceAddr(1, Proto.GBC, 2), Propose(block)))
+    assert Send(aaba, QueryResp(block), to=3) in out
+    assert inst.pending_queries == {}
+    sent = [r for r in records if r["kind"] == "query_resp_sent"]
+    assert sent == [{"kind": "query_resp_sent", "k": 1, "to": 3, "digest": block.digest.hex()}]

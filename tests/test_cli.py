@@ -76,13 +76,6 @@ def test_mistyped_rule_nonzero_exit_no_outputs(tmp_path):
     assert not out_dir.exists()
 
 
-def test_negative_tx_size_nonzero_exit_no_outputs(tmp_path):
-    scenario = write(tmp_path, FAVORABLE + "tx_size = -1\n", "neg.ini")
-    out_dir = tmp_path / "out"
-    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
-    assert not out_dir.exists()
-
-
 def test_missing_scenario_nonzero(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
 

@@ -28,7 +28,7 @@ from falcon_bft.core_types import (
     encode_block,
     encode_envelope,
 )
-from falcon_bft.crypto import sha256
+from falcon_bft.crypto import sha256, tagged_digest
 
 from support import grade1_cert, make_registry
 
@@ -110,7 +110,8 @@ def _random_envelope(rng: random.Random, registry, params) -> Envelope:
     j = rng.randint(1, params.n)
     block = Block(j, k, tuple(Transaction(bytes([rng.randrange(256)])) for _ in range(rng.randrange(3))))
     cert = grade1_cert(registry, params, k, j, block.digest)
-    ps = registry.partial_sign(rng.randint(1, params.n), b"m", rng.choice((1, 2)))
+    signer = rng.randint(1, params.n)
+    ps = registry.partial_sign(signer, tagged_digest(b"m", rng.choice((1, 2))))
     gbc = InstanceAddr(k, Proto.GBC, j)
     aaba = InstanceAddr(k, Proto.AABA, j)
     choices = [

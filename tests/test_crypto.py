@@ -7,6 +7,7 @@ from falcon_bft.crypto import (
     PartialSig,
     TooFewPartials,
     coin,
+    tagged_digest,
 )
 
 
@@ -16,67 +17,67 @@ def registry():
 
 
 def test_sign_verify_roundtrip(registry):
-    ps = registry.partial_sign(1, b"hello", 1)
+    ps = registry.partial_sign(1, tagged_digest(b"hello", 1))
     assert registry.verify_partial_for(ps, b"hello", 1)
 
 
 def test_tag_binding(registry):
-    ps = registry.partial_sign(1, b"hello", 1)
+    ps = registry.partial_sign(1, tagged_digest(b"hello", 1))
     assert not registry.verify_partial_for(ps, b"hello", 2)
 
 
 def test_signer_binding(registry):
-    ps = registry.partial_sign(1, b"hello", 1)
+    ps = registry.partial_sign(1, tagged_digest(b"hello", 1))
     forged = PartialSig(signer=2, tagged=ps.tagged, mac=ps.mac)
     assert not registry.verify_partial(forged)
 
 
 def test_tampered_mac_fails(registry):
-    ps = registry.partial_sign(3, b"hello", 1)
+    ps = registry.partial_sign(3, tagged_digest(b"hello", 1))
     bad = PartialSig(ps.signer, ps.tagged, bytes(32))
     assert not registry.verify_partial(bad)
 
 
 def test_combine_quorum(registry):
     params = SystemParams(4, 1)
-    partials = [registry.partial_sign(i, b"m", 1) for i in (1, 2, 3)]
+    partials = [registry.partial_sign(i, tagged_digest(b"m", 1)) for i in (1, 2, 3)]
     ts = registry.combine(partials, params.quorum)
     assert ts.signer_count == 3
-    assert registry.verify_threshold(ts, b"m", 1, params.quorum)
+    assert registry.verify_threshold(ts, tagged_digest(b"m", 1), params.quorum)
 
 
 def test_combine_too_few(registry):
     with pytest.raises(TooFewPartials):
         registry.combine(
-            [registry.partial_sign(i, b"m", 1) for i in (1, 2)], 3
+            [registry.partial_sign(i, tagged_digest(b"m", 1)) for i in (1, 2)], 3
         )
 
 
 def test_combine_duplicate_signers_do_not_count(registry):
-    partials = [registry.partial_sign(1, b"m", 1)] * 3
+    partials = [registry.partial_sign(1, tagged_digest(b"m", 1))] * 3
     with pytest.raises(TooFewPartials):
         registry.combine(partials, 3)
 
 
 def test_combine_mixed_messages(registry):
     partials = [
-        registry.partial_sign(1, b"m", 1),
-        registry.partial_sign(2, b"m", 1),
-        registry.partial_sign(3, b"other", 1),
+        registry.partial_sign(1, tagged_digest(b"m", 1)),
+        registry.partial_sign(2, tagged_digest(b"m", 1)),
+        registry.partial_sign(3, tagged_digest(b"other", 1)),
     ]
     with pytest.raises(MixedMessages):
         registry.combine(partials, 3)
 
 
 def test_combine_order_insensitive(registry):
-    partials = [registry.partial_sign(i, b"m", 1) for i in (1, 2, 3)]
+    partials = [registry.partial_sign(i, tagged_digest(b"m", 1)) for i in (1, 2, 3)]
     assert registry.combine(partials, 3) == registry.combine(partials[::-1], 3)
 
 
 def test_threshold_verify_rejects_subquorum(registry):
-    partials = [registry.partial_sign(i, b"m", 1) for i in (1, 2)]
+    partials = [registry.partial_sign(i, tagged_digest(b"m", 1)) for i in (1, 2)]
     ts = registry.combine(partials, 2)  # combined at a smaller threshold
-    assert not registry.verify_threshold(ts, b"m", 1, 3)
+    assert not registry.verify_threshold(ts, tagged_digest(b"m", 1), 3)
 
 
 def test_certificate_cannot_name_a_node_that_never_signed(registry):
@@ -84,13 +85,13 @@ def test_certificate_cannot_name_a_node_that_never_signed(registry):
     # without its key breaks verification
     from falcon_bft.crypto import ThresholdSig
 
-    good = [registry.partial_sign(i, b"m", 1) for i in (1, 2)]
-    fake_part = (4, registry.partial_sign(1, b"m", 1).mac)
+    good = [registry.partial_sign(i, tagged_digest(b"m", 1)) for i in (1, 2)]
+    fake_part = (4, registry.partial_sign(1, tagged_digest(b"m", 1)).mac)
     ts = ThresholdSig(
         tagged=good[0].tagged,
         parts=tuple(sorted([(p.signer, p.mac) for p in good] + [fake_part])),
     )
-    assert not registry.verify_threshold(ts, b"m", 1, 3)
+    assert not registry.verify_threshold(ts, tagged_digest(b"m", 1), 3)
 
 
 def test_coin_deterministic():

@@ -12,12 +12,13 @@ from falcon_bft.core_types import (
     SystemParams,
     Transaction,
 )
+from falcon_bft.crypto import tagged_digest
 from falcon_bft.gbc import (
     AlreadyStarted,
     BodyReceived,
     Deliver,
     GbcInstance,
-    gbc_message,
+    cert_tag,
     verify_delivery,
 )
 
@@ -44,11 +45,11 @@ def deliveries(emissions):
 
 
 def echo1_for(registry, signer, block):
-    return registry.partial_sign(signer, gbc_message(ADDR, block.digest), 1)
+    return registry.partial_sign(signer, cert_tag(ADDR, block.digest, 1))
 
 
 def echo2_for(registry, signer, block):
-    return registry.partial_sign(signer, gbc_message(ADDR, block.digest), 2)
+    return registry.partial_sign(signer, cert_tag(ADDR, block.digest, 2))
 
 
 def test_start_fans_out_once():
@@ -140,7 +141,7 @@ def test_invalid_partial_dropped():
     g.on_propose(1, block)
     out = []
     for signer in (1, 2, 3):
-        out += g.on_echo1(other.partial_sign(signer, gbc_message(ADDR, block.digest), 1))
+        out += g.on_echo1(other.partial_sign(signer, cert_tag(ADDR, block.digest, 1)))
     assert deliveries(out) == []
 
 
@@ -202,15 +203,15 @@ def test_unsilence_catches_up():
 def test_verify_delivery_rejects_wrong_grade_and_subquorum():
     registry = make_registry(4)
     block = make_block()
-    msg = gbc_message(ADDR, block.digest)
+    tag1 = cert_tag(ADDR, block.digest, 1)
     sig1 = registry.combine(
-        [registry.partial_sign(i, msg, 1) for i in (1, 2, 3)], 3
+        [registry.partial_sign(i, tag1) for i in (1, 2, 3)], 3
     )
     assert verify_delivery(GradedDelivery(block, 1, sig1), ADDR, PARAMS, registry)
     # grade-1 certificate presented as grade 2
     assert not verify_delivery(GradedDelivery(block, 2, sig1), ADDR, PARAMS, registry)
     # f+1 partials are not a quorum certificate
-    small = registry.combine([registry.partial_sign(i, msg, 1) for i in (1, 2)], 2)
+    small = registry.combine([registry.partial_sign(i, tag1) for i in (1, 2)], 2)
     assert not verify_delivery(GradedDelivery(block, 1, small), ADDR, PARAMS, registry)
     # certificate bound to a different instance address
     other_addr = InstanceAddr(2, Proto.GBC, 1)
@@ -222,7 +223,7 @@ def test_one_signer_cannot_grow_the_pool():
     registry = make_registry(4)
     g = GbcInstance(ADDR, 2, PARAMS, registry)
     for i in range(10_000):
-        g.on_echo1(registry.partial_sign(4, b"junk:%d" % i, 1))
+        g.on_echo1(registry.partial_sign(4, tagged_digest(b"junk:%d" % i, 1)))
     assert sum(4 in pool for pool in g.pool1.values()) <= 1
     assert len(g.pool1) <= 1
 
@@ -233,7 +234,7 @@ def test_forged_share_does_not_shut_out_the_real_one():
     g = GbcInstance(ADDR, 1, PARAMS, registry)
     block = make_block()
     g.on_propose(1, block)
-    g.on_echo1(other.partial_sign(2, gbc_message(ADDR, block.digest), 1))
+    g.on_echo1(other.partial_sign(2, cert_tag(ADDR, block.digest, 1)))
     real = echo1_for(registry, 2, block)
     g.on_echo1(real)
     assert g.pool1[real.tagged][2] == real

@@ -90,12 +90,10 @@ def test_config_validation():
         SimConfig(params=SystemParams(4, 1), faults=(FaultSpec(9, "silent"),)).validate()
     with pytest.raises(InvalidConfig):
         SimConfig(params=SystemParams(4, 1), faults=(FaultSpec(1, "gremlin"),)).validate()
-    # a negative load or size used to crash mid-run, a zero cap to stall every
-    # instance, and at_time on a non-crash fault was silently ignored
+    # a negative load used to crash mid-run, and at_time on a non-crash
+    # fault was silently ignored
     for bad in (
         {"tx_load": -1},
-        {"tx_size": -1},
-        {"block_cap": 0},
         {"faults": (FaultSpec(2, "silent", at_time=5),)},
     ):
         with pytest.raises(InvalidConfig):
