@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
 
@@ -252,6 +252,17 @@ AABA_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided, Assist, Query, Quer
 AABA_PEEK_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided)
 
 
+def _check_body(addr: InstanceAddr, body: Body) -> None:
+    """Raise ValueError unless `body` is a message kind that `addr`'s protocol carries."""
+    ok = (
+        isinstance(body, GBC_BODIES)
+        if addr.proto is Proto.GBC
+        else isinstance(body, AABA_BODIES)
+    )
+    if not ok:
+        raise ValueError(f"body {type(body).__name__} inconsistent with {addr.proto}")
+
+
 @dataclass(frozen=True)
 class Envelope:
     sender: int
@@ -260,15 +271,29 @@ class Envelope:
     body: Body
 
     def __post_init__(self):
-        ok = (
-            isinstance(self.body, GBC_BODIES)
-            if self.addr.proto is Proto.GBC
-            else isinstance(self.body, AABA_BODIES)
-        )
-        if not ok:
-            raise ValueError(
-                f"body {type(self.body).__name__} inconsistent with {self.addr.proto}"
-            )
+        _check_body(self.addr, self.body)
+
+    @classmethod
+    def fan_out(
+        cls, sender: int, recipients: Iterable[int], addr: InstanceAddr, body: Body
+    ) -> List["Envelope"]:
+        """One envelope per recipient, in order, all sharing `addr` and `body`.
+
+        The body is checked against the address once, not once per envelope:
+        each envelope's fields are set as the dataclass `__init__` sets them,
+        without the `__post_init__` that would repeat the check.
+        """
+        _check_body(addr, body)
+        new, set_field = object.__new__, object.__setattr__
+        out = []
+        for r in recipients:
+            env = new(cls)
+            set_field(env, "sender", sender)
+            set_field(env, "recipient", r)
+            set_field(env, "addr", addr)
+            set_field(env, "body", body)
+            out.append(env)
+        return out
 
 
 # --- canonical envelope codec ----------------------------------------------

@@ -8,6 +8,15 @@ knows every MAC key, so verification is exact and the only way to produce a
 partial attributed to a node is to hold that node's key.  This preserves the
 unforgeability assumption the protocol proofs rely on while staying
 dependency-free and bit-for-bit deterministic.
+
+The registry remembers the MAC of every share it signs, keyed by tagged
+digest and signer.  Every echo share is signed once and verified by
+each of its n receivers, so verification compares against the remembered
+MAC and computes one only for a pair the registry never signed.  The MAC
+is a pure function of the key and the digest, so the remembered value is
+the one verification would compute, and every share gets the same verdict
+as without the memo.  Only `partial_sign` fills the memo, never a
+presented share, so forged shares cannot grow it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 DIGEST_LEN = 32
 
@@ -84,18 +93,29 @@ class KeyRegistry:
             for i in range(1, n + 1)
         }
         self.coin_secret = sha256(b"falcon-coin" + system_seed)
+        # tagged -> signer -> MAC, for every share partial_sign produced
+        self._signed: Dict[bytes, Dict[int, bytes]] = {}
 
     def _mac(self, signer: int, tagged: bytes) -> bytes:
         return hmac.digest(self._keys[signer], tagged, "sha256")
 
     def partial_sign(self, signer: int, tagged: bytes) -> PartialSig:
-        return PartialSig(signer=signer, tagged=tagged, mac=self._mac(signer, tagged))
+        mac = self._mac(signer, tagged)
+        self._signed.setdefault(tagged, {})[signer] = mac
+        return PartialSig(signer=signer, tagged=tagged, mac=mac)
 
     def verify_partial(self, ps: PartialSig) -> bool:
         """Check the MAC only; binding to a concrete message needs verify_partial_for."""
         if not 1 <= ps.signer <= self.n or len(ps.tagged) != DIGEST_LEN:
             return False
-        return hmac.compare_digest(ps.mac, self._mac(ps.signer, ps.tagged))
+        try:
+            by_signer = self._signed.get(ps.tagged)
+        except TypeError:  # an unhashable digest, such as a decoded bytearray
+            by_signer = None
+        expected = by_signer.get(ps.signer) if by_signer else None
+        if expected is None:
+            expected = self._mac(ps.signer, ps.tagged)
+        return hmac.compare_digest(ps.mac, expected)
 
     def verify_partial_for(self, ps: PartialSig, message: bytes, tag: int) -> bool:
         return ps.tagged == tagged_digest(message, tag) and self.verify_partial(ps)

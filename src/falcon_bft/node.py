@@ -27,7 +27,7 @@ dropping the node's traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
@@ -43,13 +43,13 @@ RETENTION = 2
 BLOCK_CAP = 32
 
 
-def _progress(inst: AcsqInstance) -> Tuple[int, int, int, bool]:
+def _progress(inst: AcsqInstance) -> int:
     """Everything `_drive` reads of an instance that only `handle` changes.
 
-    All four parts only grow, so an unchanged value means `_drive` has
-    nothing to do.
+    All four parts only grow, so an unchanged sum means no part changed and
+    `_drive` has nothing to do.
     """
-    return len(inst.M2), len(inst.M_acs), len(inst.S_ex), inst.returned
+    return len(inst.M2) + len(inst.M_acs) + len(inst.S_ex) + inst.returned
 
 
 class Node:
@@ -95,15 +95,17 @@ class Node:
             self.held.setdefault(k, []).append(env)
             self.log("held", k=k, body=type(env.body).__name__)
             return []
-        if k not in self.instances and k < self.pruned_below:
-            self.log("drop", k=k, reason="pruned_instance")
-            return []
-        inst = self._instance(k)
+        inst = self.instances.get(k)
+        if inst is None:
+            if k < self.pruned_below:
+                self.log("drop", k=k, reason="pruned_instance")
+                return []
+            inst = self._instance(k)
         before = _progress(inst)
         sends = inst.handle(env)
         if _progress(inst) != before:
             sends.extend(self._drive())
-        return self._wrap(sends)
+        return self._wrap(sends) if sends else []
 
     def snapshot(self) -> dict:
         return {
@@ -218,12 +220,14 @@ class Node:
     # -- emission plumbing ------------------------------------------------------------------
 
     def _wrap(self, sends: List[Send]) -> List[Envelope]:
-        """Address each send; a broadcast goes to every node in id order."""
+        """Address each send; a broadcast goes to every node in id order.
+
+        Raises ValueError for a send whose body its address does not carry.
+        """
         out: List[Envelope] = []
         for send in sends:
             if send.to is None:
-                for r in self.params.node_ids():
-                    out.append(Envelope(self.node_id, r, send.addr, send.body))
+                out.extend(Envelope.fan_out(self.node_id, self.params.node_ids(), send.addr, send.body))
             else:
                 out.append(Envelope(self.node_id, send.to, send.addr, send.body))
         return out

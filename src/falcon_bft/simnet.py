@@ -1,11 +1,12 @@
 """Deterministic discrete-event network with programmable adversaries.
 
 Time is an integer tick count, kept by the run's `EventLog` so that one
-clock stamps every record.  Every message delivery is scheduled as
-(deliver_time, sequence_number, envelope) in a priority queue; the sequence
-number is assigned at send time, so equal-time deliveries replay in send
-order and a (config, seed) pair maps to exactly one event log, byte for
-byte.  Lockstep mode delivers every message one tick after it was sent,
+clock stamps every record.  Every message is appended, at send time, to a
+FIFO queue for its delivery tick, and the run delivers the smallest pending
+tick's queue front to back.  Every delay is at least one tick, so a tick's
+queue is complete before it is delivered: equal-time deliveries replay in
+send order, and a (config, seed) pair maps to exactly one event log, byte
+for byte.  Lockstep mode delivers every message one tick after it was sent,
 which makes a tick equal to one communication round; random mode draws
 per-message delays from the seeded generator; delay rules add extra ticks
 to matching messages.
@@ -22,11 +23,11 @@ given tick on.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .aaba import AabaInput
 from .acsq import AcsqInstance
@@ -204,11 +205,18 @@ class EventLog:
 
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
+
+    `of_kind` reads a by-kind index that it builds on first use and extends
+    with the records appended since, so `append` does no indexing work.
+    Assigning a new list to `records` starts the index afresh.
     """
 
     def __init__(self):
         self.records: List[dict] = []
         self.time = 0
+        self._indexed: List[dict] = []  # the list `_by_kind` indexes
+        self._by_kind: Dict[str, List[dict]] = {}
+        self._indexed_count = 0
 
     def append(self, record: dict) -> None:
         record["i"] = len(self.records)
@@ -229,7 +237,18 @@ class EventLog:
         return b"".join(encode(r).encode() + b"\n" for r in self.records)
 
     def of_kind(self, kind: str) -> List[dict]:
-        return [r for r in self.records if r["kind"] == kind]
+        """A new list of the records of `kind`, in log order."""
+        records = self.records
+        if records is not self._indexed:
+            self._indexed, self._by_kind, self._indexed_count = records, {}, 0
+        by_kind = self._by_kind
+        for rec in records[self._indexed_count:]:
+            if rec["kind"] in by_kind:
+                by_kind[rec["kind"]].append(rec)
+            else:
+                by_kind[rec["kind"]] = [rec]
+        self._indexed_count = len(records)
+        return list(by_kind.get(kind, ()))
 
 
 class Simulation:
@@ -242,8 +261,8 @@ class Simulation:
         self.registry = KeyRegistry(self.params.n, system_seed=b"%d" % config.seed)
         self.rng = random.Random(config.seed)
         self.log = EventLog()
-        self._seq = 0
-        self._queue: List[Tuple[int, int, Envelope]] = []
+        # delivery tick -> the envelopes due then, in send order
+        self._queue: Dict[int, Deque[Envelope]] = {}
 
         self.crashed_at: Dict[int, int] = {
             fs.node: fs.at_time for fs in config.faults if fs.kind == "crash"
@@ -275,23 +294,28 @@ class Simulation:
 
     def _dispatch(self, envelopes: List[Envelope]) -> None:
         # every sender is live: it just started or handled an envelope
+        now = self.log.time
+        append = self.log.append
+        queue = self._queue
         for env in envelopes:
-            self.log.append(
+            addr = env.addr
+            append(
                 {
                     "kind": "send",
-                    "t": self.log.time,
+                    "t": now,
                     "node": env.sender,
                     "to": env.recipient,
-                    "k": env.addr.acsq_id,
-                    "proto": env.addr.proto.name,
-                    "j": env.addr.index,
+                    "k": addr.acsq_id,
+                    "proto": addr.proto.name,
+                    "j": addr.index,
                     "body": type(env.body).__name__,
                 }
             )
-            self._seq += 1
-            heapq.heappush(
-                self._queue, (self.log.time + self._delay_for(env), self._seq, env)
-            )
+            t = now + self._delay_for(env)
+            if t in queue:
+                queue[t].append(env)
+            else:
+                queue[t] = deque((env,))
 
     # -- tx load --------------------------------------------------------------------
 
@@ -312,12 +336,16 @@ class Simulation:
                     self.nodes[i].inject_tx(tx)
         self._batches_injected = batch
 
-    def _maybe_inject(self) -> None:
+    def _maybe_inject(self) -> bool:
+        """Inject the next batch once every correct node has reached its
+        instance; at most one batch per call.  Returns whether it injected."""
         if self._batches_injected >= self.config.num_instances:
-            return
+            return False
         nxt = self._batches_injected + 1
         if all(self.nodes[i].k >= nxt for i in self._correct):
             self._inject_batch(nxt)
+            return True
+        return False
 
     # -- run -----------------------------------------------------------------------------
 
@@ -326,20 +354,31 @@ class Simulation:
         for i in self.params.node_ids():
             if not self._crashed(i):
                 self._dispatch(self.nodes[i].start())
+        queue, nodes, log = self._queue, self.nodes, self.log
+        # The injection test can only turn true when some node's k grows,
+        # which happens inside that node's `handle`, or right after an
+        # injection (one batch per test; the next may already be due).
+        recheck = True
         processed = 0
-        while self._queue:
-            t, _, env = heapq.heappop(self._queue)
-            self.log.time = t
-            if self._crashed(env.recipient):
-                self.log.append(
-                    {"kind": "drop", "t": t, "node": env.recipient, "reason": "crashed"}
-                )
-                continue
-            self._dispatch(self.nodes[env.recipient].handle(env))
-            self._maybe_inject()
-            processed += 1
-            if processed > self.MAX_EVENTS:
-                raise RuntimeError("simulation failed to quiesce")
+        while queue:
+            t = min(queue)
+            log.time = t
+            due = queue.pop(t)
+            while due:
+                env = due.popleft()  # frees each envelope once it is handled
+                if self._crashed(env.recipient):
+                    log.append({"kind": "drop", "t": t, "node": env.recipient, "reason": "crashed"})
+                    continue
+                node = nodes[env.recipient]
+                k = node.k
+                out = node.handle(env)
+                if out:
+                    self._dispatch(out)
+                if recheck or node.k != k:
+                    recheck = self._maybe_inject()
+                processed += 1
+                if processed > self.MAX_EVENTS:
+                    raise RuntimeError("simulation failed to quiesce")
         return RunResult(self.config, self.log, self.nodes)
 
 

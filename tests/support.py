@@ -4,7 +4,9 @@ the detector-sanity tests install with pytest's monkeypatch."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from falcon_bft import node as node_module
@@ -20,6 +22,15 @@ from falcon_bft.core_types import (
 from falcon_bft.crypto import KeyRegistry, ThresholdSig
 from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
 from falcon_bft.node import Node
+
+
+def load_bench_workloads():
+    """The benchmark's `workloads` module, loaded from its file: `bench/` is no package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:

@@ -7,6 +7,7 @@ from falcon_bft.acsq import AcsqInstance
 from falcon_bft.core_types import (
     Assist,
     Block,
+    DecodeError,
     Echo1,
     Echo2,
     Envelope,
@@ -20,6 +21,9 @@ from falcon_bft.core_types import (
     Sho2,
     SystemParams,
     Transaction,
+    decode_envelope,
+    encode_body,
+    u32,
 )
 from falcon_bft.crypto import tagged_digest
 from falcon_bft.gbc import cert_tag
@@ -274,6 +278,23 @@ def test_instance_past_window_dropped_not_held():
     assert max(node.instances) == last
     drops = [r for r in res.log.of_kind("drop") if r["reason"] == "beyond_window"]
     assert [r["k"] for r in drops] == [last + 1, 10**6, 10**6 + 1]
+
+
+@pytest.mark.parametrize("to", [None, 3])
+@pytest.mark.parametrize(
+    "addr, body",
+    [(InstanceAddr(1, Proto.GBC, 1), Sho2(0)), (InstanceAddr(1, Proto.AABA, 1), Propose(Block(1, 1, ())))],
+)
+def test_wrap_rejects_a_body_its_address_does_not_carry(to, addr, body):
+    # a broadcast (to=None) checks its body once for all n envelopes; that
+    # check must still run
+    node = run(instances=1).nodes[1]
+    with pytest.raises(ValueError):
+        node._wrap([Send(addr, body, to=to)])
+    # nor does such an envelope decode from the wire
+    raw = u32(1) + u32(to or 2) + addr.encode() + encode_body(body)
+    with pytest.raises(DecodeError):
+        decode_envelope(raw)
 
 
 @pytest.mark.parametrize("relayed, tag", [(Echo1, 1), (Echo2, 2)])

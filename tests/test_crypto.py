@@ -38,6 +38,45 @@ def test_tampered_mac_fails(registry):
     assert not registry.verify_partial(bad)
 
 
+def test_signed_pair_with_altered_mac_fails(registry):
+    # the registry remembers this (signer, tagged) pair's MAC; a share that
+    # names the pair but carries another MAC is still rejected
+    ps = registry.partial_sign(2, tagged_digest(b"hello", 1))
+    flipped = bytes([ps.mac[0] ^ 1]) + ps.mac[1:]
+    assert not registry.verify_partial(PartialSig(ps.signer, ps.tagged, flipped))
+    assert registry.verify_partial(ps)
+
+
+def test_share_signed_elsewhere_verifies():
+    # a pair this registry never signed takes the computed path
+    signer_side = KeyRegistry(4, system_seed=b"unit")
+    verifier = KeyRegistry(4, system_seed=b"unit")
+    ps = signer_side.partial_sign(3, tagged_digest(b"hello", 2))
+    assert verifier.verify_partial(ps)
+    assert not verifier.verify_partial(PartialSig(ps.signer, ps.tagged, bytes(32)))
+    assert not verifier._signed
+
+
+def test_bytearray_digest_gets_the_same_verdict(registry):
+    # a digest decoded from a bytearray is a bytearray, which no memo key
+    # matches; it is checked by computing its MAC
+    ps = registry.partial_sign(1, tagged_digest(b"hello", 1))
+    assert registry.verify_partial(PartialSig(1, bytearray(ps.tagged), ps.mac))
+    assert not registry.verify_partial(PartialSig(1, bytearray(ps.tagged), bytes(32)))
+
+
+def test_forged_shares_do_not_grow_the_memo(registry):
+    def memo_size():
+        return sum(len(by_signer) for by_signer in registry._signed.values())
+
+    registry.partial_sign(1, tagged_digest(b"m", 1))
+    size = memo_size()
+    for i in range(10_000):
+        forged = PartialSig(1 + i % 4, tagged_digest(b"forged:%d" % i, 1), bytes(32))
+        assert not registry.verify_partial(forged)
+    assert memo_size() == size == 1
+
+
 def test_combine_quorum(registry):
     params = SystemParams(4, 1)
     partials = [registry.partial_sign(i, tagged_digest(b"m", 1)) for i in (1, 2, 3)]

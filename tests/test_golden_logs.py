@@ -1,8 +1,11 @@
-"""Golden event logs: each shipped scenario replays to a pinned log digest.
+"""Golden event logs: each shipped scenario, and each run of the benchmark's
+fuzz shape, replays to a pinned log digest.
 
 The digests are sha256 over `EventLog.to_lines()`, recorded in a separate
 process, so a change to scheduling, message order or log format anywhere
-in the stack shows up here even when every invariant still holds.
+in the stack shows up here even when every invariant still holds.  The fuzz
+runs add random delays, delay rules and every fault plugin to what the
+scenarios cover.
 """
 
 import hashlib
@@ -12,8 +15,10 @@ import pytest
 
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
+from support import load_bench_workloads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+WORKLOADS = load_bench_workloads()
 
 GOLDEN = {
     "adversarial_skew.ini": "84001a788dc5273dbfc5e6b95168e4851b464d127ced005d7587564de23dcb51",
@@ -34,3 +39,38 @@ def test_every_scenario_is_pinned():
 def test_scenario_log_digest(name):
     result = run_simulation(load_scenario(SCENARIOS / name))
     assert hashlib.sha256(result.log.to_lines()).hexdigest() == GOLDEN[name]
+
+
+# fuzz_config(i) for i in 0..23, the benchmark's fuzz-mix pass at seed 0
+FUZZ_GOLDEN = [
+    "d719e04d74482a88409cf6523e41973c6c0a43d285e6177d9c2fb5467735fdf9",
+    "ffa63ce02130b4800f837ce5dee6d2167c6994889dcb4a3114c69b1ebe8c32db",
+    "52412eb6f17cdb7de3980872d285473673c564f93be1ca0f649f6318fc704492",
+    "f410a3a9355696c0ec364f7111339de4501e58458ff6f4e60be9c4ab8cb04252",
+    "83c5111b0f98efc59f2eb6119caa6f81ecb56af3ea4640c8f6ea6cb1d48e77cf",
+    "7d0a74908128e4574f1e62c4e7ff62e4b60bc42608234a1043bb91daad9dca0f",
+    "0faf8cd7474ce061f274707c76eaa2ddc3fc9bf8a4a307936cae58a4838dfd81",
+    "eafd4ff62acdae3cc272f0ea970da3c9f2f0cf5ee8b3024528425e32fee5b114",
+    "34bd647dffced2f572fa9f5a33cea73a5589da3f20ccc06000231a74364104b0",
+    "f851cdfa86901006231ecab43f67cbe27696818ef87cfd23f543d63891e56d74",
+    "376ce1bb4d90e0562dab291da077dbeb171d550d6004a7878c9ee76c23f9811c",
+    "8a392e2dcbabd320e09a919036a06ce20d6ca8a8950f502dee803594f0a1a85e",
+    "3fb852ef0364acdb928f88378a18090f36b85a54f7b61a1c90e2c838c2d4b3ce",
+    "1ff197aa15764a8972c73c27035128b031f13e09b23914c7f64e191b0186750c",
+    "9111c848618f8c71d136a6dcd7a194f89c2e18bc29e63cff5cd0474fcce727a9",
+    "c85134bc8d96977ff6213a8c1eb386ba26645f8d83a28e150640eb5da9e6cdc6",
+    "47e52ed9255a4b69bf47338e823da1f81108464e4557d65f8b12be5857dacfd2",
+    "f08676576e350d7fb15fd8265552d94fe7727a11713b2fd415c81301f4fd32a4",
+    "d802e41362d60eb00941a1e9f1b7dcd0715bde02aa1e0bb483cbebc5c6fb9a55",
+    "fcdef6943cde6aa45ba5aaadca9a8114b320d58153dede3b3f5bb01cd85af3cf",
+    "b882823e10329cd4b2ee2865d42c11c17a3ecb18904aeaca3513ff0262b9f039",
+    "164f8b7ff785119e0ccbb818cc912ee6c10669bb369568bc7abb11f8eb6bc772",
+    "b4c3b1f701897669fe58633925f338f1c12bbb538d5b874f35d443e056ab41eb",
+    "2430b1ac0dde4e2f6855a90ae0d17712963f1d9311eddcf0450934c81cc6c7e5",
+]
+
+
+@pytest.mark.parametrize("i", range(len(FUZZ_GOLDEN)))
+def test_fuzz_log_digest(i):
+    result = run_simulation(WORKLOADS.fuzz_config(i))
+    assert hashlib.sha256(result.log.to_lines()).hexdigest() == FUZZ_GOLDEN[i]

@@ -2,12 +2,12 @@
 
 The node driver runs only when a handled instance made progress, a run's
 objects are freed by reference counting alone, and a favorable lockstep
-run verifies exactly the echo shares its deliveries need.  Work is pinned
-as call counts, which repeat exactly where wall-clock time does not.
+run verifies exactly the echo shares its deliveries need, computing no
+MAC beyond the ones its shares were signed with.  Work is pinned as call
+counts, which repeat exactly where wall-clock time does not.
 """
 
 import gc
-import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -19,20 +19,13 @@ from falcon_bft.crypto import KeyRegistry
 from falcon_bft.node import Node
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation, schedule
+from support import load_bench_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted(p.name for p in (ROOT / "scenarios").glob("*.ini"))
 
 
-def _load_workloads():
-    path = ROOT / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_bench_workloads()
 
 
 def _low_index_gaps(**kwargs):
@@ -114,6 +107,8 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
         monkeypatch.setattr(owner, attr, counted)
 
     count(KeyRegistry, "verify_partial", "verify_partial")
+    count(KeyRegistry, "partial_sign", "partial_sign")
+    count(crypto.hmac, "digest", "hmac")
     count(node, "partial_sort", "partial_sort")
     count(crypto, "tagged_digest", "tagged_digest")
     count(gbc, "tagged_digest", "tagged_digest")
@@ -130,3 +125,7 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     # each node hashes the two grade tags of each GBC once, when the body
     # arrives, and signs its echoes with them
     assert calls["tagged_digest"] == 2 * n * n * (instances + 1)
+    # each node signs those two tags in each GBC, and every verified share
+    # was signed in the run, so the only MACs computed are the signatures
+    assert calls["partial_sign"] == 2 * n * n * (instances + 1)
+    assert calls["hmac"] == calls["partial_sign"]

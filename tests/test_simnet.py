@@ -137,6 +137,25 @@ def test_wrong_bit_fault_never_breaks_agreement():
         assert observe_invariants(res) == []
 
 
+def test_of_kind_matches_a_scan_after_appends_and_replacement():
+    log = run_simulation(favorable()).log
+
+    def scan(kind):
+        return [r for r in log.records if r["kind"] == kind]
+
+    kinds = sorted({r["kind"] for r in log.records}) + ["no_such_kind"]
+    assert all(log.of_kind(kind) == scan(kind) for kind in kinds)
+    log.append({"kind": "commit", "t": 99, "node": 1})
+    log.append({"kind": "late_kind", "t": 99, "node": 1})
+    assert all(log.of_kind(kind) == scan(kind) for kind in kinds + ["late_kind"])
+    # each call hands out its own list
+    log.of_kind("commit").clear()
+    assert log.of_kind("commit") == scan("commit") != []
+    log.records = [r for r in log.records if r["kind"] != "commit"]
+    assert log.of_kind("commit") == []
+    assert log.of_kind("send") == scan("send")
+
+
 def test_snapshot_shape():
     res = run_simulation(favorable())
     snap = res.snapshots()[0]
