@@ -98,7 +98,6 @@ class AabaInstance:
         self.amp_counted: Set[int] = set()
         self.sho1_sent: Set[int] = set()
         self.sho1_pool: Dict[int, Set[int]] = {0: set(), 1: set()}
-        self.sho2_sent = False
         self.sho2_votes: Dict[int, int] = {}  # sender -> bit, first per sender
         self.S: Set[int] = set()
         self.acted_on_sho2 = False
@@ -111,10 +110,6 @@ class AabaInstance:
         self.buffered: List[Tuple[int, object]] = []
 
         self.inner = AbaInstance(addr, params, coin_secret=registry.coin_secret)
-
-    @property
-    def engaged(self) -> bool:
-        return self.input is not None
 
     # -- validity predicate ----------------------------------------------------
 
@@ -152,7 +147,7 @@ class AabaInstance:
     def handle(self, sender: int, body) -> List[object]:
         if self.exited:
             return []
-        if not self.engaged:
+        if self.input is None:
             self.buffered.append((sender, body))
             return []
         if isinstance(body, Amp):
@@ -209,10 +204,9 @@ class AabaInstance:
         if len(pool) >= self.params.small_quorum and msg.bit not in self.sho1_sent:
             out.extend(self._send_sho1(msg.bit))
         if len(pool) >= self.params.quorum and msg.bit not in self.S:
-            self.S.add(msg.bit)
-            if not self.sho2_sent:
-                self.sho2_sent = True
+            if not self.S:  # the first bit to enter S is the one Sho2 vote
                 out.append(Send(self.addr, Sho2(msg.bit)))
+            self.S.add(msg.bit)
             out.extend(self._eval_sho2())
         return out
 

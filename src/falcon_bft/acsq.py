@@ -65,10 +65,8 @@ class AcsqInstance:
 
         self.gbc: Dict[int, GbcInstance] = {}
         self.aaba: Dict[int, AabaInstance] = {}
-        self.M1: Dict[int, GradedDelivery] = {}
         self.M2: Dict[int, GradedDelivery] = {}
         self.M_acs: Dict[int, Block] = {}
-        self.S_a: Set[int] = set()
         self.S_ex: Set[int] = set()
         self.known_blocks: Dict[bytes, Block] = {}
         self.assist_sent: Set[Tuple[int, int]] = set()  # (index, peer)
@@ -83,6 +81,10 @@ class AcsqInstance:
 
     def aaba_addr(self, j: int) -> InstanceAddr:
         return InstanceAddr(self.k, Proto.AABA, j)
+
+    def delivered1(self, j: int) -> Optional[GradedDelivery]:
+        """Index j's grade-1 delivery, if its broadcast has made one here."""
+        return self.gbc[j].delivered1 if j in self.gbc else None
 
     def gbc_for(self, j: int) -> GbcInstance:
         if j not in self.gbc:
@@ -188,10 +190,8 @@ class AcsqInstance:
     # -- broadcast-stage results -----------------------------------------------------
 
     def _on_deliver(self, j: int, gd: GradedDelivery) -> List[Send]:
-        if gd.grade == 1:
-            if j not in self.M1:
-                self.M1[j] = gd
-                self.log("gbc_deliver", k=self.k, j=j, grade=1, digest=gd.block.digest.hex())
+        if gd.grade == 1:  # a broadcast delivers grade 1 once
+            self.log("gbc_deliver", k=self.k, j=j, grade=1, digest=gd.block.digest.hex())
             return []
         return self._adopt_grade2(j, gd, via="gbc")
 
@@ -260,14 +260,13 @@ class AcsqInstance:
         for j in range(1, self.params.n + 1):
             if j in self.M2:
                 continue
-            self.S_a.add(j)
             out.extend(self.input_policy(self, j))
         self._resolve_check()
         return out
 
     def honest_input(self, j: int) -> List[Send]:
         """Honest input rule: grade-1 delivery turns into a certified one-input."""
-        m1 = self.M1.get(j)
+        m1 = self.delivered1(j)
         if m1 is not None:
             value = AabaInput.one(m1.block.digest, m1.proof)
         else:
@@ -297,8 +296,9 @@ class AcsqInstance:
         for j in sorted(self.pending_includes):
             digest = self.pending_includes[j]
             if digest is None:
-                if j in self.M1:
-                    digest = self.M1[j].block.digest
+                m1 = self.delivered1(j)
+                if m1 is not None:
+                    digest = m1.block.digest
                 elif j in self.aaba and self.aaba[j].known_proof is not None:
                     digest = self.aaba[j].known_proof[0]
                 else:
@@ -345,10 +345,13 @@ class AcsqInstance:
     # -- completion ------------------------------------------------------------------------------
 
     def _resolve_check(self) -> None:
+        # M_acs and S_ex never share an index, S_ex is empty before agreement
+        # and every index in M2 at its start is in M_acs: every index is
+        # decided exactly when the two together hold n
         if (
             self.agreement_started
             and not self.returned
-            and all(j in self.S_ex or j in self.M_acs for j in self.S_a)
+            and len(self.M_acs) + len(self.S_ex) == self.params.n
         ):
             self._do_return()
 

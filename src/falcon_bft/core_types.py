@@ -1,62 +1,28 @@
 """Shared domain vocabulary: identities, blocks, message envelopes, addressing.
 
-All types here are immutable values, safe to copy between nodes.  The
-canonical encoding is length-prefixed everywhere so that no two distinct
-values encode to the same bytes; it doubles as the on-disk fixture format
-for unit tests (hex-dumped) and as the wire format whose round-trip the
-envelope tests pin down.  Bytes that are not an encoding raise DecodeError.
+All types here are immutable values, safe to copy between nodes.  Their
+canonical encoding is length-prefixed, so distinct values never encode alike.
+It is hashed and measured, never read back: `Block.digest` hashes
+`encode_block`, `InstanceAddr.encode` scopes GBC certificate tags and the
+coin, and `encode_envelope` sizes a message.  Nodes pass values, not bytes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
-
-
-class DecodeError(ValueError):
-    """The bytes are not the canonical encoding of any value."""
 
 
 def u32(value: int) -> bytes:
     return value.to_bytes(4, "big")
 
 
-def _take(data: bytes, off: int, size: int) -> Tuple[bytes, int]:
-    end = off + size
-    if end > len(data):
-        raise DecodeError(f"need {size} bytes at offset {off}, have {len(data) - off}")
-    return data[off:end], end
-
-
-def read_u8(data: bytes, off: int) -> Tuple[int, int]:
-    raw, off = _take(data, off, 1)
-    return raw[0], off
-
-
-def read_u32(data: bytes, off: int) -> Tuple[int, int]:
-    raw, off = _take(data, off, 4)
-    return int.from_bytes(raw, "big"), off
-
-
 def lp(data: bytes) -> bytes:
     """Length-prefix a byte string."""
     return u32(len(data)) + data
-
-
-def read_lp(data: bytes, off: int) -> Tuple[bytes, int]:
-    n, off = read_u32(data, off)
-    return _take(data, off, n)
-
-
-def _decode_exact(decode: Callable, data: bytes):
-    """Decode one value that must span all of `data` (a length prefix's payload)."""
-    value, off = decode(data, 0)
-    if off != len(data):
-        raise DecodeError(f"{len(data) - off} trailing bytes")
-    return value
 
 
 @dataclass(frozen=True)
@@ -112,23 +78,9 @@ def encode_block(block: Block) -> bytes:
     return b"".join(out)
 
 
-def decode_block(data: bytes, off: int = 0) -> Tuple[Block, int]:
-    creator, off = read_u32(data, off)
-    instance, off = read_u32(data, off)
-    count, off = read_u32(data, off)
-    txs = []
-    for _ in range(count):
-        payload, off = read_lp(data, off)
-        txs.append(Transaction(payload))
-    return Block(creator, instance, tuple(txs)), off
-
-
 class Proto(enum.Enum):
     GBC = 1
     AABA = 2
-
-
-_PROTOS = {p.value: p for p in Proto}
 
 
 @dataclass(frozen=True)
@@ -144,15 +96,6 @@ class InstanceAddr:
 
     def encode(self) -> bytes:
         return u32(self.acsq_id) + bytes([self.proto.value]) + u32(self.index)
-
-
-def decode_addr(data: bytes, off: int) -> Tuple[InstanceAddr, int]:
-    acsq_id, off = read_u32(data, off)
-    raw_proto, off = read_u8(data, off)
-    if raw_proto not in _PROTOS:
-        raise DecodeError(f"unknown proto {raw_proto}")
-    index, off = read_u32(data, off)
-    return InstanceAddr(acsq_id, _PROTOS[raw_proto], index), off
 
 
 @dataclass(frozen=True)
@@ -296,24 +239,16 @@ class Envelope:
         return out
 
 
-# --- canonical envelope codec ----------------------------------------------
+# --- canonical envelope encoding -------------------------------------------
 
 _BODY_TAGS = {
     Propose: 1, Echo1: 2, Echo2: 3, Amp: 4, Sho1: 5, Sho2: 6, Stop: 7,
     Bval: 8, Aux: 9, AbaDecided: 10, Assist: 11, Query: 12, QueryResp: 13,
 }
-_TAG_BODIES = {v: k for k, v in _BODY_TAGS.items()}
 
 
 def _enc_partial(ps: PartialSig) -> bytes:
     return u32(ps.signer) + lp(ps.tagged) + lp(ps.mac)
-
-
-def _dec_partial(data: bytes, off: int) -> Tuple[PartialSig, int]:
-    signer, off = read_u32(data, off)
-    tagged, off = read_lp(data, off)
-    mac, off = read_lp(data, off)
-    return PartialSig(signer, tagged, mac), off
 
 
 def _enc_threshold(ts: ThresholdSig) -> bytes:
@@ -323,40 +258,12 @@ def _enc_threshold(ts: ThresholdSig) -> bytes:
     return b"".join(out)
 
 
-def _dec_threshold(data: bytes, off: int) -> Tuple[ThresholdSig, int]:
-    tagged, off = read_lp(data, off)
-    count, off = read_u32(data, off)
-    parts = []
-    for _ in range(count):
-        signer, off = read_u32(data, off)
-        mac, off = read_lp(data, off)
-        parts.append((signer, mac))
-    return ThresholdSig(tagged, tuple(parts)), off
-
-
 def _enc_delivery(gd: GradedDelivery) -> bytes:
     return lp(encode_block(gd.block)) + u32(gd.grade) + _enc_threshold(gd.proof)
 
 
-def _dec_delivery(data: bytes, off: int) -> Tuple[GradedDelivery, int]:
-    raw, off = read_lp(data, off)
-    block = _decode_exact(decode_block, raw)
-    grade, off = read_u32(data, off)
-    proof, off = _dec_threshold(data, off)
-    return GradedDelivery(block, grade, proof), off
-
-
 def _enc_opt(data: Optional[bytes]) -> bytes:
     return b"\x00" if data is None else b"\x01" + lp(data)
-
-
-def _dec_opt(data: bytes, off: int) -> Tuple[Optional[bytes], int]:
-    flag, off = read_u8(data, off)
-    if flag == 0:
-        return None, off
-    if flag != 1:
-        raise DecodeError(f"bad option flag {flag}")
-    return read_lp(data, off)
 
 
 def encode_body(body: Body) -> bytes:
@@ -385,45 +292,6 @@ def encode_body(body: Body) -> bytes:
     raise TypeError(f"unknown body {body!r}")
 
 
-def decode_body(data: bytes, off: int) -> Tuple[Body, int]:
-    tag, off = read_u8(data, off)
-    if tag not in _TAG_BODIES:
-        raise DecodeError(f"unknown body tag {tag}")
-    cls = _TAG_BODIES[tag]
-    if cls is Propose:
-        raw, off = read_lp(data, off)
-        return Propose(_decode_exact(decode_block, raw)), off
-    if cls in (Echo1, Echo2):
-        ps, off = _dec_partial(data, off)
-        return cls(ps), off
-    if cls in (Amp, Sho1):
-        bit, off = read_u32(data, off)
-        digest, off = _dec_opt(data, off)
-        raw_proof, off = _dec_opt(data, off)
-        proof = None if raw_proof is None else _decode_exact(_dec_threshold, raw_proof)
-        return cls(bit, digest, proof), off
-    if cls is Sho2:
-        bit, off = read_u32(data, off)
-        return Sho2(bit), off
-    if cls is Stop:
-        return Stop(), off
-    if cls in (Bval, Aux):
-        rnd, off = read_u32(data, off)
-        bit, off = read_u32(data, off)
-        return cls(rnd, bit), off
-    if cls is AbaDecided:
-        bit, off = read_u32(data, off)
-        return AbaDecided(bit), off
-    if cls is Assist:
-        gd, off = _dec_delivery(data, off)
-        return Assist(gd), off
-    if cls is Query:
-        digest, off = read_lp(data, off)
-        return Query(digest), off
-    raw, off = read_lp(data, off)  # QueryResp
-    return QueryResp(_decode_exact(decode_block, raw)), off
-
-
 def encode_envelope(env: Envelope) -> bytes:
     return (
         u32(env.sender)
@@ -431,22 +299,6 @@ def encode_envelope(env: Envelope) -> bytes:
         + env.addr.encode()
         + encode_body(env.body)
     )
-
-
-def _dec_envelope(data: bytes, off: int) -> Tuple[Envelope, int]:
-    sender, off = read_u32(data, off)
-    recipient, off = read_u32(data, off)
-    addr, off = decode_addr(data, off)
-    body, off = decode_body(data, off)
-    try:
-        return Envelope(sender, recipient, addr, body), off
-    except ValueError as exc:  # body kind does not fit the address
-        raise DecodeError(str(exc)) from None
-
-
-def decode_envelope(data: bytes) -> Envelope:
-    """Inverse of encode_envelope; raises DecodeError on any other bytes."""
-    return _decode_exact(_dec_envelope, data)
 
 
 # --- emissions from state machines ------------------------------------------

@@ -73,10 +73,6 @@ class ThresholdSig:
     tagged: bytes
     parts: Tuple[Tuple[int, bytes], ...]
 
-    @property
-    def signer_count(self) -> int:
-        return len(self.parts)
-
 
 class KeyRegistry:
     """Holds every node's MAC key plus the shared coin secret.
@@ -110,7 +106,7 @@ class KeyRegistry:
             return False
         try:
             by_signer = self._signed.get(ps.tagged)
-        except TypeError:  # an unhashable digest, such as a decoded bytearray
+        except TypeError:  # an unhashable digest, such as a bytearray
             by_signer = None
         expected = by_signer.get(ps.signer) if by_signer else None
         if expected is None:

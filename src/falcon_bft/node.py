@@ -27,7 +27,8 @@ dropping the node's traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
@@ -66,8 +67,7 @@ class Node:
         self.registry = registry
         self.log = log
 
-        self.buffer: List[Transaction] = []
-        self.buffer_ids: Set[bytes] = set()
+        self.buffer: Dict[bytes, Transaction] = {}  # txid -> tx, in arrival order
         self.chain = Chain()
         self.cursor = SortCursor()
         self.k = 1
@@ -78,10 +78,9 @@ class Node:
     # -- harness surface ---------------------------------------------------------
 
     def inject_tx(self, tx: Transaction) -> None:
-        if tx.txid in self.buffer_ids or tx.txid in self.chain.committed_txids:
+        if tx.txid in self.buffer or tx.txid in self.chain.committed_txids:
             return
-        self.buffer_ids.add(tx.txid)
-        self.buffer.append(tx)
+        self.buffer[tx.txid] = tx
 
     def start(self) -> List[Envelope]:
         return self._wrap(self._drive())
@@ -156,7 +155,7 @@ class Node:
 
     def _own_block(self, k: int) -> Optional[Block]:
         """The block this node proposes in instance k; None proposes nothing."""
-        txs = tuple(self.buffer[:BLOCK_CAP])
+        txs = tuple(islice(self.buffer.values(), BLOCK_CAP))
         block = Block(self.node_id, k, txs)
         self.log("propose", k=k, digest=block.digest.hex(), txs=len(txs))
         return block
@@ -181,9 +180,9 @@ class Node:
 
     def _commit(self, k: int, blocks: List[Block]) -> None:
         base = len(self.chain.slots) - len(blocks)
-        remove: Set[bytes] = set()
         for i, block in enumerate(blocks):
-            remove.update(tx.txid for tx in block.txs)
+            for tx in block.txs:
+                self.buffer.pop(tx.txid, None)
             self.log(
                 "commit",
                 k=k,
@@ -192,9 +191,6 @@ class Node:
                 digest=block.digest.hex(),
                 txids=[tx.txid.hex() for tx in block.txs],
             )
-        if remove:
-            self.buffer = [t for t in self.buffer if t.txid not in remove]
-            self.buffer_ids -= remove
 
     def _run_sorts(self) -> None:
         while True:

@@ -23,6 +23,7 @@ given tick on.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from collections import deque
@@ -128,13 +129,19 @@ class SimConfig:
             seen.add(fs.node)
         if len(seen) > self.params.f:
             raise InvalidConfig("more faulty nodes than the tolerance f")
+        # a rule field set outside these values would match no message
+        ids = self.params.node_ids()
+        domains = (
+            ("sender", ids), ("recipient", ids), ("index", ids), ("proto", _RULE_PROTOS),
+            ("acsq_id", range(1, self.num_instances + 2)), ("body", _RULE_BODIES),
+        )
         for rule in self.rules:
             if rule.delay < 0:
                 raise InvalidConfig("rule delays must be finite and non-negative")
-            if rule.proto is not None and rule.proto not in _RULE_PROTOS:
-                raise InvalidConfig(f"unknown rule proto {rule.proto!r}")
-            if rule.body is not None and rule.body not in _RULE_BODIES:
-                raise InvalidConfig(f"unknown rule body {rule.body!r}")
+            for name, domain in domains:
+                value = getattr(rule, name)
+                if value is not None and value not in domain:
+                    raise InvalidConfig(f"rule {name} {value!r} matches no message")
 
     def correct_nodes(self) -> Tuple[int, ...]:
         bad = {fs.node for fs in self.faults}
@@ -180,7 +187,7 @@ class WrongBitNode(Node):
 
     @staticmethod
     def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
-        if j in inst.M1:
+        if inst.delivered1(j) is not None:
             inst.log("aaba_input", k=inst.k, j=j, bit=0, q_valid=False)
             return inst._absorb(j, inst.aaba_for(j).give_input(AabaInput.zero()))
         junk = sha256(b"forged:%d:%d:%d" % (inst.node_id, inst.k, j))
@@ -234,7 +241,10 @@ class EventLog:
 
     def to_lines(self) -> bytes:
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        return b"".join(encode(r).encode() + b"\n" for r in self.records)
+        # one buffer, no list of every line: that list set a run's peak memory
+        out = io.BytesIO()
+        out.writelines(encode(r).encode() + b"\n" for r in self.records)
+        return out.getvalue()
 
     def of_kind(self, kind: str) -> List[dict]:
         """A new list of the records of `kind`, in log order."""

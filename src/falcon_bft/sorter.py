@@ -55,16 +55,14 @@ def partial_sort(
     """Advance the sort cursor for instance k; returns blocks committed now.
 
     `included` and `excluded` are the instance's decisions over indices 1..n,
-    read and never written.  `integral` is the foil mode used by the
+    disjoint, read and never written.  `integral` is the foil mode used by the
     stability comparison: nothing commits until every index is decided.
     """
     if cursor.done_id != k - 1:
         return []
     idx = cursor.idx.get(k, 0)
-    if integral:
-        decided = sum(1 for j in range(1, n + 1) if j in included or j in excluded)
-        if decided < n:
-            return []
+    if integral and len(included) + len(excluded) < n:
+        return []
     committed = []
     while idx < n and (idx + 1 in included or idx + 1 in excluded):
         j = idx + 1

@@ -24,10 +24,13 @@ from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
 from falcon_bft.node import Node
 
 
-def load_bench_workloads():
-    """The benchmark's `workloads` module, loaded from its file: `bench/` is no package."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name: str):
+    """The benchmark's module `name`, loaded from its file: `bench/` is no package."""
+    path = BENCH_DIR / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

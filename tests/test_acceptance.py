@@ -35,10 +35,11 @@ from support import (
     break_echo2_gate,
     break_q_check,
     break_sort_gate,
+    load_bench_module,
     make_registry,
 )
 
-BYZ_KINDS = ("equivocate", "silent", "wrong_aaba_bit")
+fuzz_config = load_bench_module("workloads").fuzz_config
 
 
 def report(criterion, text):
@@ -208,26 +209,6 @@ def test_criterion_3c_early_stop_halts_inner_aba():
 
 
 # -- criteria 4 and 5 ---------------------------------------------------------------
-
-
-def fuzz_config(i):
-    n, f = (4, 1) if i % 2 == 0 else (7, 2)
-    faults = tuple(FaultSpec(n - d, BYZ_KINDS[(i + d) % 3]) for d in range(f))
-    rules = (
-        DelayRule(recipient=1 + i % n, delay=2 + i % 4),
-        DelayRule(body=("Echo1", "Echo2", "Amp", "Sho1")[i % 4], delay=1 + i % 3),
-    )
-    return SimConfig(
-        params=SystemParams(n, f),
-        seed=i,
-        mode="random",
-        delay_min=1,
-        delay_max=5,
-        num_instances=5,
-        tx_load=4,
-        faults=faults,
-        rules=rules,
-    )
 
 
 def test_criterion_4_and_5_safety_and_liveness_fuzz():

@@ -76,6 +76,15 @@ def test_mistyped_rule_nonzero_exit_no_outputs(tmp_path):
     assert not out_dir.exists()
 
 
+def test_out_of_range_rule_nonzero_exit_no_outputs(tmp_path):
+    # index 5 names no broadcast of a 4-node run; the rule could never match
+    text = FAVORABLE + "\n[adversary]\nrule1 = index=5 delay=5\n"
+    scenario = write(tmp_path, text, "range.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_missing_scenario_nonzero(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
 

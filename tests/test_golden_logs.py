@@ -15,10 +15,10 @@ import pytest
 
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
-from support import load_bench_workloads
+from support import load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-WORKLOADS = load_bench_workloads()
+WORKLOADS = load_bench_module("workloads")
 
 GOLDEN = {
     "adversarial_skew.ini": "84001a788dc5273dbfc5e6b95168e4851b464d127ced005d7587564de23dcb51",

@@ -19,13 +19,13 @@ from falcon_bft.crypto import KeyRegistry
 from falcon_bft.node import Node
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation, schedule
-from support import load_bench_workloads
+from support import load_bench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted(p.name for p in (ROOT / "scenarios").glob("*.ini"))
 
 
-WORKLOADS = load_bench_workloads()
+WORKLOADS = load_bench_module("workloads")
 
 
 def _low_index_gaps(**kwargs):

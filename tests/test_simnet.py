@@ -81,6 +81,17 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidConfig):
             SimConfig(params=SystemParams(4, 1), rules=(rule,)).validate()
+    # so would a node, index or instance outside the run: ids 1..n, instances
+    # 1..num_instances + 1 (the extra instance that fires the last trigger)
+    for field, top in (("sender", 4), ("recipient", 4), ("index", 4), ("acsq_id", 3)):
+        for value in (0, 1, top, top + 1):
+            rule = DelayRule(**{field: value}, delay=5)
+            config = SimConfig(params=SystemParams(4, 1), num_instances=2, rules=(rule,))
+            if 1 <= value <= top:
+                config.validate()
+            else:
+                with pytest.raises(InvalidConfig):
+                    config.validate()
     with pytest.raises(InvalidConfig):
         SimConfig(
             params=SystemParams(4, 1),
