@@ -105,7 +105,6 @@ class AabaInstance:
         self.stop_sent = False
         self.output: Optional[int] = None
         self.output_source: Optional[str] = None
-        self.exited = False
         self.known_proof: Optional[Tuple[bytes, ThresholdSig]] = None
         self.buffered: List[Tuple[int, object]] = []
 
@@ -133,7 +132,7 @@ class AabaInstance:
         if value.bit == 1 and not self.q_check(value.digest, value.proof):
             raise InvalidOneInput("one-input lacks a valid certificate")
         self.input = value
-        if self.exited:
+        if self.inner.halted:
             return []
         self._note_proof(value.digest, value.proof)
         out: List[object] = [Send(self.addr, Amp(value.bit, value.digest, value.proof))]
@@ -145,7 +144,7 @@ class AabaInstance:
     # -- message entry point --------------------------------------------------------
 
     def handle(self, sender: int, body) -> List[object]:
-        if self.exited:
+        if self.inner.halted:
             return []
         if self.input is None:
             self.buffered.append((sender, body))
@@ -264,7 +263,6 @@ class AabaInstance:
             if self.output is None:
                 out.extend(self._produce_output(0, "stop"))
         if len(self.stop_pool) >= self.params.quorum:
-            self.exited = True
             self.inner.halt()
         return out
 
@@ -279,5 +277,4 @@ class AabaInstance:
 
     def halt(self) -> None:
         """External stop (delivery assistance): drop out of the instance."""
-        self.exited = True
         self.inner.halt()

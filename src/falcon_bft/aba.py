@@ -36,7 +36,6 @@ class AbaInstance:
 
         self.round = 0  # 0 until input is given
         self.est: Optional[int] = None
-        self.input_given = False
         self.decided: Optional[int] = None
         self.halted = False  # external halt: absorb everything
         self.retired = False  # gadget-complete: stop emitting
@@ -59,11 +58,10 @@ class AbaInstance:
     # -- input / halt ----------------------------------------------------------
 
     def input(self, b: int) -> List[object]:
-        if self.input_given:
+        if self.round > 0:
             raise DoubleInput(f"ABA {self.addr} already has an input")
         if self.halted:
             return []
-        self.input_given = True
         self.est = b
         self.round = 1
         out = self._broadcast_bval(1, b)
@@ -121,7 +119,7 @@ class AbaInstance:
     def _evaluate(self) -> List[object]:
         """Run every threshold rule that currently fires; loop until stable."""
         out: List[object] = []
-        if not self.input_given or not self.active:
+        if self.round == 0 or not self.active:
             return out
         progress = True
         while progress and self.active:

@@ -64,18 +64,18 @@ def decompose_latency(result: RunResult) -> List[BlockStages]:
     agreement_enter: Dict[Tuple[int, int], int] = {}
     decide: Dict[Tuple[int, int, int], Tuple[int, str]] = {}
     commit: Dict[Tuple[int, int, int], int] = {}
-    for rec in result.log.records:
-        kind = rec["kind"]
-        if kind == "activate":
-            activate.setdefault((rec["node"], rec["k"]), rec["t"])
-        elif kind == "agreement_enter":
-            agreement_enter.setdefault((rec["node"], rec["k"]), rec["t"])
-        elif kind == "decide" and rec["outcome"] == "include":
+    log = result.log
+    for rec in log.of_kind("activate"):
+        activate.setdefault((rec["node"], rec["k"]), rec["t"])
+    for rec in log.of_kind("agreement_enter"):
+        agreement_enter.setdefault((rec["node"], rec["k"]), rec["t"])
+    for rec in log.of_kind("decide"):
+        if rec["outcome"] == "include":
             decide.setdefault(
                 (rec["node"], rec["k"], rec["j"]), (rec["t"], rec["source"])
             )
-        elif kind == "commit":
-            commit.setdefault((rec["node"], rec["k"], rec["j"]), rec["t"])
+    for rec in log.of_kind("commit"):
+        commit.setdefault((rec["node"], rec["k"], rec["j"]), rec["t"])
     rows = []
     for key in sorted(commit):
         node, k, j = key

@@ -80,8 +80,10 @@ def check_acs_blocks_match(result: RunResult) -> List[dict]:
     out = []
     correct = set(result.config.correct_nodes())
     seen: Dict[Tuple[int, int], Dict[int, str]] = {}
-    for rec in result.log.records:
-        if rec["kind"] in ("gbc_deliver", "da_adopt") and rec["node"] in correct:
+    delivered = result.log.of_kind("gbc_deliver") + result.log.of_kind("da_adopt")
+    # in log order: a node's last record of an index is the one that counts
+    for rec in sorted(delivered, key=lambda r: r["i"]):
+        if rec["node"] in correct:
             seen.setdefault((rec["k"], rec["j"]), {})[rec["node"]] = rec["digest"]
     for (k, j), by_node in sorted(seen.items()):
         digests = sorted(set(by_node.values()))

@@ -5,14 +5,18 @@ The digests are sha256 over `EventLog.to_lines()`, recorded in a separate
 process, so a change to scheduling, message order or log format anywhere
 in the stack shows up here even when every invariant still holds.  The fuzz
 runs add random delays, delay rules and every fault plugin to what the
-scenarios cover.
+scenarios cover.  `to_lines` writes send records from a fixed line
+template, and every line must equal the JSON encoder's line of its record.
 """
 
 import hashlib
+import json
+import re
 from pathlib import Path
 
 import pytest
 
+from falcon_bft import simnet
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
 from support import load_bench_module
@@ -74,3 +78,31 @@ FUZZ_GOLDEN = [
 def test_fuzz_log_digest(i):
     result = run_simulation(WORKLOADS.fuzz_config(i))
     assert hashlib.sha256(result.log.to_lines()).hexdigest() == FUZZ_GOLDEN[i]
+
+
+# every config the golden digests cover, plus both n=16 benchmark workloads
+LINE_CONFIGS = {
+    **{name: lambda name=name: load_scenario(SCENARIOS / name) for name in GOLDEN},
+    **{f"fuzz_config({i})": lambda i=i: WORKLOADS.fuzz_config(i) for i in range(len(FUZZ_GOLDEN))},
+    "favorable-n16": lambda: WORKLOADS.favorable_n16(1)[0],
+    "byzantine-n16": lambda: WORKLOADS.byzantine_n16(1)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
+def test_send_line_template_matches_json_encoder(name):
+    log = run_simulation(LINE_CONFIGS[name]()).log
+    template_keys = set(re.findall(r'"(\w+)":', simnet._SEND_LINE))
+    sends = log.of_kind("send")
+    assert sends
+    for rec in sends:
+        assert set(rec) == template_keys, (
+            f"send record keys {sorted(rec)} differ from the line template's "
+            f"{sorted(template_keys)}: update _SEND_LINE"
+        )
+    got = log.to_lines().split(b"\n")
+    assert got.pop() == b""
+    want = [json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in log.records]
+    assert len(got) == len(want)
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"record {bad}: to_lines wrote {got[bad]!r}, the encoder {want[bad]!r}"
