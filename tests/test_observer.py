@@ -1,5 +1,10 @@
 """Detector sanity: each invariant check fires on targeted corruption."""
 
+import ast
+import hashlib
+import random
+from pathlib import Path
+
 from falcon_bft.core_types import SystemParams
 from falcon_bft.observer import (
     check_chain_safety,
@@ -7,9 +12,10 @@ from falcon_bft.observer import (
     check_totality,
     observe_invariants,
 )
+from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
-from support import break_echo2_gate, break_q_check, break_sort_gate
+from support import break_echo2_gate, break_q_check, break_sort_gate, load_bench_module
 
 
 def favorable(seed=1, **kwargs):
@@ -100,3 +106,104 @@ def test_sort_gate_mutation_breaks_chain_safety(monkeypatch):
     # identical scenario with the gate intact is clean
     clean = run_simulation(cfg)
     assert observe_invariants(clean) == []
+
+
+# -- pinned output on a corrupted corpus ------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+WORKLOADS = load_bench_module("workloads")
+
+CHECK_NAMES = {
+    "chain_safety", "acs_agreement", "gbc_consistency", "validity", "totality",
+    "optimistic_validity", "trigger_inert", "delivery_correlation",
+    "receipt_correlation", "aaba_agreement", "aaba_1_validity", "aaba_biased_validity",
+    "decide_once", "commit_order", "exclusion_conflict", "liveness", "liveness_coverage",
+}
+
+# sha256 of the corpus report below, recorded in a separate process
+CORPUS_PIN = "640f7a648aa032dd6ad8b20ad4248e347b119dce4c93be440430e9c082bc1549"
+
+
+def _corpus_configs():
+    for path in sorted(SCENARIOS.glob("*.ini")):
+        yield load_scenario(path)
+    for i in range(24):
+        yield WORKLOADS.fuzz_config(i)
+
+
+def _corrupt(res, seed):
+    """A fixed, seeded corruption of a finished run's log and chains.
+
+    A forged digest replaces every record one node holds for its (k, j),
+    so each node stays consistent with itself while disagreeing with others.
+    """
+    rng = random.Random(seed)
+    correct = res.config.correct_nodes()
+    last_k = res.config.num_instances
+    held = sorted(
+        {(r["node"], r["k"], r["j"]) for r in res.log.records
+         if r["kind"] in ("gbc_deliver", "da_adopt")}
+    )
+    forged = {key: "%064x" % rng.getrandbits(256) for key in held if rng.random() < 0.04}
+    aaba_keys = sorted({(r["k"], r["j"]) for r in res.log.of_kind("aaba_input")})
+    uncertified = {key for key in aaba_keys if rng.random() < 0.2}
+    uncommitted = None
+    if rng.random() < 0.3:
+        uncommitted = (rng.choice(correct), rng.randrange(1, last_k + 1))
+    outputs = res.log.of_kind("aaba_output")
+    zeroed = rng.choice(outputs) if outputs and rng.random() < 0.5 else None
+    out = []
+    for rec in res.log.records:
+        kind = rec["kind"]
+        if kind in ("gbc_deliver", "da_adopt"):
+            rec["digest"] = forged.get((rec["node"], rec["k"], rec["j"]), rec["digest"])
+        elif kind == "decide":
+            if rng.random() < 0.04:
+                rec["outcome"] = "exclude" if rec["outcome"] == "include" else "include"
+            if rng.random() < 0.03:
+                out.append(dict(rec))
+        elif kind == "aaba_output":
+            rec["bit"] = 0 if rec is zeroed else rec["bit"] ^ (rng.random() < 0.1)
+        elif kind == "aaba_input":
+            if (rec["k"], rec["j"]) in uncertified:
+                rec["q_valid"] = False
+            elif rng.random() < 0.1:
+                rec["bit"] ^= 1
+        elif kind == "instance_return":
+            if rng.random() < 0.05:
+                continue
+            if rng.random() < 0.1:
+                rec["acs_size"] -= 1 + rng.randrange(2)
+        elif kind == "commit" and (rec["node"], rec["k"]) == uncommitted:
+            continue
+        out.append(rec)
+    commits = [idx for idx, rec in enumerate(out) if rec["kind"] == "commit"]
+    if len(commits) > 1 and rng.random() < 0.5:
+        a, b = sorted(rng.sample(commits, 2))
+        out[a], out[b] = out[b], out[a]
+    res.log.records = out
+    for kind in ("late_grade2_after_exclusion", "trigger", "agreement_enter"):
+        if rng.random() < 0.5:
+            res.log.append({"kind": kind, "t": rng.randrange(1, 50), "node": rng.choice(correct),
+                            "k": rng.randrange(1, last_k + 1), "j": rng.choice(correct)})
+    if rng.random() < 0.3:
+        slots = res.nodes[rng.choice(correct)].chain.slots
+        if len(slots) > 1:
+            slots[rng.randrange(1, len(slots))] = slots[0]
+    return res
+
+
+def _corpus_report():
+    lines = []
+    for seed, config in enumerate(_corpus_configs()):
+        res = _corrupt(run_simulation(config), seed)
+        report = observe_invariants(res) + check_liveness(res, min_checked=5)
+        lines.extend(str(v) for v in report)
+    return lines
+
+
+def test_corrupted_corpus_report_pinned():
+    lines = _corpus_report()
+    assert {ast.literal_eval(line)["check"] for line in lines} == CHECK_NAMES
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CORPUS_PIN
