@@ -73,21 +73,20 @@ def check_acs_agreement(result: RunResult) -> List[dict]:
 
 
 def check_acs_blocks_match(result: RunResult) -> List[dict]:
-    """Included digests per (instance, index) agree across correct nodes."""
-    seen: Dict[Tuple[int, int], Dict[int, str]] = {}
-    delivered = _at_correct(result, "gbc_deliver") + _at_correct(result, "da_adopt")
-    # in log order: a node's last record of an index is the one that counts
-    for rec in sorted(delivered, key=lambda r: r["i"]):
-        seen.setdefault((rec["k"], rec["j"]), {})[rec["node"]] = rec["digest"]
+    """Every digest a correct node delivered or adopted for an (instance, index)
+    is the same, across nodes and within each node."""
+    seen: Dict[Tuple[int, int], Set[str]] = {}
+    for rec in _at_correct(result, "gbc_deliver") + _at_correct(result, "da_adopt"):
+        seen.setdefault((rec["k"], rec["j"]), set()).add(rec["digest"])
     return [
         _violation(
             "gbc_consistency",
-            f"conflicting digests {', '.join(d[:12] for d in sorted(set(by_node.values())))}",
+            f"conflicting digests {', '.join(d[:12] for d in sorted(digests))}",
             k=k,
             j=j,
         )
-        for (k, j), by_node in sorted(seen.items())
-        if len(set(by_node.values())) > 1
+        for (k, j), digests in sorted(seen.items())
+        if len(digests) > 1
     ]
 
 

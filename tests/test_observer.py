@@ -7,6 +7,7 @@ from pathlib import Path
 
 from falcon_bft.core_types import SystemParams
 from falcon_bft.observer import (
+    check_acs_blocks_match,
     check_chain_safety,
     check_liveness,
     check_totality,
@@ -44,6 +45,16 @@ def test_forged_decide_record_detected():
     report = observe_invariants(res)
     assert any(v["check"] == "decide_once" for v in report)
     assert any(v["check"] == "acs_agreement" for v in report)
+
+
+def test_node_contradicting_itself_breaks_gbc_consistency():
+    res = run_simulation(favorable())
+    grade1 = next(
+        r for r in res.log.of_kind("gbc_deliver") if (r["node"], r["j"], r["grade"]) == (1, 2, 1)
+    )
+    grade1["digest"] = "b" * 64  # node 1's grade-2 record and every other node keep theirs
+    found = check_acs_blocks_match(res)
+    assert [(v["check"], v["k"], v["j"]) for v in found] == [("gbc_consistency", grade1["k"], 2)]
 
 
 def test_missing_return_detected():
