@@ -17,7 +17,7 @@ from pathlib import Path
 from . import metrics
 from .observer import check_liveness, observe_invariants
 from .scenario import ScenarioError, load_scenario
-from .simnet import MODES, InvalidConfig, run_simulation
+from .simnet import MODES, InvalidConfig, schedule
 
 
 def _write_outputs(out_dir: Path, result, violations) -> None:
@@ -52,11 +52,11 @@ def run_one(path: Path, args, nested: bool = False) -> int:
             config = dataclasses.replace(config, seed=args.seed)
         if args.mode is not None:
             config = dataclasses.replace(config, mode=args.mode)
-        config.validate()
+        simulation = schedule(config)
     except (ScenarioError, InvalidConfig, OSError) as exc:
         print(f"{path}: scenario error: {exc}", file=sys.stderr)
         return 2
-    result = run_simulation(config)
+    result = simulation.run()
     violations = observe_invariants(result) + check_liveness(result)
     if args.out:
         out_dir = Path(args.out) / path.stem if nested else Path(args.out)

@@ -78,8 +78,6 @@ class Node:
     # -- harness surface ---------------------------------------------------------
 
     def inject_tx(self, tx: Transaction) -> None:
-        if tx.txid in self.buffer or tx.txid in self.chain.committed_txids:
-            return
         self.buffer[tx.txid] = tx
 
     def start(self) -> List[Envelope]:

