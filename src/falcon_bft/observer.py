@@ -303,14 +303,22 @@ def check_liveness(result: RunResult, min_checked: int = 0) -> List[dict]:
     commits: Dict[Tuple[int, str], int] = {}
     for rec in result.log.of_kind("commit"):
         for txid in rec["txids"]:
-            commits.setdefault((rec["node"], txid), rec["k"])
+            key = (rec["node"], txid)
+            if key not in commits:
+                commits[key] = rec["k"]
     checked = 0
     for inject in result.log.of_kind("inject"):
         txid, batch, when = inject["txid"], inject["batch"], inject["t"]
-        # each correct node's first instance proposed at or after the injection; 0 if none
-        firsts = [min((k for t, k in proposals[i] if t >= when), default=0) for i in correct]
-        deadline = max(firsts, default=0) + 2
-        if 0 in firsts or deadline > config.num_instances:
+        k_star = 0
+        feasible = True
+        for node in correct:
+            later = [k for t, k in proposals[node] if t >= when]
+            if not later:
+                feasible = False
+                break
+            k_star = max(k_star, min(later))
+        deadline = k_star + 2
+        if not feasible or deadline > config.num_instances:
             continue
         checked += 1
         for node in correct:
