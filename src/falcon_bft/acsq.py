@@ -39,6 +39,9 @@ from .core_types import (
 from .crypto import KeyRegistry
 from .gbc import BodyReceived, Deliver, GbcInstance, verify_delivery
 
+# bound once: reading a member off its Enum class costs a lookup in the class
+_GBC = Proto.GBC
+
 
 class AcsqInstance:
     def __init__(
@@ -62,6 +65,8 @@ class AcsqInstance:
         self.trigger_active = False
         self.agreement_started = False
         self.returned = False
+        # +1 each time M2, M_acs or S_ex grows or the instance returns
+        self.progress = 0
 
         self.gbc: Dict[int, GbcInstance] = {}
         self.aaba: Dict[int, AabaInstance] = {}
@@ -87,15 +92,16 @@ class AcsqInstance:
         return self.gbc[j].delivered1 if j in self.gbc else None
 
     def gbc_for(self, j: int) -> GbcInstance:
-        if j not in self.gbc:
-            self.gbc[j] = GbcInstance(
+        g = self.gbc.get(j)
+        if g is None:
+            g = self.gbc[j] = GbcInstance(
                 self.gbc_addr(j),
                 self.node_id,
                 self.params,
                 self.registry,
                 silenced=(not self.active) or self.agreement_started,
             )
-        return self.gbc[j]
+        return g
 
     def aaba_for(self, j: int) -> AabaInstance:
         if j not in self.aaba:
@@ -128,29 +134,31 @@ class AcsqInstance:
     # -- envelope routing --------------------------------------------------------------
 
     def handle(self, env: Envelope) -> List[Send]:
-        if not 1 <= env.addr.index <= self.params.n:
-            self.log("drop", k=self.k, j=env.addr.index, reason="bad_index")
+        addr = env.addr
+        if not 1 <= addr.index <= self.params.n:
+            self.log("drop", k=self.k, j=addr.index, reason="bad_index")
             return []
-        if env.addr.proto is Proto.GBC:
+        if addr.proto is _GBC:
             return self._handle_gbc(env)
         return self._handle_aaba(env)
 
     def _handle_gbc(self, env: Envelope) -> List[Send]:
         j = env.addr.index
         body = env.body
+        cls = type(body)
         # a share counts only from its own signer: relayed from another
         # broadcast, it would take the signer's one place in the pool
-        if not isinstance(body, Propose) and body.partial.signer != env.sender:
+        if cls is not Propose and body.partial.signer != env.sender:
             self.log("drop", k=self.k, j=j, reason="bad_signer")
             return []
         g = self.gbc_for(j)
-        if isinstance(body, Propose):
+        if cls is Propose:
             sub = g.on_propose(env.sender, body.block)
-        elif isinstance(body, Echo1):
+        elif cls is Echo1:
             sub = g.on_echo1(body.partial)
         else:  # Echo2, the one other body an Envelope admits on a GBC address
             sub = g.on_echo2(body.partial)
-        return self._absorb(j, sub)
+        return self._absorb(j, sub) if sub else []
 
     def _handle_aaba(self, env: Envelope) -> List[Send]:
         j = env.addr.index
@@ -163,27 +171,31 @@ class AcsqInstance:
                 self.assist_sent.add((j, env.sender))
                 self.log("assist_sent", k=self.k, j=j, to=env.sender)
                 out.append(Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender))
-        if isinstance(body, Assist):
+        cls = type(body)
+        if cls is Assist:
             out.extend(self._on_assist(j, body.delivery))
-        elif isinstance(body, Query):
+        elif cls is Query:
             out.extend(self._on_query(env.sender, body.digest))
-        elif isinstance(body, QueryResp):
+        elif cls is QueryResp:
             out.extend(self._on_query_resp(j, body.block))
         else:
-            out.extend(self._absorb(j, self.aaba_for(j).handle(env.sender, body)))
+            sub = self.aaba_for(j).handle(env.sender, body)
+            if sub:
+                out.extend(self._absorb(j, sub))
         return out
 
     def _absorb(self, j: int, sub: List[object]) -> List[Send]:
         """Interpret sub-machine emissions; local events update instance state."""
         out: List[Send] = []
         for item in sub:
-            if isinstance(item, Send):
+            cls = type(item)
+            if cls is Send:
                 out.append(item)
-            elif isinstance(item, Deliver):
+            elif cls is Deliver:
                 out.extend(self._on_deliver(j, item.delivery))
-            elif isinstance(item, BodyReceived):
+            elif cls is BodyReceived:
                 out.extend(self._note_body(item.block, via="gbc"))
-            elif isinstance(item, Output):
+            elif cls is Output:
                 out.extend(self._on_aaba_output(j, item.bit, item.source))
         return out
 
@@ -199,6 +211,7 @@ class AcsqInstance:
         if j in self.M2:
             return []
         self.M2[j] = gd
+        self.progress += 1
         kind = "gbc_deliver" if via == "gbc" else "da_adopt"
         self.log(kind, k=self.k, j=j, grade=2, digest=gd.block.digest.hex())
         out = self._note_body(gd.block, via=via)
@@ -208,6 +221,7 @@ class AcsqInstance:
             self.log("late_grade2_after_exclusion", k=self.k, j=j)
         elif j not in self.M_acs:
             self.M_acs[j] = gd.block
+            self.progress += 1
             self.log("decide", k=self.k, j=j, outcome="include", source=via)
         self.pending_includes.pop(j, None)
         if j in self.aaba:
@@ -283,6 +297,7 @@ class AcsqInstance:
         out: List[Send] = []
         if bit == 0:
             self.S_ex.add(j)
+            self.progress += 1
             self.log("decide", k=self.k, j=j, outcome="exclude", source="aaba")
         else:
             self.pending_includes[j] = None
@@ -308,6 +323,7 @@ class AcsqInstance:
             if block is not None:
                 del self.pending_includes[j]
                 self.M_acs[j] = block
+                self.progress += 1
                 self.log("decide", k=self.k, j=j, outcome="include", source="aaba")
                 self._resolve_check()
             elif digest not in self.queried:
@@ -357,6 +373,7 @@ class AcsqInstance:
 
     def _do_return(self) -> None:
         self.returned = True
+        self.progress += 1
         self.log(
             "instance_return",
             k=self.k,

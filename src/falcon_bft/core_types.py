@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
@@ -27,7 +28,12 @@ def lp(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Node count and fault tolerance; quorums derive from these."""
+    """Node count and fault tolerance; quorums derive from these.
+
+    Each quorum is computed on first read and kept in the instance's
+    `__dict__`, which a frozen dataclass still has; equality, hashing, repr
+    and `replace` see only `n` and `f`.
+    """
 
     n: int
     f: int
@@ -36,11 +42,11 @@ class SystemParams:
         if self.f < 0 or self.n < 3 * self.f + 1:
             raise ValueError(f"need n >= 3f+1, got n={self.n} f={self.f}")
 
-    @property
+    @cached_property
     def quorum(self) -> int:
         return self.n - self.f
 
-    @property
+    @cached_property
     def small_quorum(self) -> int:
         return self.f + 1
 

@@ -166,11 +166,18 @@ class GbcInstance:
         # only a verified share enters the pool, so a forged share under a
         # signer's id cannot shut out the real one; the caller has bound the
         # share to its sender, so a relayed one cannot either
-        if any(ps.signer in shares for shares in pool.values()):
-            return []
+        signer = ps.signer
+        for shares in pool.values():
+            if signer in shares:
+                return []
         if not self.registry.verify_partial(ps):
             return []
-        pool.setdefault(ps.tagged, {})[ps.signer] = ps
+        shares = pool.setdefault(ps.tagged, {})
+        shares[signer] = ps
+        # a delivery needs a quorum in one pool, and every call that could
+        # complete one with the shares already pooled has tried it
+        if len(shares) < self.params.quorum:
+            return []
         return self._try_deliveries()
 
     def learn_body(self, block: Block) -> List[object]:
@@ -194,17 +201,18 @@ class GbcInstance:
         if block is None:
             return out
         t1, t2 = self.tags
+        quorum = self.params.quorum
         if self.delivered1 is None:
-            pool = self.pool1.get(t1, {})
-            if len(pool) >= self.params.quorum:
-                sig = self.registry.combine(pool.values(), self.params.quorum)
+            pool = self.pool1.get(t1)
+            if pool is not None and len(pool) >= quorum:
+                sig = self.registry.combine(pool.values(), quorum)
                 self.delivered1 = GradedDelivery(block, 1, sig)
                 out.append(Deliver(self.delivered1))
                 out.extend(self._maybe_echo2())
         if self.delivered2 is None and self.delivered1 is not None:
-            pool = self.pool2.get(t2, {})
-            if len(pool) >= self.params.quorum:
-                sig = self.registry.combine(pool.values(), self.params.quorum)
+            pool = self.pool2.get(t2)
+            if pool is not None and len(pool) >= quorum:
+                sig = self.registry.combine(pool.values(), quorum)
                 self.delivered2 = GradedDelivery(block, 2, sig)
                 out.append(Deliver(self.delivered2))
         return out

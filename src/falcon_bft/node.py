@@ -11,7 +11,10 @@ the run can activate are dropped.
 The driver (`_drive`, with sorting and pruning) runs only on progress:
 after an envelope grew the handled instance's `M2`, `M_acs` or `S_ex`, or
 made it return.  Nothing else it reads changes outside the driver itself,
-so a run without such a change would do nothing.
+so a run without such a change would do nothing.  The instance counts its
+progress itself: `AcsqInstance.progress` goes up by one at each of the
+five places where one of those three collections grows or the instance
+returns, so `handle` compares one int before and after the envelope.
 
 One instance past the configured window is still activated so the last
 measured instance has a successor to fire its trigger from; that extra
@@ -44,15 +47,6 @@ RETENTION = 2
 BLOCK_CAP = 32
 
 
-def _progress(inst: AcsqInstance) -> int:
-    """Everything `_drive` reads of an instance that only `handle` changes.
-
-    All four parts only grow, so an unchanged sum means no part changed and
-    `_drive` has nothing to do.
-    """
-    return len(inst.M2) + len(inst.M_acs) + len(inst.S_ex) + inst.returned
-
-
 class Node:
     def __init__(
         self,
@@ -66,6 +60,8 @@ class Node:
         self.params = config.params
         self.registry = registry
         self.log = log
+        # the last instance this run activates, one past the measured window
+        self.last_instance = config.num_instances + 1
 
         self.buffer: Dict[bytes, Transaction] = {}  # txid -> tx, in arrival order
         self.chain = Chain()
@@ -85,7 +81,7 @@ class Node:
 
     def handle(self, env: Envelope) -> List[Envelope]:
         k = env.addr.acsq_id
-        if k > self.config.num_instances + 1:
+        if k > self.last_instance:
             self.log("drop", k=k, reason="beyond_window")
             return []
         if k > self.k + 1:
@@ -98,9 +94,9 @@ class Node:
                 self.log("drop", k=k, reason="pruned_instance")
                 return []
             inst = self._instance(k)
-        before = _progress(inst)
+        before = inst.progress
         sends = inst.handle(env)
-        if _progress(inst) != before:
+        if inst.progress != before:
             sends.extend(self._drive())
         return self._wrap(sends) if sends else []
 

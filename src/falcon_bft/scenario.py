@@ -20,7 +20,9 @@ Example::
     rule1 = body=Echo1 delay=10
     rule2 = to=2 acsq=1 proto=gbc index=1 delay=5
 
-Unknown sections or keys are rejected before anything runs.
+[adversary] rules are tried in the order the file lists them, whatever
+their keys are named; the first rule that matches a message sets its extra
+delay.  Unknown sections or keys are rejected before anything runs.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def load_scenario(path: str | Path) -> SimConfig:
         return parser[section].items() if parser.has_section(section) else ()
 
     faults = tuple(parse_fault(node, raw) for node, raw in items("faults"))
-    rules = tuple(parse_rule(raw) for _, raw in sorted(items("adversary")))
+    # rules keep file order, which configparser preserves: the first match wins
+    rules = tuple(parse_rule(raw) for _, raw in items("adversary"))
     try:
         settings = _fields("system", items("system"))
         settings.update(_fields("network", items("network")))

@@ -297,6 +297,11 @@ class Simulation:
         self.crashed_at: Dict[int, int] = {
             fs.node: fs.at_time for fs in config.faults if fs.kind == "crash"
         }
+        # random mode's base delay is delay_min plus a draw below this width
+        self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
+        self._bits = self._width.bit_length()
+        # the one delay of every message, when nothing varies it
+        self._fixed_delay = 1 if config.mode == "lockstep" and not config.rules else None
         kinds = {fs.node: fs.kind for fs in config.faults}
         self.nodes: Dict[int, Node] = {}
         for i in self.params.node_ids():
@@ -311,22 +316,32 @@ class Simulation:
     # -- scheduling ----------------------------------------------------------------
 
     def _delay_for(self, env: Envelope) -> int:
-        if self.config.mode == "lockstep":
-            base = 1
+        """The base delay plus the first matching rule's extra ticks.
+
+        A random base is drawn as `Random.randint(delay_min, delay_max)`
+        draws it, from the same bits: `getrandbits` of the width's bit
+        length, redrawn while it is not below the width.
+        """
+        width = self._width
+        if width:
+            bits, getrandbits = self._bits, self.rng.getrandbits
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            base = self.config.delay_min + r
         else:
-            base = self.rng.randint(self.config.delay_min, self.config.delay_max)
-        extra = 0
+            base = 1
         for rule in self.config.rules:
             if rule.matches(env):
-                extra = rule.delay
-                break
-        return base + extra
+                return base + rule.delay
+        return base
 
     def _dispatch(self, envelopes: List[Envelope]) -> None:
         # every sender is live: it just started or handled an envelope
         now = self.log.time
         append = self.log.append
         queue = self._queue
+        fixed = self._fixed_delay
         for env in envelopes:
             addr = env.addr
             append(
@@ -341,7 +356,7 @@ class Simulation:
                     "body": type(env.body).__name__,
                 }
             )
-            t = now + self._delay_for(env)
+            t = now + (fixed or self._delay_for(env))
             if t in queue:
                 queue[t].append(env)
             else:
@@ -384,19 +399,19 @@ class Simulation:
         for i in self.params.node_ids():
             if not self._crashed(i):
                 self._dispatch(self.nodes[i].start())
-        queue, nodes, log = self._queue, self.nodes, self.log
+        queue, nodes, log, crashed_at = self._queue, self.nodes, self.log, self.crashed_at
         # The injection test can only turn true when some node's k grows,
         # which happens inside that node's `handle`, or right after an
         # injection (one batch per test; the next may already be due).
         recheck = True
-        processed = 0
+        processed, max_events = 0, self.MAX_EVENTS
         while queue:
             t = min(queue)
             log.time = t
             due = queue.pop(t)
             while due:
                 env = due.popleft()  # frees each envelope once it is handled
-                if self._crashed(env.recipient):
+                if crashed_at and self._crashed(env.recipient):
                     log.append({"kind": "drop", "t": t, "node": env.recipient, "reason": "crashed"})
                     continue
                 node = nodes[env.recipient]
@@ -407,7 +422,7 @@ class Simulation:
                 if recheck or node.k != k:
                     recheck = self._maybe_inject()
                 processed += 1
-                if processed > self.MAX_EVENTS:
+                if processed > max_events:
                     raise RuntimeError("simulation failed to quiesce")
         return RunResult(self.config, self.log, self.nodes)
 

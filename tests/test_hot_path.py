@@ -73,6 +73,29 @@ def test_driver_is_idle_after_every_envelope(monkeypatch, case):
     sim.run()
 
 
+@pytest.mark.parametrize("case", SCENARIOS + sorted(LOW_INDEX_GAPS) + list(range(24)))
+def test_progress_counts_every_growth(monkeypatch, case):
+    """After `Node.handle`, each live instance's `progress` is the number of
+    entries in its `M2`, `M_acs` and `S_ex` plus one if it returned.
+
+    The driver gate needs only that the counter moves whenever one of them
+    does, and one growth often comes with another (a grade-2 delivery fills
+    `M2` and `M_acs` at once; a return follows a decision), so a counter
+    missing one site can still gate correctly; this pins every site.
+    """
+    handle = Node.handle
+
+    def handle_then_count(self, env):
+        out = handle(self, env)
+        for inst in self.instances.values():
+            grown = len(inst.M2) + len(inst.M_acs) + len(inst.S_ex) + inst.returned
+            assert inst.progress == grown
+        return out
+
+    monkeypatch.setattr(Node, "handle", handle_then_count)
+    run_simulation(config_for(case))
+
+
 @pytest.mark.parametrize("case", SCENARIOS + [25])
 def test_finished_run_leaves_no_cyclic_garbage(case):
     config = config_for(case)

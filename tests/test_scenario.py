@@ -76,3 +76,14 @@ def test_defaults(tmp_path):
     assert config.mode == "lockstep"
     assert config.num_instances == 1
     assert config.faults == () and config.rules == ()
+
+
+def test_rules_keep_file_order(tmp_path):
+    """First match wins in the order the file lists its rules: `rule10`
+    and `rule11` come after `rule2`, and key names do not reorder them."""
+    lines = [f"rule{i} = body=Echo1 delay={i}" for i in range(1, 12)]
+    config = load_scenario(write(tmp_path, "[adversary]\n" + "\n".join(lines) + "\n"))
+    assert [rule.delay for rule in config.rules] == list(range(1, 12))
+    text = "[adversary]\nzeta = body=Echo1 delay=1\nalpha = body=Echo2 delay=2\n"
+    config = load_scenario(write(tmp_path, text))
+    assert [rule.body for rule in config.rules] == ["Echo1", "Echo2"]

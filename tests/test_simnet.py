@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
-from falcon_bft.core_types import SystemParams
+from falcon_bft.core_types import Envelope, InstanceAddr, Proto, Stop, SystemParams
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import (
     DelayRule,
     FaultSpec,
     InvalidConfig,
     SimConfig,
+    Simulation,
     run_simulation,
 )
 
@@ -67,6 +70,19 @@ def test_delay_rules_applied():
         if r["node"] == 2 and r["k"] == 1 and r["via"] == "gbc"
     ]
     assert got and all(r["t"] == 8 for r in got)  # 1 hop + 7 extra
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 3), (1, 5), (2, 7), (1, 8), (1, 9)])
+def test_random_delay_draws_are_randint(lo, hi):
+    """Each random-mode delay is the next `randint(delay_min, delay_max)` of
+    the run's seeded stream; at width 1 a draw still consumes one bit."""
+    env = Envelope(1, 2, InstanceAddr(1, Proto.AABA, 1), Stop())
+    for seed in range(10):
+        sim = Simulation(favorable(seed=seed, mode="random", delay_min=lo, delay_max=hi))
+        reference = random.Random(seed)
+        draws = [sim._delay_for(env) for _ in range(10_000)]
+        assert draws == [reference.randint(lo, hi) for _ in range(10_000)]
+        assert sim.rng.getstate() == reference.getstate()
 
 
 def test_config_validation():
