@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
@@ -28,27 +27,22 @@ def lp(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Node count and fault tolerance; quorums derive from these.
+    """Node count and fault tolerance; the quorums derive from these.
 
-    Each quorum is computed on first read and kept in the instance's
-    `__dict__`, which a frozen dataclass still has; equality, hashing, repr
-    and `replace` see only `n` and `f`.
+    The quorums are computed once, when the value is built, and take no
+    part in equality, hashing or repr; `replace` recomputes them.
     """
 
     n: int
     f: int
+    quorum: int = field(init=False, repr=False, compare=False)  # n - f
+    small_quorum: int = field(init=False, repr=False, compare=False)  # f + 1
 
     def __post_init__(self):
         if self.f < 0 or self.n < 3 * self.f + 1:
             raise ValueError(f"need n >= 3f+1, got n={self.n} f={self.f}")
-
-    @cached_property
-    def quorum(self) -> int:
-        return self.n - self.f
-
-    @cached_property
-    def small_quorum(self) -> int:
-        return self.f + 1
+        object.__setattr__(self, "quorum", self.n - self.f)
+        object.__setattr__(self, "small_quorum", self.f + 1)
 
     def node_ids(self) -> range:
         return range(1, self.n + 1)
