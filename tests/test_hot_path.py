@@ -45,6 +45,10 @@ LOW_INDEX_GAPS = {
 }
 
 
+# every scenario, both low-index gap runs, and one pass of the fuzz-mix workload
+RUN_CASES = SCENARIOS + sorted(LOW_INDEX_GAPS) + list(range(24))
+
+
 def config_for(case):
     """A scenario file name, a `LOW_INDEX_GAPS` key, or the index of a benchmark fuzz-mix run."""
     if isinstance(case, int):
@@ -54,7 +58,7 @@ def config_for(case):
     return load_scenario(ROOT / "scenarios" / case)
 
 
-@pytest.mark.parametrize("case", SCENARIOS + sorted(LOW_INDEX_GAPS) + list(range(24)))
+@pytest.mark.parametrize("case", RUN_CASES)
 def test_driver_is_idle_after_every_envelope(monkeypatch, case):
     """After `Node.handle`, whether or not it ran the driver, a second
     `_drive` sends nothing and logs nothing."""
@@ -73,7 +77,7 @@ def test_driver_is_idle_after_every_envelope(monkeypatch, case):
     sim.run()
 
 
-@pytest.mark.parametrize("case", SCENARIOS + sorted(LOW_INDEX_GAPS) + list(range(24)))
+@pytest.mark.parametrize("case", RUN_CASES)
 def test_progress_counts_every_growth(monkeypatch, case):
     """After `Node.handle`, each live instance's `progress` is the number of
     entries in its `M2`, `M_acs` and `S_ex` plus one if it returned.
