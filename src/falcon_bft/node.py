@@ -23,15 +23,15 @@ instance is never waited on.
 How a node drives an instance lives here and nowhere else: which block it
 proposes (`_own_block`), what its agreement input for a missing index is
 (`_agreement_input`), and how its outgoing messages are addressed
-(`_wrap`).  These three methods are the one seam for fault plugins, which
-override them in `Node` subclasses; a crash is no plugin but the network
-dropping the node's traffic.
+(`_wrap`).  These three methods are the seam for fault plugins, which
+override them in `Node` subclasses; the crash plugin overrides the harness
+surface (`start`, `inject_tx`, `handle`) instead.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
@@ -39,7 +39,7 @@ from .crypto import KeyRegistry
 from .sorter import Chain, SortCursor, partial_sort
 
 if TYPE_CHECKING:
-    from .simnet import SimConfig
+    from .simnet import EventLog, SimConfig
 
 # an instance is pruned once it is sorted and more than this many below k
 RETENTION = 2
@@ -53,13 +53,13 @@ class Node:
         node_id: int,
         config: "SimConfig",
         registry: KeyRegistry,
-        log: Callable,
+        events: "EventLog",
     ):
         self.node_id = node_id
         self.config = config
         self.params = config.params
         self.registry = registry
-        self.log = log
+        self.log = events.logger(node_id)
         # the last instance this run activates, one past the measured window
         self.last_instance = config.num_instances + 1
 

@@ -122,11 +122,13 @@ def parse_fault(node: str, raw: str) -> FaultSpec:
 
 def load_scenario(path: str | Path) -> SimConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    text = Path(path).read_text()
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"unreadable scenario: {exc}") from exc
     except configparser.Error as exc:
-        raise ScenarioError(f"unparseable scenario: {exc}") from exc
+        # configparser's messages span lines; an error message is one line
+        raise ScenarioError("unparseable scenario: " + " ".join(str(exc).split())) from exc
 
     for section in parser.sections():
         if section not in _SECTIONS:

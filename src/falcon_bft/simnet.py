@@ -11,14 +11,14 @@ which makes a tick equal to one communication round; random mode draws
 per-message delays from the seeded generator; delay rules add extra ticks
 to matching messages.
 
-Misbehaviour enters one way: a fault plugin is a `Node` subclass that
-overrides the driver's seam, `_own_block`, `_wrap` or `_agreement_input`,
-and acts only through its own node's keys.  Silence proposes no block,
-equivocation readdresses its proposal so that the nodes of the other
-parity get a twin block, and wrong-bit inverts the node's agreement inputs
-(its forged one-inputs carry junk certificates that verifiers reject).
-Crash is not a plugin: the network drops a crashed node's traffic from a
-given tick on.
+Misbehaviour enters one way: a fault plugin is a `Node` subclass that acts
+only through its own node's keys.  Silence, equivocation and wrong-bit
+override the seam of `node.py`: `_own_block`, `_wrap` or `_agreement_input`;
+silence proposes no block, equivocation sends the nodes of the other parity
+a twin block, and wrong-bit inverts the node's agreement inputs (its forged
+one-inputs carry junk certificates that verifiers reject).  Crash overrides
+the harness surface: from a given tick on, the node starts nothing, takes
+no txs and drops every envelope delivered to it.
 """
 
 from __future__ import annotations
@@ -151,6 +151,28 @@ class SimConfig:
 # -- fault plugins ----------------------------------------------------------------
 
 
+class CrashNode(Node):
+    """Dead from its fault's `at_time` tick on; `Node.handle` never sees what it drops."""
+
+    def __init__(self, node_id: int, config: SimConfig, registry: KeyRegistry, events: "EventLog"):
+        super().__init__(node_id, config, registry, events)
+        self.events = events  # the run's clock
+        self.at_time = next(fs.at_time for fs in config.faults if fs.node == node_id)
+
+    def start(self) -> List[Envelope]:
+        return super().start() if self.events.time < self.at_time else []
+
+    def inject_tx(self, tx: Transaction) -> None:
+        if self.events.time < self.at_time:
+            super().inject_tx(tx)
+
+    def handle(self, env: Envelope) -> List[Envelope]:
+        if self.events.time < self.at_time:
+            return super().handle(env)
+        self.log("drop", reason="crashed")
+        return []
+
+
 class SilentNode(Node):
     """Never broadcasts its own block; participates normally otherwise."""
 
@@ -197,7 +219,7 @@ class WrongBitNode(Node):
 
 
 _FAULT_NODE_CLASSES = {
-    "crash": Node,
+    "crash": CrashNode,
     "silent": SilentNode,
     "equivocate": EquivocatingNode,
     "wrong_aaba_bit": WrongBitNode,
@@ -287,31 +309,22 @@ class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self.params = config.params
-        self.registry = KeyRegistry(self.params.n, system_seed=b"%d" % config.seed)
+        self.registry = KeyRegistry(config.params.n, system_seed=b"%d" % config.seed)
         self.rng = random.Random(config.seed)
         self.log = EventLog()
         # delivery tick -> the envelopes due then, in send order
         self._queue: Dict[int, Deque[Envelope]] = {}
-
-        self.crashed_at: Dict[int, int] = {
-            fs.node: fs.at_time for fs in config.faults if fs.kind == "crash"
-        }
         # random mode's base delay is delay_min plus a draw below this width
         self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
         self._bits = self._width.bit_length()
         # the one delay of every message, when nothing varies it
         self._fixed_delay = 1 if config.mode == "lockstep" and not config.rules else None
-        kinds = {fs.node: fs.kind for fs in config.faults}
+        plugins = {fs.node: _FAULT_NODE_CLASSES[fs.kind] for fs in config.faults}
         self.nodes: Dict[int, Node] = {}
-        for i in self.params.node_ids():
-            cls = _FAULT_NODE_CLASSES.get(kinds.get(i, ""), Node)
-            self.nodes[i] = cls(i, config, self.registry, log=self.log.logger(i))
+        for i in config.params.node_ids():
+            self.nodes[i] = plugins.get(i, Node)(i, config, self.registry, self.log)
         self._correct = config.correct_nodes()
         self._batches_injected = 0
-
-    def _crashed(self, node_id: int) -> bool:
-        return node_id in self.crashed_at and self.log.time >= self.crashed_at[node_id]
 
     # -- scheduling ----------------------------------------------------------------
 
@@ -365,20 +378,12 @@ class Simulation:
     # -- tx load --------------------------------------------------------------------
 
     def _inject_batch(self, batch: int) -> None:
+        log = self.log.logger(0)
         for t in range(self.config.tx_load):
             tx = Transaction(b"tx:%d:%d:" % (batch, t) + bytes(TX_SIZE))
-            self.log.append(
-                {
-                    "kind": "inject",
-                    "t": self.log.time,
-                    "node": 0,
-                    "batch": batch,
-                    "txid": tx.txid.hex(),
-                }
-            )
-            for i in self.params.node_ids():
-                if not self._crashed(i):
-                    self.nodes[i].inject_tx(tx)
+            log("inject", batch=batch, txid=tx.txid.hex())
+            for node in self.nodes.values():
+                node.inject_tx(tx)
         self._batches_injected = batch
 
     def _maybe_inject(self) -> bool:
@@ -396,10 +401,9 @@ class Simulation:
 
     def run(self) -> "RunResult":
         self._inject_batch(1)
-        for i in self.params.node_ids():
-            if not self._crashed(i):
-                self._dispatch(self.nodes[i].start())
-        queue, nodes, log, crashed_at = self._queue, self.nodes, self.log, self.crashed_at
+        for node in self.nodes.values():
+            self._dispatch(node.start())
+        queue, nodes, log = self._queue, self.nodes, self.log
         # The injection test can only turn true when some node's k grows,
         # which happens inside that node's `handle`, or right after an
         # injection (one batch per test; the next may already be due).
@@ -411,9 +415,6 @@ class Simulation:
             due = queue.pop(t)
             while due:
                 env = due.popleft()  # frees each envelope once it is handled
-                if crashed_at and self._crashed(env.recipient):
-                    log.append({"kind": "drop", "t": t, "node": env.recipient, "reason": "crashed"})
-                    continue
                 node = nodes[env.recipient]
                 k = node.k
                 out = node.handle(env)

@@ -1,0 +1,51 @@
+"""Print the sha256 of every sweep config's event log, as one JSON object.
+
+A pure refactor must leave every event log byte-identical.  Run this at
+the parent commit and at the change, each in its own process, and diff the
+two outputs:
+
+    PYTHONPATH=src python tests/digest_sweep.py > digests.json
+
+The sweep covers the shipped scenarios, both n=16 benchmark workloads at
+seeds 1-3, `fuzz_config(0..499)` and `crash_fuzz_config(0..299)`.  The file
+has no `test_` prefix, so pytest does not collect it.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from falcon_bft.scenario import load_scenario
+from falcon_bft.simnet import run_simulation
+from support import crash_fuzz_config, load_bench_module
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def configs():
+    """(name, config) for every config of the sweep, in a fixed order."""
+    workloads = load_bench_module("workloads")
+    for path in sorted(SCENARIOS.glob("*.ini")):
+        yield path.name, load_scenario(path)
+    for name in ("favorable-n16", "byzantine-n16"):
+        for seed in (1, 2, 3):
+            yield f"{name}:{seed}", workloads.WORKLOADS[name](seed)[0]
+    for i in range(500):
+        yield f"fuzz_config({i})", workloads.fuzz_config(i)
+    for i in range(300):
+        yield f"crash_fuzz_config({i})", crash_fuzz_config(i)
+
+
+def main() -> int:
+    digests = {
+        name: hashlib.sha256(run_simulation(config).log.to_lines()).hexdigest()
+        for name, config in configs()
+    }
+    json.dump(digests, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -22,6 +23,7 @@ from falcon_bft.core_types import (
 from falcon_bft.crypto import KeyRegistry, ThresholdSig
 from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
 from falcon_bft.node import Node
+from falcon_bft.simnet import FaultSpec, SimConfig
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -34,6 +36,15 @@ def load_bench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def crash_fuzz_config(i: int) -> SimConfig:
+    """The benchmark's `fuzz_config(i)` with its first fault replaced by a
+    crash at tick (7 * i) % 70: at tick 0 every tenth run, mid-run otherwise."""
+    config = load_bench_module("workloads").fuzz_config(i)
+    first, *rest = config.faults
+    crash = FaultSpec(first.node, "crash", at_time=(7 * i) % 70)
+    return replace(config, faults=(crash, *rest))
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:

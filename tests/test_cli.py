@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from falcon_bft.cli import main
 
 FAVORABLE = """
@@ -119,3 +121,19 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "data",
+    [FAVORABLE.encode().replace(b"seed = 11", b"seed = \xff1"), b"n = 4\nf = 1\n"],
+    ids=["non_utf8", "no_section_header"],
+)
+def test_unreadable_scenario_exits_two_with_one_line(tmp_path, capsys, data):
+    scenario = tmp_path / "bad.ini"
+    scenario.write_bytes(data)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]

@@ -1,11 +1,13 @@
-"""Golden event logs: each shipped scenario, and each run of the benchmark's
-fuzz shape, replays to a pinned log digest.
+"""Golden event logs: each shipped scenario, the byzantine-n16 workload at
+seed 1, and each pinned run of the benchmark's fuzz shape, with and without
+a crash, replays to a pinned log digest.
 
 The digests are sha256 over `EventLog.to_lines()`, recorded in a separate
 process, so a change to scheduling, message order or log format anywhere
 in the stack shows up here even when every invariant still holds.  The fuzz
 runs add random delays, delay rules and every fault plugin to what the
-scenarios cover.  `to_lines` writes send records from a fixed line
+scenarios cover, and the crash runs stop a node at ticks from 0 to 63,
+mid-run as well as from the start.  `to_lines` writes send records from a fixed line
 template, and every line must equal the JSON encoder's line of its record.
 """
 
@@ -19,7 +21,7 @@ import pytest
 from falcon_bft import simnet
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
-from support import load_bench_module
+from support import crash_fuzz_config, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WORKLOADS = load_bench_module("workloads")
@@ -78,6 +80,39 @@ FUZZ_GOLDEN = [
 def test_fuzz_log_digest(i):
     result = run_simulation(WORKLOADS.fuzz_config(i))
     assert hashlib.sha256(result.log.to_lines()).hexdigest() == FUZZ_GOLDEN[i]
+
+
+# node 12 crashes at t=40: the one crash at a tick other than 0 among the
+# scenarios and workloads
+BYZANTINE_N16_GOLDEN = "ec82050b8626a830e98c7db33c5d2ef4169d96a476e3e7359e1bcb7a7fd618f9"
+
+
+def test_byzantine_n16_log_digest():
+    result = run_simulation(WORKLOADS.byzantine_n16(1)[0])
+    assert hashlib.sha256(result.log.to_lines()).hexdigest() == BYZANTINE_N16_GOLDEN
+
+
+# crash_fuzz_config(i) for i in 0..11: the crash falls at tick (7 * i) % 70
+CRASH_GOLDEN = [
+    "0fbfc4db79c9b4c8f78aa7c4080e9267ae376e0e1169d96a4bf586b509fff0bb",
+    "86376ea52c3a3dbec5aba66d5964ecca94710699f3b9c1af39ff25b1677928f9",
+    "2ea183ff3dfa779314ddc675f2370a133bf3870bd445b43e5c101a7935f8ff30",
+    "c225a2c02099eb44b8d324d2362d21612b5819c77faff4206b59f7f6a977f151",
+    "414bbc86ecf4f7ae44861e7d61b464e7db24912146035593b3ee834ce1cf53d0",
+    "15a027651bc2b44fc5ecfcb2bb8bfc7a8f439349319f3e3ebf66f7caf8621dc9",
+    "bc209131b19bed6652f166772df45d79aea6a577d0eece2b9e0de1464fb65ded",
+    "975b5e2d5c23c11aa50e4d519ad97ebd1f9801577a988a4e5d6da11e12e4c938",
+    "aee81c58b016f30066f9de59b9ea9fb74755a414ef03d88d90ce2459b723855a",
+    "a41e8c3ab2ba833333c767552cff8e5c9aa53bf89c57f1b8ba3cd2302887f7ad",
+    "a14d181505b9e135d9bc315bc46b302b8525c33e27548b6d8f7bd7aa5e887d2a",
+    "a0abce77b0ae4c42ee8927ae4927fff8f67f88fc5a2aca95223cc0645c3ba4ba",
+]
+
+
+@pytest.mark.parametrize("i", range(len(CRASH_GOLDEN)))
+def test_crash_fuzz_log_digest(i):
+    result = run_simulation(crash_fuzz_config(i))
+    assert hashlib.sha256(result.log.to_lines()).hexdigest() == CRASH_GOLDEN[i]
 
 
 # every config the golden digests cover, plus both n=16 benchmark workloads

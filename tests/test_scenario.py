@@ -1,6 +1,13 @@
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from falcon_bft.scenario import ScenarioError, load_scenario
+from falcon_bft.simnet import InvalidConfig
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOOD = """
 [system]
@@ -87,3 +94,34 @@ def test_rules_keep_file_order(tmp_path):
     text = "[adversary]\nzeta = body=Echo1 delay=1\nalpha = body=Echo2 delay=2\n"
     config = load_scenario(write(tmp_path, text))
     assert [rule.body for rule in config.rules] == ["Echo1", "Echo2"]
+
+
+@pytest.mark.parametrize("text", ["n = 4\n", "[system]\nn\n", "[system]\nn = 4\nn = 5\n"])
+def test_unparseable_scenario_message_is_one_line(tmp_path, text):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(write(tmp_path, text))
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.ini")))
+def test_mutated_scenario_bytes_load_or_raise_a_defined_error(tmp_path, name):
+    """Overwrite 1-3 bytes of a shipped scenario with random values: loading
+    and validating it either succeeds or raises `ScenarioError` or
+    `InvalidConfig` with a one-line message.  Nothing is run."""
+    original = (SCENARIOS / name).read_bytes()
+    rng = random.Random(name)
+    path = tmp_path / name
+    outcomes = Counter()
+    for _ in range(300):
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        path.write_bytes(data)
+        try:
+            load_scenario(path).validate()
+        except (ScenarioError, InvalidConfig) as exc:
+            assert "\n" not in str(exc)
+            outcomes[type(exc).__name__] += 1
+        else:
+            outcomes["ok"] += 1
+    assert outcomes["ScenarioError"] > 0 and outcomes["ok"] > 0

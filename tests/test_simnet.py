@@ -45,19 +45,23 @@ def test_lockstep_hop_semantics():
     assert {r["t"] for r in echo_sends} == {1}
 
 
-def test_crashed_node_is_silent_and_unreachable():
-    cfg = favorable(faults=(FaultSpec(4, "crash", at_time=0),))
+@pytest.mark.parametrize("at_time", [0, 5])
+def test_crashed_node_is_silent_and_unreachable(at_time):
+    """From its crash tick on, node 4 writes nothing but `crashed` drops, one
+    per envelope delivered to it, and takes no injected tx."""
+    cfg = favorable(instances=3, faults=(FaultSpec(4, "crash", at_time=at_time),))
     res = run_simulation(cfg)
-    assert all(r["node"] != 4 for r in res.log.of_kind("send"))
-    drops = res.log.of_kind("drop")
-    assert any(r.get("reason") == "crashed" for r in drops)
-    assert observe_invariants(res) == []
-
-
-def test_late_crash_stops_participation():
-    cfg = favorable(instances=3, faults=(FaultSpec(4, "crash", at_time=5),))
-    res = run_simulation(cfg)
-    assert all(r["t"] < 5 for r in res.log.of_kind("send") if r["node"] == 4)
+    log = res.log
+    sent_at = [r["t"] for r in log.of_kind("send") if r["node"] == 4]
+    assert all(t < at_time for t in sent_at)
+    assert bool(sent_at) == (at_time > 0)  # a late crash cuts off a live node
+    after = [r for r in log.records if r["node"] == 4 and r["t"] >= at_time]
+    assert after and all(r["kind"] == "drop" and r["reason"] == "crashed" for r in after)
+    # lockstep: an envelope sent at tick t is delivered at t + 1
+    delivered = [r for r in log.of_kind("send") if r["to"] == 4 and r["t"] + 1 >= at_time]
+    assert len(after) == len(delivered)
+    late_txids = {r["txid"] for r in log.of_kind("inject") if r["t"] >= at_time}
+    assert late_txids and late_txids.isdisjoint(txid.hex() for txid in res.nodes[4].buffer)
     assert observe_invariants(res) == []
 
 
