@@ -7,8 +7,10 @@ two outputs:
     PYTHONPATH=src python tests/digest_sweep.py > digests.json
 
 The sweep covers the shipped scenarios, both n=16 benchmark workloads at
-seeds 1-3, `fuzz_config(0..499)` and `crash_fuzz_config(0..299)`.  The file
-has no `test_` prefix, so pytest does not collect it.
+seeds 1-3, `fuzz_config(0..499)`, `crash_fuzz_config(0..299)`, and two
+generators that reach the agreement paths: `echo2_hold_config(0..299)` and
+`late_proof_config(0..199)`.  The file has no `test_` prefix, so pytest
+does not collect it.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
-from support import crash_fuzz_config, load_bench_module
+from support import crash_fuzz_config, echo2_hold_config, late_proof_config, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -35,6 +37,10 @@ def configs():
         yield f"fuzz_config({i})", workloads.fuzz_config(i)
     for i in range(300):
         yield f"crash_fuzz_config({i})", crash_fuzz_config(i)
+    for i in range(300):
+        yield f"echo2_hold_config({i})", echo2_hold_config(i)
+    for i in range(200):
+        yield f"late_proof_config({i})", late_proof_config(i)
 
 
 def main() -> int:

@@ -23,7 +23,7 @@ from falcon_bft.core_types import (
 from falcon_bft.crypto import KeyRegistry, ThresholdSig
 from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
 from falcon_bft.node import Node
-from falcon_bft.simnet import FaultSpec, SimConfig
+from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -45,6 +45,49 @@ def crash_fuzz_config(i: int) -> SimConfig:
     first, *rest = config.faults
     crash = FaultSpec(first.node, "crash", at_time=(7 * i) % 70)
     return replace(config, faults=(crash, *rest))
+
+
+def echo2_hold_config(i: int) -> SimConfig:
+    """The benchmark's `fuzz_config(i)` with one or two indices' Echo2s held
+    8-40 ticks: correct blocks miss grade 2 before the trigger, so agreement
+    runs on certified one-inputs, and delivery assistance answers it."""
+    rng = random.Random(i)
+    config = load_bench_module("workloads").fuzz_config(i)
+    n = config.params.n
+    holds = tuple(
+        DelayRule(body="Echo2", index=rng.randint(1, n), delay=rng.randint(8, 40))
+        for _ in range(rng.randint(1, 2))
+    )
+    return replace(config, rules=holds + config.rules)
+
+
+def late_proof_config(i: int) -> SimConfig:
+    """A fault-free run where index j's Echo1 reaches all but f+1 nodes
+    10-60 ticks late, and one of those late nodes also hears Amp and Sho1
+    late: it can output 1 for j, through the inner ABA's DECIDED messages,
+    before it holds j's grade-1 certificate.  n alternates 4/7; every third
+    run is lockstep, the others random with 1-3 tick delays."""
+    rng = random.Random(i)
+    n, f = (4, 1) if i % 2 == 0 else (7, 2)
+    j = rng.randint(1, n)
+    victims = rng.sample(range(1, n + 1), n - f - 1)
+    rules = [
+        DelayRule(recipient=v, body="Echo1", index=j, delay=rng.randint(10, 60))
+        for v in victims
+    ]
+    x = rng.choice(victims)
+    d = rng.randint(5, 40)
+    rules += [DelayRule(recipient=x, body=body, delay=d) for body in ("Amp", "Sho1")]
+    return SimConfig(
+        params=SystemParams(n, f),
+        seed=i,
+        mode="lockstep" if i % 3 == 0 else "random",
+        delay_min=1,
+        delay_max=3,
+        num_instances=3,
+        tx_load=2,
+        rules=tuple(rules),
+    )
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:
