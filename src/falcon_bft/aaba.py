@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .aba import AbaInstance, DoubleInput
 from .core_types import (
-    AbaDecided,
     Amp,
     Aux,
     Bval,
@@ -149,17 +148,25 @@ class AabaInstance:
         if self.input is None:
             self.buffered.append((sender, body))
             return []
-        if isinstance(body, Amp):
+        cls = type(body)
+        if cls is Amp:
             return self._on_amp(sender, body)
-        if isinstance(body, Sho1):
+        if cls is Sho1:
             return self._on_sho1(sender, body)
-        if isinstance(body, Sho2):
+        if cls is Sho2:
             return self._on_sho2(sender, body)
-        if isinstance(body, Stop):
+        if cls is Stop:
             return self._on_stop(sender)
-        if isinstance(body, (Bval, Aux, AbaDecided)):
-            return self._on_inner(sender, body)
-        return []
+        # the inner ABA's traffic: Bval, Aux or AbaDecided
+        if cls is Bval:
+            out = self.inner.on_bval(sender, body)
+        elif cls is Aux:
+            out = self.inner.on_aux(sender, body)
+        else:
+            out = self.inner.on_decided(sender, body)
+        if self.inner.decided is not None:
+            out.extend(self._produce_output(self.inner.decided, "aba"))
+        return out
 
     # -- amplification phase -----------------------------------------------------
 
@@ -231,20 +238,6 @@ class AabaInstance:
             out.extend(self.inner.input(0))
         else:
             out.extend(self.inner.input(1))
-        return out
-
-    # -- inner ABA -------------------------------------------------------------------
-
-    def _on_inner(self, sender: int, msg) -> List[object]:
-        if isinstance(msg, Bval):
-            sub = self.inner.on_bval(sender, msg)
-        elif isinstance(msg, Aux):
-            sub = self.inner.on_aux(sender, msg)
-        else:
-            sub = self.inner.on_decided(sender, msg)
-        out = list(sub)
-        if self.inner.decided is not None and self.output is None:
-            out.extend(self._produce_output(self.inner.decided, "aba"))
         return out
 
     # -- early stopping ----------------------------------------------------------------

@@ -6,11 +6,16 @@ bin_values is non-empty broadcast one AUX(r, w) with w from bin_values; on
 n-f AUX values all inside bin_values, compare against the common coin for r
 to decide or to pick the next round's estimate.
 
+Only the current round's state is kept: the bits this node sent BVAL for,
+bin_values and whether it sent its AUX are reset when the round advances,
+and the finished round's BVAL and AUX pools are dropped then.  A BVAL or
+AUX for an earlier round is ignored, since no rule reads it.
+
 Two practical additions on top of the round machinery:
 
 * A node that decided keeps playing subsequent rounds (its messages may be
   needed by slower nodes) instead of going silent.
-* A decided node broadcasts a DECIDED message once.  f+1 matching DECIDED
+* The step that decides broadcasts a DECIDED message, once.  f+1 matching DECIDED
   messages let a node adopt the decision directly, n-f let it retire the
   instance entirely.  This termination gadget is what makes every instance
   quiesce instead of exchanging round messages forever.
@@ -35,18 +40,17 @@ class AbaInstance:
         self.coin_secret = coin_secret
 
         self.round = 0  # 0 until input is given
-        self.est: Optional[int] = None
         self.decided: Optional[int] = None
         self.halted = False  # external halt: absorb everything
         self.retired = False  # gadget-complete: stop emitting
 
-        self.bval_sent: Dict[int, Set[int]] = {}
-        self.aux_sent: Set[int] = set()
-        self.bin_values: Dict[int, Set[int]] = {}
+        # the current round's own votes and bin_values
+        self.bval_sent: Set[int] = set()
+        self.bin_values: Set[int] = set()
+        self.aux_sent = False
         self.bval_pool: Dict[int, Dict[int, Set[int]]] = {}  # round -> bit -> senders
         self.aux_pool: Dict[int, Dict[int, int]] = {}  # round -> sender -> bit
         self.decided_pool: Dict[int, Set[int]] = {0: set(), 1: set()}
-        self.decided_sent = False
 
     @property
     def active(self) -> bool:
@@ -62,9 +66,8 @@ class AbaInstance:
             raise DoubleInput(f"ABA {self.addr} already has an input")
         if self.halted:
             return []
-        self.est = b
         self.round = 1
-        out = self._broadcast_bval(1, b)
+        out = self._broadcast_bval(b)
         out.extend(self._evaluate())
         return out
 
@@ -74,13 +77,13 @@ class AbaInstance:
     # -- message handlers -------------------------------------------------------
 
     def on_bval(self, sender: int, msg: Bval) -> List[object]:
-        if self.halted or msg.bit not in (0, 1):
+        if self.halted or msg.bit not in (0, 1) or msg.round < self.round:
             return []
         self.bval_pool.setdefault(msg.round, {}).setdefault(msg.bit, set()).add(sender)
         return self._evaluate()
 
     def on_aux(self, sender: int, msg: Aux) -> List[object]:
-        if self.halted or msg.bit not in (0, 1):
+        if self.halted or msg.bit not in (0, 1) or msg.round < self.round:
             return []
         self.aux_pool.setdefault(msg.round, {}).setdefault(sender, msg.bit)
         return self._evaluate()
@@ -98,23 +101,18 @@ class AbaInstance:
 
     # -- round machinery ----------------------------------------------------------
 
-    def _broadcast_bval(self, rnd: int, bit: int) -> List[object]:
-        sent = self.bval_sent.setdefault(rnd, set())
-        if bit in sent or self.retired:
+    def _broadcast_bval(self, bit: int) -> List[object]:
+        if bit in self.bval_sent or self.retired:
             return []
-        sent.add(bit)
+        self.bval_sent.add(bit)
         # own broadcast also counts toward our pool via the network loopback
-        return [Send(self.addr, Bval(rnd, bit))]
+        return [Send(self.addr, Bval(self.round, bit))]
 
     def _decide(self, bit: int) -> List[object]:
-        out: List[object] = []
-        if self.decided is None:
-            self.decided = bit
-            self.est = bit
-        if not self.decided_sent and not self.retired:
-            self.decided_sent = True
-            out.append(Send(self.addr, AbaDecided(bit)))
-        return out
+        if self.decided is not None:
+            return []
+        self.decided = bit
+        return [] if self.retired else [Send(self.addr, AbaDecided(bit))]
 
     def _evaluate(self) -> List[object]:
         """Run every threshold rule that currently fires; loop until stable."""
@@ -126,38 +124,32 @@ class AbaInstance:
             progress = False
             rnd = self.round
             pools = self.bval_pool.get(rnd, {})
-            binv = self.bin_values.setdefault(rnd, set())
+            binv = self.bin_values
             for bit in (0, 1):
-                senders = pools.get(bit, set())
+                senders = pools.get(bit, ())
                 if len(senders) >= self.params.small_quorum:
-                    emitted = self._broadcast_bval(rnd, bit)
+                    emitted = self._broadcast_bval(bit)
                     if emitted:
                         out.extend(emitted)
                         progress = True
                 if len(senders) >= self.params.quorum and bit not in binv:
                     binv.add(bit)
                     progress = True
-            if binv and rnd not in self.aux_sent and not self.retired:
-                self.aux_sent.add(rnd)
-                w = min(binv)
-                out.append(Send(self.addr, Aux(rnd, w)))
+            if binv and not self.aux_sent and not self.retired:
+                self.aux_sent = True
+                out.append(Send(self.addr, Aux(rnd, min(binv))))
                 progress = True
-            accepted = {
-                s: b
-                for s, b in self.aux_pool.get(rnd, {}).items()
-                if b in binv
-            }
+            accepted = [b for b in self.aux_pool.get(rnd, {}).values() if b in binv]
             if len(accepted) >= self.params.quorum:
-                values = set(accepted.values())
+                values = set(accepted)
                 c = self.coin_for(rnd)
                 if values == {c}:
                     out.extend(self._decide(c))
-                    self.est = c
-                elif len(values) == 1:
-                    self.est = values.pop()
-                else:
-                    self.est = c
+                est = values.pop() if len(values) == 1 else c
+                # the round is over: nothing reads its state again
+                del self.bval_pool[rnd], self.aux_pool[rnd]
                 self.round = rnd + 1
-                out.extend(self._broadcast_bval(self.round, self.est))
+                self.bval_sent, self.bin_values, self.aux_sent = set(), set(), False
+                out.extend(self._broadcast_bval(est))
                 progress = True
         return out

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .aaba import AabaInput, AabaInstance, Output
 from .core_types import (
-    AABA_PEEK_BODIES,
     Assist,
     Block,
     Echo1,
@@ -76,7 +75,7 @@ class AcsqInstance:
         self.known_blocks: Dict[bytes, Block] = {}
         self.assist_sent: Set[Tuple[int, int]] = set()  # (index, peer)
         self.pending_queries: Dict[bytes, List[int]] = {}  # digest -> requesters
-        self.pending_includes: Dict[int, Optional[bytes]] = {}  # j -> digest if known
+        self.pending_includes: Set[int] = set()  # 1-outputs not yet in M_acs
         self.queried: Set[bytes] = set()
 
     # -- sub-instance access ------------------------------------------------------
@@ -162,26 +161,24 @@ class AcsqInstance:
 
     def _handle_aaba(self, env: Envelope) -> List[Send]:
         j = env.addr.index
-        out: List[Send] = []
         body = env.body
-        # delivery assistance: answer AABA_j traffic from anyone still running
-        # it once we hold the grade-2 certificate (once per peer per index)
-        if isinstance(body, AABA_PEEK_BODIES) and env.sender != self.node_id:
-            if j in self.M2 and (j, env.sender) not in self.assist_sent:
-                self.assist_sent.add((j, env.sender))
-                self.log("assist_sent", k=self.k, j=j, to=env.sender)
-                out.append(Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender))
         cls = type(body)
         if cls is Assist:
-            out.extend(self._on_assist(j, body.delivery))
-        elif cls is Query:
-            out.extend(self._on_query(env.sender, body.digest))
-        elif cls is QueryResp:
-            out.extend(self._on_query_resp(j, body.block))
-        else:
-            sub = self.aaba_for(j).handle(env.sender, body)
-            if sub:
-                out.extend(self._absorb(j, sub))
+            return self._on_assist(j, body.delivery)
+        if cls is Query:
+            return self._on_query(env.sender, body.digest)
+        if cls is QueryResp:
+            return self._on_query_resp(j, body.block)
+        out: List[Send] = []
+        # delivery assistance: answer AABA_j traffic from anyone still running
+        # it once we hold the grade-2 certificate (once per peer per index)
+        if j in self.M2 and env.sender != self.node_id and (j, env.sender) not in self.assist_sent:
+            self.assist_sent.add((j, env.sender))
+            self.log("assist_sent", k=self.k, j=j, to=env.sender)
+            out.append(Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender))
+        sub = self.aaba_for(j).handle(env.sender, body)
+        if sub:
+            out.extend(self._absorb(j, sub))
         return out
 
     def _absorb(self, j: int, sub: List[object]) -> List[Send]:
@@ -223,11 +220,10 @@ class AcsqInstance:
             self.M_acs[j] = gd.block
             self.progress += 1
             self.log("decide", k=self.k, j=j, outcome="include", source=via)
-        self.pending_includes.pop(j, None)
+        self.pending_includes.discard(j)
         if j in self.aaba:
             self.aaba[j].halt()
         out.extend(self._check_stage())
-        self._resolve_check()
         return out
 
     def _note_body(self, block: Block, via: str) -> List[Send]:
@@ -256,12 +252,17 @@ class AcsqInstance:
     # -- stage transitions -------------------------------------------------------------
 
     def _check_stage(self) -> List[Send]:
-        if self.returned or not self.active or self.agreement_started:
+        """Return once every index is decided, else enter agreement on the
+        trigger plus a grade-2 quorum.  Activation, the trigger and every
+        growth of M2, M_acs or S_ex call this."""
+        if self.returned or not self.active:
             return []
-        if len(self.M2) == self.params.n:
+        # M_acs and S_ex never share an index; before agreement S_ex is empty
+        # and M_acs holds exactly M2's indices
+        if len(self.M_acs) + len(self.S_ex) == self.params.n:
             self._do_return()
             return []
-        if self.trigger_active and len(self.M2) >= self.params.quorum:
+        if self.trigger_active and not self.agreement_started and len(self.M2) >= self.params.quorum:
             return self._enter_agreement()
         return []
 
@@ -275,7 +276,6 @@ class AcsqInstance:
             if j in self.M2:
                 continue
             out.extend(self.input_policy(self, j))
-        self._resolve_check()
         return out
 
     def honest_input(self, j: int) -> List[Send]:
@@ -300,32 +300,32 @@ class AcsqInstance:
             self.progress += 1
             self.log("decide", k=self.k, j=j, outcome="exclude", source="aaba")
         else:
-            self.pending_includes[j] = None
+            self.pending_includes.add(j)
             out.extend(self._advance_includes())
-        self._resolve_check()
+        out.extend(self._check_stage())
         return out
 
     def _advance_includes(self) -> List[Send]:
-        """Push every pending 1-output toward inclusion: learn digest, fetch body."""
+        """Push every pending 1-output toward inclusion: learn digest, fetch body.
+
+        The digest comes from j's grade-1 delivery here, else from the grade-1
+        certificate its AABA saw; both certify the one digest j can have."""
         out: List[Send] = []
         for j in sorted(self.pending_includes):
-            digest = self.pending_includes[j]
-            if digest is None:
-                m1 = self.delivered1(j)
-                if m1 is not None:
-                    digest = m1.block.digest
-                elif j in self.aaba and self.aaba[j].known_proof is not None:
-                    digest = self.aaba[j].known_proof[0]
-                else:
-                    continue  # certificate not seen yet; its broadcast will arrive
-                self.pending_includes[j] = digest
+            m1 = self.delivered1(j)
+            if m1 is not None:
+                digest = m1.block.digest
+            elif self.aaba[j].known_proof is not None:
+                digest = self.aaba[j].known_proof[0]
+            else:
+                continue  # certificate not seen yet
             block = self.known_blocks.get(digest)
             if block is not None:
-                del self.pending_includes[j]
+                self.pending_includes.discard(j)
                 self.M_acs[j] = block
                 self.progress += 1
                 self.log("decide", k=self.k, j=j, outcome="include", source="aaba")
-                self._resolve_check()
+                out.extend(self._check_stage())
             elif digest not in self.queried:
                 self.queried.add(digest)
                 self.log("query_sent", k=self.k, j=j, digest=digest.hex())
@@ -359,17 +359,6 @@ class AcsqInstance:
         return self._note_body(block, via="query_resp")
 
     # -- completion ------------------------------------------------------------------------------
-
-    def _resolve_check(self) -> None:
-        # M_acs and S_ex never share an index, S_ex is empty before agreement
-        # and every index in M2 at its start is in M_acs: every index is
-        # decided exactly when the two together hold n
-        if (
-            self.agreement_started
-            and not self.returned
-            and len(self.M_acs) + len(self.S_ex) == self.params.n
-        ):
-            self._do_return()
 
     def _do_return(self) -> None:
         self.returned = True

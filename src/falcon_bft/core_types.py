@@ -190,9 +190,6 @@ Body = Union[
 
 GBC_BODIES = (Propose, Echo1, Echo2)
 AABA_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided, Assist, Query, QueryResp)
-# Bodies that count as "AABA_j protocol traffic" for the delivery-assistance
-# peek; assist/query recovery traffic itself must not re-trigger assists.
-AABA_PEEK_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided)
 
 
 def _check_body(addr: InstanceAddr, body: Body) -> None:
