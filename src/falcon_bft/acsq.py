@@ -179,6 +179,8 @@ class AcsqInstance:
         sub = self.aaba_for(j).handle(env.sender, body)
         if sub:
             out.extend(self._absorb(j, sub))
+        if j in self.pending_includes:  # the body may have carried j's certificate
+            out.extend(self._advance_includes())
         return out
 
     def _absorb(self, j: int, sub: List[object]) -> List[Send]:
@@ -201,7 +203,7 @@ class AcsqInstance:
     def _on_deliver(self, j: int, gd: GradedDelivery) -> List[Send]:
         if gd.grade == 1:  # a broadcast delivers grade 1 once
             self.log("gbc_deliver", k=self.k, j=j, grade=1, digest=gd.block.digest.hex())
-            return []
+            return self._advance_includes() if j in self.pending_includes else []
         return self._adopt_grade2(j, gd, via="gbc")
 
     def _adopt_grade2(self, j: int, gd: GradedDelivery, via: str) -> List[Send]:

@@ -126,6 +126,8 @@ class SimConfig:
                 raise InvalidConfig(f"duplicate fault for node {fs.node}")
             if fs.at_time != 0 and fs.kind != "crash":
                 raise InvalidConfig(f"at_time applies to crash faults only, not {fs.kind!r}")
+            if fs.at_time < 0:
+                raise InvalidConfig(f"crash tick {fs.at_time} is negative")
             seen.add(fs.node)
         if len(seen) > self.params.f:
             raise InvalidConfig("more faulty nodes than the tolerance f")

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from falcon_bft.aba import AbaInstance, DoubleInput
@@ -138,3 +140,36 @@ def test_all_instances_quiesce_retired_or_halted():
     params, nodes, handlers = make_cluster(4, 1)
     run_lockstep(nodes, handlers, {i: i % 2 for i in nodes}, 4)
     assert all(n.retired for n in nodes.values())
+
+
+def test_pools_hold_no_finished_round():
+    # split inputs under reordering play up to round 6 on these seeds
+    rounds = []
+    for seed in range(30):
+        _, nodes, handlers = make_cluster(4, 1)
+        bus = ShuffleBus(4, handlers, seed=seed)
+        for i, b in {1: 0, 2: 0, 3: 1, 4: 1}.items():
+            bus.post(i, nodes[i].input(b))
+        bus.run()
+        for node in nodes.values():
+            rounds.append(node.round)
+            assert all(r >= node.round for r in node.bval_pool), (seed, node.bval_pool)
+            assert all(r >= node.round for r in node.aux_pool), (seed, node.aux_pool)
+    assert max(rounds) > 2
+
+
+def test_finished_round_messages_change_nothing():
+    _, nodes, _ = make_cluster(4, 1)
+    node = nodes[1]
+    node.input(0)
+    for sender in (1, 2, 3, 4):
+        node.on_bval(sender, Bval(1, 0))
+    for sender in (1, 2, 3):
+        node.on_aux(sender, Aux(1, 0))
+    assert node.round == 2 and node.active
+    before = copy.deepcopy(vars(node))
+    # f+1 BVALs for the other bit would make a live round relay it
+    assert node.on_bval(2, Bval(1, 1)) == []
+    assert node.on_bval(3, Bval(1, 1)) == []
+    assert node.on_aux(4, Aux(1, 1)) == []
+    assert vars(node) == before

@@ -1,6 +1,9 @@
 """Integration behavior of the ACSQ instance and node driver, exercised
 through full simulated runs."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from falcon_bft.acsq import AcsqInstance
@@ -24,9 +27,13 @@ from falcon_bft.core_types import (
 from falcon_bft.crypto import tagged_digest
 from falcon_bft.gbc import cert_tag
 from falcon_bft.observer import check_liveness, observe_invariants
+from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
-from support import make_registry
+from support import late_proof_config, make_registry
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(seed=1, n=4, f=1, instances=2, **kwargs):
@@ -107,6 +114,32 @@ def test_query_recovers_missing_body():
         if r["node"] == 3 and r["k"] == 1 and r["j"] == 4
     ]
     assert len(includes) == 1 and includes[0]["outcome"] == "include"
+
+
+@pytest.mark.parametrize("amp_delay,include_tick", [(20, 27), (80, 32)])
+def test_one_output_includes_once_the_certificate_arrives(amp_delay, include_tick):
+    # node 4 outputs 1 for index 1 at t=14, through DECIDED messages, before
+    # it holds index 1's grade-1 certificate.  With Amp/Sho1 20 ticks late,
+    # they bring it at t=27; with 80, its own grade-1 delivery at t=32 does
+    config = load_scenario(SCENARIOS / "late_proof_include.ini")
+    late = tuple(DelayRule(recipient=4, body=body, delay=amp_delay) for body in ("Amp", "Sho1"))
+    res = run_simulation(replace(config, rules=config.rules[:2] + late))
+    assert clean(res) == []
+    first = {}
+    for r in res.log.records:
+        if r.get("node") == 4 and r.get("k") == 1 and r.get("j") == 1:
+            first.setdefault((r["kind"], r.get("source")), r["t"])
+    assert first[("aaba_output", "aba")] == 14
+    assert first[("decide", "aaba")] == include_tick
+    assert first.get(("gbc_deliver", None), include_tick) == include_tick
+
+
+def test_late_proof_runs_are_clean():
+    # index j's Echo1 late at all but f+1 nodes, Amp/Sho1 late at one of them:
+    # 35 of these 60 runs left an instance unreturned before the include step
+    # re-ran on a grade-1 delivery and on AABA traffic
+    failing = [i for i in range(60) if clean(run_simulation(late_proof_config(i)))]
+    assert failing == []
 
 
 def test_skewed_own_broadcast_gets_excluded_but_run_stays_live():

@@ -87,6 +87,16 @@ def test_out_of_range_rule_nonzero_exit_no_outputs(tmp_path):
     assert not out_dir.exists()
 
 
+def test_negative_crash_tick_exits_two_with_one_line(tmp_path, capsys):
+    scenario = write(tmp_path, CRASHED.replace("crash:0", "crash:-5"), "neg.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_missing_scenario_nonzero(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
 

@@ -32,6 +32,7 @@ GOLDEN = {
     "equivocator_random.ini": "293a1e2117763c3c997edd4fcc0b5e965220253bc7b7a0f2ee3f9099ff28f6b7",
     "favorable_4.ini": "01ed2e37592794bfb7f46511315e7a900735ed5f6953783c697688945dd41252",
     "favorable_7.ini": "28950c5e7966fc949b28f203f96cdb07b3a087dc00ae16e6d6234d59d80c9b19",
+    "late_proof_include.ini": "f8ea16f6c8456f6044c5f834f85e3fe8faa6a19915936dff58266e5bc9d0cf96",
     "wrong_bit_one_path.ini": "d7e4fa8de593958cc72bc7a9347804352e3a904a67b595feb9f3f6fa7bf338cb",
     "wrong_bits_adversarial.ini": "5109c5587a0792d548fb0b58e86d59cac50b14c2ab8060c6e094ab877da13f0e",
 }

@@ -132,7 +132,7 @@ CHECK_NAMES = {
 }
 
 # sha256 of the corpus report below, recorded in a separate process
-CORPUS_PIN = "640f7a648aa032dd6ad8b20ad4248e347b119dce4c93be440430e9c082bc1549"
+CORPUS_PIN = "255dfda38761b97f9ce6ded4b1945d5e1daa679e1a4cf9ba709a91ca6e5a8411"
 
 
 def _corpus_configs():

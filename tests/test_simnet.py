@@ -121,11 +121,12 @@ def test_config_validation():
         SimConfig(params=SystemParams(4, 1), faults=(FaultSpec(9, "silent"),)).validate()
     with pytest.raises(InvalidConfig):
         SimConfig(params=SystemParams(4, 1), faults=(FaultSpec(1, "gremlin"),)).validate()
-    # a negative load used to crash mid-run, and at_time on a non-crash
-    # fault was silently ignored
+    # a negative load used to crash mid-run, at_time on a non-crash fault
+    # was silently ignored, and a negative crash tick ran as a crash at 0
     for bad in (
         {"tx_load": -1},
         {"faults": (FaultSpec(2, "silent", at_time=5),)},
+        {"faults": (FaultSpec(4, "crash", at_time=-5),)},
     ):
         with pytest.raises(InvalidConfig):
             SimConfig(params=SystemParams(4, 1), **bad).validate()
