@@ -1,7 +1,7 @@
 """Round-based binary agreement used as a black box by the asymmetrical layer.
 
 Structure per round r: broadcast BVAL(r, est); re-broadcast a bit supported
-by f+1 senders; a bit backed by n-f senders enters bin_values[r]; once
+by f+1 senders; a bit backed by n-f senders enters bin_values; once
 bin_values is non-empty broadcast one AUX(r, w) with w from bin_values; on
 n-f AUX values all inside bin_values, compare against the common coin for r
 to decide or to pick the next round's estimate.
@@ -15,9 +15,9 @@ Two practical additions on top of the round machinery:
 
 * A node that decided keeps playing subsequent rounds (its messages may be
   needed by slower nodes) instead of going silent.
-* The step that decides broadcasts a DECIDED message, once.  f+1 matching DECIDED
-  messages let a node adopt the decision directly, n-f let it retire the
-  instance entirely.  This termination gadget is what makes every instance
+* The step that decides broadcasts a DECIDED message, once.  f+1 matching
+  DECIDED messages let a node adopt the decision directly, n-f let it retire
+  the instance entirely.  This termination gadget is what makes every instance
   quiesce instead of exchanging round messages forever.
 """
 
@@ -126,7 +126,7 @@ class AbaInstance:
             pools = self.bval_pool.get(rnd, {})
             binv = self.bin_values
             for bit in (0, 1):
-                senders = pools.get(bit, ())
+                senders = pools.get(bit, set())
                 if len(senders) >= self.params.small_quorum:
                     emitted = self._broadcast_bval(bit)
                     if emitted:

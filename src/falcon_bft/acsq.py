@@ -11,9 +11,13 @@ driver's `input_policy` gives each its input; the honest rule
 
 Any grade-2 certificate adopted later, from a peer's assistance message or
 from pools completing after the mute, immediately decides that index and
-halts its AABA instance.  A node that outputs 1 without holding the block
-body recovers it by digest query; peers answer from whatever body they hold,
-deferring the answer until they hold one.
+halts its AABA instance.  A 1-output is included once the node knows the
+index's digest, from its own grade-1 delivery or from a certificate its AABA
+saw, and holds the body.  The include step runs on the output, on every new
+body, on the index's grade-1 delivery and after each AABA message for the
+index, which may carry the certificate.  A node that knows the digest but
+not the body recovers it by digest query; peers answer from whatever body
+they hold, deferring the answer until they hold one.
 """
 
 from __future__ import annotations

@@ -136,8 +136,8 @@ def test_one_output_includes_once_the_certificate_arrives(amp_delay, include_tic
 
 def test_late_proof_runs_are_clean():
     # index j's Echo1 late at all but f+1 nodes, Amp/Sho1 late at one of them:
-    # 35 of these 60 runs left an instance unreturned before the include step
-    # re-ran on a grade-1 delivery and on AABA traffic
+    # in most of these runs some node outputs 1 for j before it holds j's
+    # certificate, and must include j once the certificate arrives
     failing = [i for i in range(60) if clean(run_simulation(late_proof_config(i)))]
     assert failing == []
 
