@@ -269,5 +269,6 @@ class AabaInstance:
         return [Output(bit, source)]
 
     def halt(self) -> None:
-        """External stop (delivery assistance): drop out of the instance."""
+        """External stop (delivery assistance): drop out, and drop the buffer."""
         self.inner.halt()
+        self.buffered = []

@@ -11,7 +11,8 @@ driver's `input_policy` gives each its input; the honest rule
 
 Any grade-2 certificate adopted later, from a peer's assistance message or
 from pools completing after the mute, immediately decides that index and
-halts its AABA instance.  A 1-output is included once the node knows the
+halts its AABA instance; from then on, AABA traffic for the index only
+draws the assistance reply.  A 1-output is included once the node knows the
 index's digest, from its own grade-1 delivery or from a certificate its AABA
 saw, and holds the body.  The include step runs on the output, on every new
 body, on the index's grade-1 delivery and after each AABA message for the
@@ -173,16 +174,16 @@ class AcsqInstance:
             return self._on_query(env.sender, body.digest)
         if cls is QueryResp:
             return self._on_query_resp(j, body.block)
-        out: List[Send] = []
-        # delivery assistance: answer AABA_j traffic from anyone still running
-        # it once we hold the grade-2 certificate (once per peer per index)
-        if j in self.M2 and env.sender != self.node_id and (j, env.sender) not in self.assist_sent:
+        if j in self.M2:
+            # delivery assistance is all a decided index's agreement gets: answer
+            # AABA_j traffic from anyone still running it (once per peer per index)
+            if env.sender == self.node_id or (j, env.sender) in self.assist_sent:
+                return []
             self.assist_sent.add((j, env.sender))
             self.log("assist_sent", k=self.k, j=j, to=env.sender)
-            out.append(Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender))
+            return [Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender)]
         sub = self.aaba_for(j).handle(env.sender, body)
-        if sub:
-            out.extend(self._absorb(j, sub))
+        out = self._absorb(j, sub) if sub else []
         if j in self.pending_includes:  # the body may have carried j's certificate
             out.extend(self._advance_includes())
         return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
 
@@ -192,48 +192,21 @@ GBC_BODIES = (Propose, Echo1, Echo2)
 AABA_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided, Assist, Query, QueryResp)
 
 
-def _check_body(addr: InstanceAddr, body: Body) -> None:
-    """Raise ValueError unless `body` is a message kind that `addr`'s protocol carries."""
-    ok = (
-        isinstance(body, GBC_BODIES)
-        if addr.proto is Proto.GBC
-        else isinstance(body, AABA_BODIES)
-    )
-    if not ok:
-        raise ValueError(f"body {type(body).__name__} inconsistent with {addr.proto}")
-
-
 @dataclass(frozen=True)
 class Envelope:
+    """One message on the wire; recipient None is a broadcast to every node
+    in id order, as for `Send.to`, kept as one envelope until delivered."""
+
     sender: int
-    recipient: int
+    recipient: Optional[int]
     addr: InstanceAddr
     body: Body
 
     def __post_init__(self):
-        _check_body(self.addr, self.body)
-
-    @classmethod
-    def fan_out(
-        cls, sender: int, recipients: Iterable[int], addr: InstanceAddr, body: Body
-    ) -> List["Envelope"]:
-        """One envelope per recipient, in order, all sharing `addr` and `body`.
-
-        The body is checked against the address once, not once per envelope:
-        each envelope's fields are set as the dataclass `__init__` sets them,
-        without the `__post_init__` that would repeat the check.
-        """
-        _check_body(addr, body)
-        new, set_field = object.__new__, object.__setattr__
-        out = []
-        for r in recipients:
-            env = new(cls)
-            set_field(env, "sender", sender)
-            set_field(env, "recipient", r)
-            set_field(env, "addr", addr)
-            set_field(env, "body", body)
-            out.append(env)
-        return out
+        """Raise ValueError unless `body` is a message kind that `addr`'s protocol carries."""
+        body, proto = self.body, self.addr.proto
+        if not isinstance(body, GBC_BODIES if proto is Proto.GBC else AABA_BODIES):
+            raise ValueError(f"body {type(body).__name__} inconsistent with {proto}")
 
 
 # --- canonical envelope encoding -------------------------------------------
@@ -292,7 +265,7 @@ def encode_body(body: Body) -> bytes:
 def encode_envelope(env: Envelope) -> bytes:
     return (
         u32(env.sender)
-        + u32(env.recipient)
+        + u32(env.recipient or 0)  # a broadcast's reads 0: each delivery keeps a unicast's size
         + env.addr.encode()
         + encode_body(env.body)
     )

@@ -210,14 +210,8 @@ class Node:
     # -- emission plumbing ------------------------------------------------------------------
 
     def _wrap(self, sends: List[Send]) -> List[Envelope]:
-        """Address each send; a broadcast goes to every node in id order.
+        """One envelope per send; a broadcast stays one, recipient None.
 
         Raises ValueError for a send whose body its address does not carry.
         """
-        out: List[Envelope] = []
-        for send in sends:
-            if send.to is None:
-                out.extend(Envelope.fan_out(self.node_id, self.params.node_ids(), send.addr, send.body))
-            else:
-                out.append(Envelope(self.node_id, send.to, send.addr, send.body))
-        return out
+        return [Envelope(self.node_id, send.to, send.addr, send.body) for send in sends]

@@ -1,15 +1,17 @@
 """Deterministic discrete-event network with programmable adversaries.
 
 Time is an integer tick count, kept by the run's `EventLog` so that one
-clock stamps every record.  Every message is appended, at send time, to a
-FIFO queue for its delivery tick, and the run delivers the smallest pending
-tick's queue front to back.  Every delay is at least one tick, so a tick's
-queue is complete before it is delivered: equal-time deliveries replay in
-send order, and a (config, seed) pair maps to exactly one event log, byte
-for byte.  Lockstep mode delivers every message one tick after it was sent,
+clock stamps every record.  At send time a message gets one `send` record
+per recipient and, for each tick it is due at, one entry in that tick's
+FIFO queue: the envelope and its recipients due then, in id order, so a
+broadcast stays one envelope.  The run delivers the smallest pending tick's
+queue front to back.  Every delay is at least one tick, so a tick's queue
+is complete before it is delivered: equal-time deliveries replay in send
+order, and a (config, seed) pair maps to exactly one event log, byte for
+byte.  Lockstep mode delivers every message one tick after it was sent,
 which makes a tick equal to one communication round; random mode draws
-per-message delays from the seeded generator; delay rules add extra ticks
-to matching messages.
+each recipient's delay from the seeded generator; delay rules add extra
+ticks to matching messages.
 
 Misbehaviour enters one way: a fault plugin is a `Node` subclass that acts
 only through its own node's keys.  Silence, equivocation and wrong-bit
@@ -27,8 +29,8 @@ import io
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .aaba import AabaInput
 from .acsq import AcsqInstance
@@ -72,9 +74,8 @@ class DelayRule:
     delay: int = 0
 
     def matches(self, env: Envelope) -> bool:
+        """Every field but `recipient`, which is compared per recipient."""
         if self.sender is not None and env.sender != self.sender:
-            return False
-        if self.recipient is not None and env.recipient != self.recipient:
             return False
         if self.body is not None and type(env.body).__name__ != self.body:
             return False
@@ -192,10 +193,15 @@ class EquivocatingNode(Node):
         return block
 
     def _wrap(self, sends: List[Send]) -> List[Envelope]:
-        out = super()._wrap(sends)
-        for i, env in enumerate(out):
-            if isinstance(env.body, Propose) and env.recipient % 2 != self.node_id % 2:
-                out[i] = replace(env, body=Propose(_twin(env.body.block)))
+        """Its Propose broadcast becomes one unicast per node, in id order."""
+        out: List[Envelope] = []
+        for env in super()._wrap(sends):
+            if type(env.body) is Propose:  # only ever broadcast
+                twin, own = Propose(_twin(env.body.block)), self.node_id % 2
+                out.extend(Envelope(self.node_id, r, env.addr, env.body if r % 2 == own else twin)
+                           for r in self.params.node_ids())
+            else:
+                out.append(env)
         return out
 
 
@@ -314,13 +320,12 @@ class Simulation:
         self.registry = KeyRegistry(config.params.n, system_seed=b"%d" % config.seed)
         self.rng = random.Random(config.seed)
         self.log = EventLog()
-        # delivery tick -> the envelopes due then, in send order
-        self._queue: Dict[int, Deque[Envelope]] = {}
+        # delivery tick -> (envelope, recipients due then) entries, in send order
+        self._queue: Dict[int, Deque[Tuple[Envelope, Sequence[int]]]] = {}
+        self._ids = tuple(config.params.node_ids())  # a broadcast's recipients
         # random mode's base delay is delay_min plus a draw below this width
         self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
         self._bits = self._width.bit_length()
-        # the one delay of every message, when nothing varies it
-        self._fixed_delay = 1 if config.mode == "lockstep" and not config.rules else None
         plugins = {fs.node: _FAULT_NODE_CLASSES[fs.kind] for fs in config.faults}
         self.nodes: Dict[int, Node] = {}
         for i in config.params.node_ids():
@@ -330,52 +335,61 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------------
 
-    def _delay_for(self, env: Envelope) -> int:
-        """The base delay plus the first matching rule's extra ticks.
-
-        A random base is drawn as `Random.randint(delay_min, delay_max)`
-        draws it, from the same bits: `getrandbits` of the width's bit
-        length, redrawn while it is not below the width.
-        """
-        width = self._width
-        if width:
-            bits, getrandbits = self._bits, self.rng.getrandbits
+    def _draw_delay(self) -> int:
+        """One random-mode base delay, drawn as `Random.randint(delay_min,
+        delay_max)` draws it, from the same bits: `getrandbits` of the
+        width's bit length, redrawn while it is not below the width."""
+        width, bits, getrandbits = self._width, self._bits, self.rng.getrandbits
+        r = getrandbits(bits)
+        while r >= width:
             r = getrandbits(bits)
-            while r >= width:
-                r = getrandbits(bits)
-            base = self.config.delay_min + r
-        else:
-            base = 1
-        for rule in self.config.rules:
-            if rule.matches(env):
-                return base + rule.delay
-        return base
+        return self.config.delay_min + r
+
+    def _delivery_groups(
+        self, env: Envelope, recipients: Sequence[int]
+    ) -> Iterable[Tuple[int, Sequence[int]]]:
+        """(tick, recipients due then) for each delivery tick of `env`.
+
+        A recipient's delay is its base delay, 1 in lockstep and drawn in id
+        order in random mode, plus the extra ticks of the first rule in file
+        order that matches the envelope and names that recipient or none.
+        Only the recipient varies between an envelope's deliveries, so each
+        rule's other fields are matched once per envelope.
+        """
+        now = self.log.time
+        hits = [rule for rule in self.config.rules if rule.matches(env)]
+        if not (hits or self._width):  # lockstep and no rule: all due one tick on
+            return ((now + 1, recipients),)
+        groups: Dict[int, List[int]] = {}
+        for to in recipients:
+            t = now + (self._draw_delay() if self._width else 1)
+            for rule in hits:
+                if rule.recipient in (None, to):
+                    t += rule.delay
+                    break
+            groups.setdefault(t, []).append(to)
+        return groups.items()
 
     def _dispatch(self, envelopes: List[Envelope]) -> None:
         # every sender is live: it just started or handled an envelope
         now = self.log.time
         append = self.log.append
         queue = self._queue
-        fixed = self._fixed_delay
         for env in envelopes:
             addr = env.addr
-            append(
-                {
-                    "kind": "send",
-                    "t": now,
-                    "node": env.sender,
-                    "to": env.recipient,
-                    "k": addr.acsq_id,
-                    "proto": addr.proto._name_,
-                    "j": addr.index,
-                    "body": type(env.body).__name__,
-                }
-            )
-            t = now + (fixed or self._delay_for(env))
-            if t in queue:
-                queue[t].append(env)
-            else:
-                queue[t] = deque((env,))
+            recipients = self._ids if env.recipient is None else (env.recipient,)
+            # each recipient's record is a copy of this one: copying beats building
+            send = {"kind": "send", "t": now, "node": env.sender, "to": 0, "k": addr.acsq_id,
+                    "proto": addr.proto._name_, "j": addr.index, "body": type(env.body).__name__}
+            for to in recipients:
+                rec = send.copy()
+                rec["to"] = to
+                append(rec)
+            for t, group in self._delivery_groups(env, recipients):
+                if t in queue:
+                    queue[t].append((env, group))
+                else:
+                    queue[t] = deque(((env, group),))
 
     # -- tx load --------------------------------------------------------------------
 
@@ -416,15 +430,16 @@ class Simulation:
             log.time = t
             due = queue.pop(t)
             while due:
-                env = due.popleft()  # frees each envelope once it is handled
-                node = nodes[env.recipient]
-                k = node.k
-                out = node.handle(env)
-                if out:
-                    self._dispatch(out)
-                if recheck or node.k != k:
-                    recheck = self._maybe_inject()
-                processed += 1
+                env, recipients = due.popleft()  # freed once these recipients have it
+                for to in recipients:
+                    node = nodes[to]
+                    k = node.k
+                    out = node.handle(env)
+                    if out:
+                        self._dispatch(out)
+                    if recheck or node.k != k:
+                        recheck = self._maybe_inject()
+                processed += len(recipients)
                 if processed > max_events:
                     raise RuntimeError("simulation failed to quiesce")
         return RunResult(self.config, self.log, self.nodes)

@@ -1,10 +1,14 @@
 """Print the sha256 of every sweep config's event log, as one JSON object.
 
 A pure refactor must leave every event log byte-identical.  Run this at
-the parent commit and at the change, each in its own process, and diff the
-two outputs:
+the parent commit and at the change, each in its own process, and compare:
 
-    PYTHONPATH=src python tests/digest_sweep.py > digests.json
+    PYTHONPATH=src python tests/digest_sweep.py > parent.json     # at the parent
+    PYTHONPATH=src python tests/digest_sweep.py --compare parent.json
+
+With `--compare FILE` it prints the name of every config whose digest
+differs from FILE's, or that only one side has, instead of the digests,
+and exits 1 if there is any.
 
 The sweep covers the shipped scenarios, both n=16 benchmark workloads at
 seeds 1-3, `fuzz_config(0..499)`, `crash_fuzz_config(0..299)`, and two
@@ -13,6 +17,7 @@ generators that reach the agreement paths: `echo2_hold_config(0..299)` and
 does not collect it.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -44,13 +49,25 @@ def configs():
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="FILE", help="a saved output to diff against")
+    args = parser.parse_args()
+    if args.compare is not None:  # read before the sweep, so a bad FILE fails at once
+        with open(args.compare) as fh:
+            saved = json.load(fh)
     digests = {
         name: hashlib.sha256(run_simulation(config).log.to_lines()).hexdigest()
         for name, config in configs()
     }
-    json.dump(digests, sys.stdout, indent=1)
-    print()
-    return 0
+    if args.compare is None:
+        json.dump(digests, sys.stdout, indent=1)
+        print()
+        return 0
+    differ = [name for name in {**digests, **saved} if saved.get(name) != digests.get(name)]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(saved.keys() | digests.keys())} configs differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
-from support import late_proof_config, make_registry
+from support import echo2_hold_config, late_proof_config, make_registry
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -268,6 +268,23 @@ def test_assist_served_from_returned_instance():
         assert rec["t"] >= returns[(rec["node"], rec["k"])]
 
 
+def test_no_live_agreement_for_a_grade2_index():
+    """Once j is in M2, AABA_j traffic gets only the assistance reply: no
+    instance is made for j, and one that existed is halted with its buffer
+    dropped.  Runs that hold some Echo2s make indices reach M2 while AABA_j
+    traffic is still in flight."""
+    seen = 0
+    for i in range(50):
+        res = run_simulation(echo2_hold_config(i))
+        for node_id in res.config.correct_nodes():
+            for inst in res.nodes[node_id].instances.values():
+                for j in inst.M2.keys() & inst.aaba.keys():
+                    seen += 1
+                    aaba = inst.aaba[j]
+                    assert aaba.inner.halted and aaba.buffered == [], (i, node_id, inst.k, j)
+    assert seen  # some index did reach M2 after its AABA began
+
+
 def test_driver_keeps_at_most_two_live_instances():
     res = run(instances=4)
     assert clean(res) == []
@@ -315,8 +332,8 @@ def test_instance_past_window_dropped_not_held():
     [(InstanceAddr(1, Proto.GBC, 1), Sho2(0)), (InstanceAddr(1, Proto.AABA, 1), Propose(Block(1, 1, ())))],
 )
 def test_wrap_rejects_a_body_its_address_does_not_carry(to, addr, body):
-    # a broadcast (to=None) checks its body once for all n envelopes; that
-    # check must still run
+    # a broadcast (to=None) is one envelope for all n recipients; its body
+    # is checked all the same
     node = run(instances=1).nodes[1]
     with pytest.raises(ValueError):
         node._wrap([Send(addr, body, to=to)])

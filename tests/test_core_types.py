@@ -105,6 +105,8 @@ def test_envelope_body_addr_consistency():
         Envelope(1, 2, gbc, Sho2(0))
     with pytest.raises(ValueError):
         Envelope(1, 2, aaba, Propose(Block(2, 1, ())))
+    with pytest.raises(ValueError):  # a broadcast is checked like a unicast
+        Envelope(1, None, gbc, Sho2(0))
 
 
 def _random_envelope(rng: random.Random, registry, params) -> Envelope:
@@ -179,6 +181,14 @@ def test_envelope_encoding_pinned():
     assert {type(env.body) for env in envs[:13]} == set(get_args(Body))
     raw = b"".join(lp(encode_envelope(env)) for env in envs)
     assert hashlib.sha256(raw).hexdigest() == ENCODING_SHA256
+
+
+def test_broadcast_encodes_to_a_unicast_size():
+    """Each delivery of a broadcast envelope is sized as the unicast to
+    its recipient, so byte counts do not depend on how it was sent."""
+    for env in _pinned_envelopes():
+        broadcast = Envelope(env.sender, None, env.addr, env.body)
+        assert len(encode_envelope(broadcast)) == len(encode_envelope(env))
 
 
 def test_distinct_envelopes_encode_to_distinct_bytes():

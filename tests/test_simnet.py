@@ -2,7 +2,21 @@ import random
 
 import pytest
 
-from falcon_bft.core_types import Envelope, InstanceAddr, Proto, Stop, SystemParams
+from falcon_bft.core_types import (
+    Block,
+    Bval,
+    Echo1,
+    Echo2,
+    Envelope,
+    InstanceAddr,
+    Propose,
+    Proto,
+    Send,
+    Sho2,
+    Stop,
+    SystemParams,
+)
+from falcon_bft.crypto import PartialSig
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import (
     DelayRule,
@@ -10,6 +24,7 @@ from falcon_bft.simnet import (
     InvalidConfig,
     SimConfig,
     Simulation,
+    _twin,
     run_simulation,
 )
 
@@ -80,13 +95,126 @@ def test_delay_rules_applied():
 def test_random_delay_draws_are_randint(lo, hi):
     """Each random-mode delay is the next `randint(delay_min, delay_max)` of
     the run's seeded stream; at width 1 a draw still consumes one bit."""
-    env = Envelope(1, 2, InstanceAddr(1, Proto.AABA, 1), Stop())
     for seed in range(10):
         sim = Simulation(favorable(seed=seed, mode="random", delay_min=lo, delay_max=hi))
         reference = random.Random(seed)
-        draws = [sim._delay_for(env) for _ in range(10_000)]
+        draws = [sim._draw_delay() for _ in range(10_000)]
         assert draws == [reference.randint(lo, hi) for _ in range(10_000)]
         assert sim.rng.getstate() == reference.getstate()
+
+
+def _old_delay_for(config, rng, env):
+    """The per-envelope delay of a run that gave each recipient its own
+    envelope: a base delay, then the first rule in file order whose every
+    field, recipient included, matches."""
+    base = rng.randint(config.delay_min, config.delay_max) if config.mode == "random" else 1
+    fields = {
+        "sender": env.sender,
+        "recipient": env.recipient,
+        "body": type(env.body).__name__,
+        "acsq_id": env.addr.acsq_id,
+        "proto": env.addr.proto.name.lower(),
+        "index": env.addr.index,
+    }
+    for rule in config.rules:
+        if all(getattr(rule, name) in (None, value) for name, value in fields.items()):
+            return base + rule.delay
+    return base
+
+
+def _random_rules(rng, n):
+    """Recipient-only rules mixed with rules on the other fields, some of
+    those naming a recipient too; delays of 0-4 ticks, so one envelope's
+    recipients both share and split delivery ticks."""
+    rules = []
+    for _ in range(rng.randint(2, 6)):
+        fields = {}
+        if rng.random() < 0.5:
+            fields["recipient"] = rng.randint(1, n)
+        for name, domain in (
+            ("body", ("Propose", "Echo1", "Echo2", "Sho2", "Stop", "Bval")),
+            ("index", range(1, n + 1)),
+            ("acsq_id", (1, 2)),
+            ("sender", range(1, n + 1)),
+            ("proto", ("gbc", "aaba")),
+        ):
+            if rng.random() < 0.3:
+                fields[name] = rng.choice(domain)
+        rules.append(DelayRule(**fields, delay=rng.randint(0, 4)))
+    recipient_only = DelayRule(recipient=rng.randint(1, n), delay=rng.randint(1, 4))
+    rules.insert(rng.randint(0, len(rules)), recipient_only)
+    return tuple(rules)
+
+
+def _random_envelope(rng, n):
+    sender, k, j = rng.randint(1, n), rng.randint(1, 2), rng.randint(1, n)
+    body = rng.choice(
+        (
+            Propose(Block(j, k, ())),
+            Echo1(PartialSig(sender, b"t", b"m")),
+            Echo2(PartialSig(sender, b"t", b"m")),
+            Sho2(1),
+            Stop(),
+            Bval(1, 0),
+        )
+    )
+    proto = Proto.GBC if isinstance(body, (Propose, Echo1, Echo2)) else Proto.AABA
+    recipient = None if rng.random() < 0.7 else rng.randint(1, n)
+    return Envelope(sender, recipient, InstanceAddr(k, proto, j), body)
+
+
+@pytest.mark.parametrize("mode", ["random", "lockstep"])
+@pytest.mark.parametrize("seed", range(10))
+def test_dispatch_ticks_match_per_recipient_envelopes(mode, seed):
+    """The ticks `_dispatch` queues a broadcast's recipients at, each rule
+    matched once per envelope, equal those of one envelope per recipient
+    with every rule matched in full: the first matching rule in file order
+    still wins for each recipient, and random base delays are drawn in
+    recipient id order from the same stream."""
+    rng = random.Random(seed)
+    n = rng.choice((4, 7))
+    config = SimConfig(
+        params=SystemParams(n, (n - 1) // 3), seed=seed, mode=mode, delay_min=1,
+        delay_max=5, num_instances=1, rules=_random_rules(rng, n),
+    )
+    sim = Simulation(config)
+    reference = random.Random(seed)
+    for now in range(300):
+        env = _random_envelope(rng, n)
+        sim.log.time = now
+        sim._queue.clear()
+        sim._dispatch([env])
+        got = {}
+        for t, entries in sim._queue.items():
+            assert [e for e, _ in entries] == [env]  # one entry per delivery tick
+            [(_, group)] = entries
+            assert list(group) == sorted(group)
+            got.update((to, t) for to in group)
+        recipients = range(1, n + 1) if env.recipient is None else (env.recipient,)
+        unicasts = [Envelope(env.sender, to, env.addr, env.body) for to in recipients]
+        want = {u.recipient: now + _old_delay_for(config, reference, u) for u in unicasts}
+        assert got == want, (now, env)
+    assert sim.rng.getstate() == reference.getstate()
+
+
+def test_equivocator_wrap_splits_only_its_proposal():
+    """The Propose broadcast becomes n unicasts in id order, the block to
+    the equivocator's own parity and its twin to the other; every other
+    send keeps its one envelope."""
+    n = 7
+    sim = Simulation(favorable(n=n, f=2, faults=(FaultSpec(2, "equivocate"),)))
+    node = sim.nodes[2]
+    block = Block(2, 1, ())
+    gbc, aaba = InstanceAddr(1, Proto.GBC, 2), InstanceAddr(1, Proto.AABA, 3)
+    sends = [Send(aaba, Stop()), Send(gbc, Propose(block)), Send(aaba, Sho2(1), to=5)]
+    out = node._wrap(sends)
+    twin = Propose(_twin(block))
+    assert twin.block.digest != block.digest
+    assert out == (
+        [Envelope(2, None, aaba, Stop())]
+        + [Envelope(2, r, gbc, Propose(block) if r % 2 == 0 else twin) for r in range(1, n + 1)]
+        + [Envelope(2, 5, aaba, Sho2(1))]
+    )
 
 
 def test_config_validation():
