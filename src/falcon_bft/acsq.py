@@ -139,15 +139,12 @@ class AcsqInstance:
 
     def handle(self, env: Envelope) -> List[Send]:
         addr = env.addr
-        if not 1 <= addr.index <= self.params.n:
-            self.log("drop", k=self.k, j=addr.index, reason="bad_index")
+        j = addr.index
+        if not 1 <= j <= self.params.n:
+            self.log("drop", k=self.k, j=j, reason="bad_index")
             return []
-        if addr.proto is _GBC:
-            return self._handle_gbc(env)
-        return self._handle_aaba(env)
-
-    def _handle_gbc(self, env: Envelope) -> List[Send]:
-        j = env.addr.index
+        if addr.proto is not _GBC:
+            return self._handle_aaba(env)
         body = env.body
         cls = type(body)
         # a share counts only from its own signer: relayed from another
@@ -155,7 +152,9 @@ class AcsqInstance:
         if cls is not Propose and body.partial.signer != env.sender:
             self.log("drop", k=self.k, j=j, reason="bad_signer")
             return []
-        g = self.gbc_for(j)
+        g = self.gbc.get(j)
+        if g is None:
+            g = self.gbc_for(j)
         if cls is Propose:
             sub = g.on_propose(env.sender, body.block)
         elif cls is Echo1:

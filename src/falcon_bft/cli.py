@@ -4,7 +4,8 @@
     falcon-sim check <scenario-dir>
 
 Exit code 0 means the run (or every run in the directory) finished with an
-empty violation report; scenario errors exit 2, violations exit 1.
+empty violation report; scenario errors and runs that do not quiesce exit 2
+with one line on stderr and no outputs, violations exit 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import metrics
 from .observer import check_liveness, observe_invariants
 from .scenario import ScenarioError, load_scenario
-from .simnet import MODES, InvalidConfig, schedule
+from .simnet import MODES, InvalidConfig, QuiesceError, schedule
 
 
 def _write_outputs(out_dir: Path, result, violations) -> None:
@@ -56,7 +57,11 @@ def run_one(path: Path, args, nested: bool = False) -> int:
     except (ScenarioError, InvalidConfig, OSError) as exc:
         print(f"{path}: scenario error: {exc}", file=sys.stderr)
         return 2
-    result = simulation.run()
+    try:
+        result = simulation.run()
+    except QuiesceError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return 2
     violations = observe_invariants(result) + check_liveness(result)
     if args.out:
         out_dir = Path(args.out) / path.stem if nested else Path(args.out)

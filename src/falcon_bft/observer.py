@@ -16,6 +16,7 @@ removed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 from typing import Callable, Dict, List, Set, Tuple
@@ -157,14 +158,24 @@ def _check_correlation(
     seen: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
     for rec in prior:
         seen.setdefault(key(rec), []).append((_order(rec), rec["node"]))
+    # per key: its priors' orders, sorted, and the number of distinct nodes
+    # among the first m of them at index m
+    counted: Dict[tuple, Tuple[List[Tuple[int, int]], List[int]]] = {}
+    for k, entries in seen.items():
+        entries.sort()
+        nodes: Set[int] = set()
+        distinct = [0]
+        for _, node in entries:
+            nodes.add(node)
+            distinct.append(len(nodes))
+        counted[k] = ([order for order, _ in entries], distinct)
     for rec in records:
-        earlier = {
-            node for order, node in seen.get(key(rec), []) if order < _order(rec)
-        }
-        if len(earlier) < need:
+        orders, distinct = counted.get(key(rec), ((), (0,)))
+        earlier = distinct[bisect_left(orders, _order(rec))]
+        if earlier < need:
             out.append(
                 _violation(
-                    check, f"only {len(earlier)} {what}", k=rec["k"], j=rec["j"], node=rec["node"]
+                    check, f"only {earlier} {what}", k=rec["k"], j=rec["j"], node=rec["node"]
                 )
             )
     return out

@@ -25,11 +25,14 @@ no txs and drops every envelope delivered to it.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .aaba import AabaInput
@@ -52,6 +55,11 @@ from .node import Node
 
 class InvalidConfig(Exception):
     pass
+
+
+class QuiesceError(RuntimeError):
+    """A run went past `Simulation.MAX_EVENTS` deliveries; the message is
+    one line: each correct node's instance and the undecided AABA indices."""
 
 
 MODES = ("lockstep", "random")
@@ -236,11 +244,61 @@ _FAULT_NODE_CLASSES = {
 
 # -- the simulation ------------------------------------------------------------------
 
-# a send record's line, filled from the record, keys in sorted order
-_SEND_LINE = (
-    '{"body":"%(body)s","i":%(i)d,"j":%(j)d,"k":%(k)d,"kind":"send",'
-    '"node":%(node)d,"proto":"%(proto)s","t":%(t)d,"to":%(to)d}\n'
+# A send record's line with `i` and `to` left open: filled in with the body,
+# j, k, node, proto and t that a broadcast's records share, keys in sorted order.
+_SEND_RUN = (
+    b'{"body":%s,"i":%%d,"j":%d,"k":%d,"kind":"send",'
+    b'"node":%d,"proto":%s,"t":%d,"to":%%d}\n'
 )
+_SEND_FIELDS = operator.itemgetter("body", "i", "j", "k", "node", "proto", "t", "to")
+
+
+def _json_text(s: str) -> str:
+    """`s` as a JSON string, its `%` doubled to stand in a line template."""
+    return encode_basestring_ascii(s).replace("%", "%%")
+
+
+@functools.lru_cache(maxsize=256)
+def _json_name(s: str) -> bytes:
+    """`_json_text(s)` as bytes, for a body or proto name in `_SEND_RUN`."""
+    return _json_text(s).encode()
+
+
+def _getter(keys: List[str]) -> Callable[[dict], tuple]:
+    """A function from a record to the tuple of its values at `keys`."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda rec: (rec[key],)
+    return operator.itemgetter(*keys) if keys else lambda rec: ()
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_line(shape: tuple) -> Optional[Tuple[Callable, str]]:
+    """The line template of a record shape, or None if a key is not a str
+    or holds `%`, `(` or `)`, or a value is not an int or a str.
+
+    A shape is (kind, *keys, *value types), keys and types in the record's
+    order.  The template is (str values getter, line): the line holds the
+    keys in sorted order and `kind`'s value, with a `%(key)d` slot for each
+    int and a `"%(key)s"` slot for each str, filled from the record itself.
+    """
+    width = len(shape) // 2
+    kind, keys = shape[0], shape[1:width + 1]
+    if any(type(key) is not str or "%" in key or "(" in key or ")" in key for key in keys):
+        return None
+    parts, strs = [], []
+    for key, tp in sorted(zip(keys, shape[width + 1:])):
+        head = encode_basestring_ascii(key) + ":"
+        if key == "kind":
+            parts.append(head + _json_text(kind))
+        elif tp is int:
+            parts.append(head + "%%(%s)d" % key)
+        elif tp is str:
+            parts.append(head + '"%%(%s)s"' % key)
+            strs.append(key)
+        else:
+            return None
+    return _getter(strs), "{" + ",".join(parts) + "}\n"
 
 
 class EventLog:
@@ -276,24 +334,64 @@ class EventLog:
         return log
 
     def to_lines(self) -> bytes:
-        """Each record as one line of compact JSON with sorted keys.
+        """Each record as one line of compact JSON with sorted keys: the bytes
+        `json.dumps(rec, sort_keys=True, separators=(",", ":"))` gives.
 
-        `send` records are most of a log, and `_dispatch` writes every one
-        with the same nine keys: seven int fields plus `body` and `proto`,
-        a class name and an enum member name, which are ASCII identifiers
-        that JSON never escapes.  So `_SEND_LINE` writes the bytes the JSON
-        encoder would, at a fraction of its cost; every other kind goes
-        through the encoder.  The template skips a key it has no slot for:
-        a field added to send records goes into it too, and the golden-log
-        tests check that the two agree.
+        No line goes through the JSON encoder if a template can write it:
+
+        - A send record is most of a log, and `_dispatch` writes a
+          broadcast's n records one after another, differing only in `i`
+          and `to`.  `_SEND_RUN` is filled with the other six values once
+          per run of records that hold those very objects, checked then to
+          be ints and strs; each record then adds its `i` and `to`, if both
+          are ints.  A send record with other keys is written like the rest.
+        - Every other record is written from the template of its shape, its
+          kind, keys and value types, which `_shape_line` builds once per
+          shape and caches.  Its ints and strs fill the template's slots,
+          once each str is known to be one that JSON writes unescaped.
+
+        Any record a template cannot write byte for byte, with a bool,
+        float, None, list or dict value, a str that JSON escapes or a key
+        that is not a plain str, goes through the encoder instead.  The
+        lines stream into one buffer: a list of every line would set a
+        run's peak memory.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        # one buffer, no list of every line: that list set a run's peak memory
         out = io.BytesIO()
-        out.writelines(
-            (_SEND_LINE % r if r["kind"] == "send" else encode(r) + "\n").encode()
-            for r in self.records
-        )
+        write = out.write
+        # the current send run: its six shared values and its line template
+        rb = rj = rk = rn = rp = rt = run_line = None
+        plain = set()  # str values that JSON writes unescaped
+        for r in self.records:
+            kind = r["kind"]
+            if kind == "send" and len(r) == 9:
+                try:
+                    body, i, j, k, node, proto, t, to = _SEND_FIELDS(r)
+                except KeyError:  # nine keys, but not the send record's
+                    write((encode(r) + "\n").encode())
+                    continue
+                if not (body is rb and j is rj and k is rk and node is rn
+                        and proto is rp and t is rt):
+                    rb, rj, rk, rn, rp, rt = body, j, k, node, proto, t
+                    if (type(body) is type(proto) is str
+                            and type(j) is type(k) is type(node) is type(t) is int):
+                        run_line = _SEND_RUN % (_json_name(body), j, k, node, _json_name(proto), t)
+                    else:
+                        run_line = None
+                if run_line is not None and type(i) is type(to) is int:
+                    write(run_line % (i, to))
+                    continue
+            elif type(kind) is str:
+                line = _shape_line((kind, *r, *map(type, r.values())))
+                if line is not None:
+                    strs, template = line
+                    texts = strs(r)
+                    if not plain.issuperset(texts):
+                        plain.update(s for s in texts if encode_basestring_ascii(s) == f'"{s}"')
+                    if plain.issuperset(texts):
+                        write((template % r).encode())
+                        continue
+            write((encode(r) + "\n").encode())
         return out.getvalue()
 
     def of_kind(self, kind: str) -> List[dict]:
@@ -441,8 +539,23 @@ class Simulation:
                         recheck = self._maybe_inject()
                 processed += len(recipients)
                 if processed > max_events:
-                    raise RuntimeError("simulation failed to quiesce")
+                    raise self._quiesce_error()
         return RunResult(self.config, self.log, self.nodes)
+
+    def _quiesce_error(self) -> QuiesceError:
+        ks, pending = [], {}  # pending: instance -> indices whose AABA has no output
+        for i in self._correct:
+            node = self.nodes[i]
+            ks.append("%d:%d" % (i, node.k))
+            for k, inst in node.instances.items():
+                for j, aaba in inst.aaba.items():
+                    if aaba.output is None and j not in inst.M2:
+                        pending.setdefault(k, set()).add(j)
+        stuck = " ".join("k=%d:%s" % (k, sorted(js)) for k, js in sorted(pending.items()))
+        return QuiesceError(
+            "simulation failed to quiesce within %d deliveries at t=%d: correct nodes' k %s; "
+            "pending AABA indices %s" % (self.MAX_EVENTS, self.log.time, " ".join(ks), stuck or "none")
+        )
 
 
 @dataclass

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from falcon_bft.cli import main
+from falcon_bft.simnet import Simulation
 
 FAVORABLE = """
 [system]
@@ -147,3 +148,17 @@ def test_unreadable_scenario_exits_two_with_one_line(tmp_path, capsys, data):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]
+
+
+def test_run_that_does_not_quiesce_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Simulation, "MAX_EVENTS", 100)
+    scenario = write(tmp_path, FAVORABLE, "fav.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{scenario}: simulation failed to quiesce within 100 deliveries at t=3: "
+        "correct nodes' k 1:1 2:1 3:1 4:1; pending AABA indices none"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fav.ini"]

@@ -7,8 +7,15 @@ process, so a change to scheduling, message order or log format anywhere
 in the stack shows up here even when every invariant still holds.  The fuzz
 runs add random delays, delay rules and every fault plugin to what the
 scenarios cover, and the crash runs stop a node at ticks from 0 to 63,
-mid-run as well as from the start.  `to_lines` writes send records from a fixed line
-template, and every line must equal the JSON encoder's line of its record.
+mid-run as well as from the start.
+
+`to_lines` writes no line through the JSON encoder that a template can
+write: send records from one `_SEND_RUN` template per broadcast, every other
+record from a template cached per record shape.  Every line of every run
+here must equal the encoder's line of its record, and so must the lines of a
+hand-built log whose records no template can write: escaped strings, bool,
+float, None, list and dict values, and send records with an extra key or a
+non-int field.
 """
 
 import hashlib
@@ -20,7 +27,7 @@ import pytest
 
 from falcon_bft import simnet
 from falcon_bft.scenario import load_scenario
-from falcon_bft.simnet import run_simulation
+from falcon_bft.simnet import EventLog, run_simulation
 from support import crash_fuzz_config, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -128,13 +135,13 @@ LINE_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
 def test_send_line_template_matches_json_encoder(name):
     log = run_simulation(LINE_CONFIGS[name]()).log
-    template_keys = set(re.findall(r'"(\w+)":', simnet._SEND_LINE))
+    template_keys = set(re.findall(r'"(\w+)":', simnet._SEND_RUN.decode()))
     sends = log.of_kind("send")
     assert sends
     for rec in sends:
         assert set(rec) == template_keys, (
             f"send record keys {sorted(rec)} differ from the line template's "
-            f"{sorted(template_keys)}: update _SEND_LINE"
+            f"{sorted(template_keys)}: update _SEND_RUN"
         )
     got = log.to_lines().split(b"\n")
     assert got.pop() == b""
@@ -142,3 +149,36 @@ def test_send_line_template_matches_json_encoder(name):
     assert len(got) == len(want)
     bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert bad is None, f"record {bad}: to_lines wrote {got[bad]!r}, the encoder {want[bad]!r}"
+
+
+def _send(**fields):
+    rec = {"kind": "send", "t": 3, "node": 2, "to": 1, "k": 1, "proto": "GBC", "j": 2, "body": "Echo1"}
+    rec.update(fields)
+    return rec
+
+
+def test_to_lines_matches_json_encoder_on_any_record():
+    log = EventLog()
+    texts = ('say "hi"', "back\\slash", "new\nline", "caf\u00e9", "line\u2028sep", "\x7f", "100%", "f(x)")
+    for text in texts:
+        log.append({"kind": "note", "t": 1, "node": 1, "text": text})
+        log.append({"kind": text, "t": 1, "node": 1})
+        log.append({"kind": "note", "t": 1, "node": 1, text: 1})
+        log.append(_send(body=text))
+    for value in (True, False, 1.5, None, 2**70, -3, [1, [2, "x"]], {"b": {"c": [None]}, "a": 1}):
+        log.append({"kind": "note", "t": 1, "node": 1, "value": value})
+    log.append({"kind": "note"})
+    log.append({"kind": ["not", "a", "str"], "t": 1})
+    # runs of send records, each broken by a record that shares the run's
+    # values but not their types, or that has a key too many or another key
+    no_body = _send(extra=7)
+    del no_body["body"]
+    for rec in (
+        _send(), _send(k=True), _send(), _send(t=3.0), _send(), _send(to=True),
+        _send(extra=7), _send(k="1"), no_body, _send(to=3),
+    ):
+        log.append(rec)
+    got = log.to_lines().split(b"\n")
+    assert got.pop() == b""
+    want = [json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in log.records]
+    assert got == want

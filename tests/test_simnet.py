@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +19,19 @@ from falcon_bft.core_types import (
 )
 from falcon_bft.crypto import PartialSig
 from falcon_bft.observer import check_liveness, observe_invariants
+from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import (
     DelayRule,
     FaultSpec,
     InvalidConfig,
+    QuiesceError,
     SimConfig,
     Simulation,
     _twin,
     run_simulation,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def favorable(n=4, f=1, seed=1, instances=2, **kwargs):
@@ -258,6 +263,18 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidConfig):
             SimConfig(params=SystemParams(4, 1), **bad).validate()
+
+
+def test_run_past_max_events_names_each_node_and_pending_index(monkeypatch):
+    monkeypatch.setattr(Simulation, "MAX_EVENTS", 800)
+    config = load_scenario(SCENARIOS / "wrong_bit_one_path.ini")
+    with pytest.raises(QuiesceError) as caught:
+        run_simulation(config)
+    assert isinstance(caught.value, RuntimeError)
+    assert str(caught.value) == (
+        "simulation failed to quiesce within 800 deliveries at t=27: "
+        "correct nodes' k 1:3 2:3 3:3; pending AABA indices k=3:[1]"
+    )
 
 
 def test_eventual_delivery_queue_drains():
