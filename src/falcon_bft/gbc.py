@@ -172,7 +172,9 @@ class GbcInstance:
                 return []
         if not self.registry.verify_partial(ps):
             return []
-        shares = pool.setdefault(ps.tagged, {})
+        shares = pool.get(ps.tagged)
+        if shares is None:
+            shares = pool[ps.tagged] = {}
         shares[signer] = ps
         # a delivery needs a quorum in one pool, and every call that could
         # complete one with the shares already pooled has tried it

@@ -26,11 +26,12 @@ no txs and drops every envelope delivered to it.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 import json
 import operator
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -458,14 +459,14 @@ class Simulation:
         hits = [rule for rule in self.config.rules if rule.matches(env)]
         if not (hits or self._width):  # lockstep and no rule: all due one tick on
             return ((now + 1, recipients),)
-        groups: Dict[int, List[int]] = {}
+        groups: Dict[int, List[int]] = defaultdict(list)
         for to in recipients:
             t = now + (self._draw_delay() if self._width else 1)
             for rule in hits:
                 if rule.recipient in (None, to):
                     t += rule.delay
                     break
-            groups.setdefault(t, []).append(to)
+            groups[t].append(to)
         return groups.items()
 
     def _dispatch(self, envelopes: List[Envelope]) -> None:
@@ -514,33 +515,48 @@ class Simulation:
     # -- run -----------------------------------------------------------------------------
 
     def run(self) -> "RunResult":
-        self._inject_batch(1)
-        for node in self.nodes.values():
-            self._dispatch(node.start())
-        queue, nodes, log = self._queue, self.nodes, self.log
-        # The injection test can only turn true when some node's k grows,
-        # which happens inside that node's `handle`, or right after an
-        # injection (one batch per test; the next may already be due).
-        recheck = True
-        processed, max_events = 0, self.MAX_EVENTS
-        while queue:
-            t = min(queue)
-            log.time = t
-            due = queue.pop(t)
-            while due:
-                env, recipients = due.popleft()  # freed once these recipients have it
-                for to in recipients:
-                    node = nodes[to]
-                    k = node.k
-                    out = node.handle(env)
-                    if out:
-                        self._dispatch(out)
-                    if recheck or node.k != k:
-                        recheck = self._maybe_inject()
-                processed += len(recipients)
-                if processed > max_events:
-                    raise self._quiesce_error()
-        return RunResult(self.config, self.log, self.nodes)
+        """Deliver until no message is pending.  An enabled cycle collector is
+        paused meanwhile: reference counting alone frees a finished run (pinned
+        in tests/test_hot_path.py), so a collection in it frees nothing.  Then
+        freeze() and unfreeze() move the survivors, in O(1), to the oldest
+        generation, which no young collection walks; not while the caller
+        holds frozen objects, since unfreeze() would thaw those too."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._inject_batch(1)
+            for node in self.nodes.values():
+                self._dispatch(node.start())
+            queue, nodes, log = self._queue, self.nodes, self.log
+            # The injection test can only turn true when some node's k grows,
+            # which happens inside that node's `handle`, or right after an
+            # injection (one batch per test; the next may already be due).
+            recheck = True
+            processed, max_events = 0, self.MAX_EVENTS
+            while queue:
+                t = min(queue)
+                log.time = t
+                due = queue.pop(t)
+                while due:
+                    env, recipients = due.popleft()  # freed once these recipients have it
+                    for to in recipients:
+                        node = nodes[to]
+                        k = node.k
+                        out = node.handle(env)
+                        if out:
+                            self._dispatch(out)
+                        if recheck or node.k != k:
+                            recheck = self._maybe_inject()
+                    processed += len(recipients)
+                    if processed > max_events:
+                        raise self._quiesce_error()
+            return RunResult(self.config, self.log, self.nodes)
+        finally:
+            if enabled:
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
+                gc.enable()
 
     def _quiesce_error(self) -> QuiesceError:
         ks, pending = [], {}  # pending: instance -> indices whose AABA has no output

@@ -1,9 +1,10 @@
 """Properties the delivery path's shortcuts rely on, and the work they save.
 
 The node driver runs only when a handled instance made progress, a run's
-objects are freed by reference counting alone, and a favorable lockstep
-run verifies exactly the echo shares its deliveries need, computing no
-MAC beyond the ones its shares were signed with.  Work is pinned as call
+objects are freed by reference counting alone, which is what lets
+`Simulation.run` pause the cycle collector, and a favorable lockstep run
+verifies exactly the echo shares its deliveries need, computing no MAC
+beyond the ones its shares were signed with.  Work is pinned as call
 counts, which repeat exactly where wall-clock time does not.
 """
 
@@ -18,8 +19,16 @@ from falcon_bft.core_types import SystemParams
 from falcon_bft.crypto import KeyRegistry
 from falcon_bft.node import Node
 from falcon_bft.scenario import load_scenario
-from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation, schedule
-from support import load_bench_module
+from falcon_bft.simnet import (
+    DelayRule,
+    FaultSpec,
+    QuiesceError,
+    SimConfig,
+    Simulation,
+    run_simulation,
+    schedule,
+)
+from support import crash_fuzz_config, echo2_hold_config, late_proof_config, load_bench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted(p.name for p in (ROOT / "scenarios").glob("*.ini"))
@@ -48,13 +57,37 @@ LOW_INDEX_GAPS = {
 # every scenario, both low-index gap runs, and one pass of the fuzz-mix workload
 RUN_CASES = SCENARIOS + sorted(LOW_INDEX_GAPS) + list(range(24))
 
+# both n=16 workloads, and runs that reach crashes, delivery assistance,
+# inner-ABA rounds (with AABA shortcuts and stops in late_proof_33) and a
+# query for a missing block body
+WIDER_RUNS = {
+    "favorable_n16": lambda: WORKLOADS.favorable_n16(1)[0],
+    "byzantine_n16": lambda: WORKLOADS.byzantine_n16(1)[0],
+    "crash_fuzz_3": lambda: crash_fuzz_config(3),
+    "crash_fuzz_11": lambda: crash_fuzz_config(11),
+    "echo2_hold_7": lambda: echo2_hold_config(7),
+    "echo2_hold_37": lambda: echo2_hold_config(37),
+    "late_proof_7": lambda: late_proof_config(7),
+    "late_proof_33": lambda: late_proof_config(33),
+    "body_query": lambda: SimConfig(
+        params=SystemParams(4, 1), seed=7, num_instances=2, tx_load=4,
+        rules=(
+            DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=60),
+            DelayRule(recipient=3, body="Propose", acsq_id=1, index=4, proto="gbc", delay=60),
+        ),
+    ),
+}
+
 
 def config_for(case):
-    """A scenario file name, a `LOW_INDEX_GAPS` key, or the index of a benchmark fuzz-mix run."""
+    """A scenario file name, a `LOW_INDEX_GAPS` or `WIDER_RUNS` key, or the
+    index of a benchmark fuzz-mix run."""
     if isinstance(case, int):
         return WORKLOADS.fuzz_config(case)
     if case in LOW_INDEX_GAPS:
         return LOW_INDEX_GAPS[case]()
+    if case in WIDER_RUNS:
+        return WIDER_RUNS[case]()
     return load_scenario(ROOT / "scenarios" / case)
 
 
@@ -100,19 +133,68 @@ def test_progress_counts_every_growth(monkeypatch, case):
     run_simulation(config_for(case))
 
 
-@pytest.mark.parametrize("case", SCENARIOS + [25])
-def test_finished_run_leaves_no_cyclic_garbage(case):
-    config = config_for(case)
+@pytest.fixture
+def collector():
+    """Puts the cycle collector back as the test found it, enabled or disabled."""
     enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("case", SCENARIOS + [25] + sorted(WIDER_RUNS))
+def test_finished_run_leaves_no_cyclic_garbage(collector, case):
+    """With the collector off, so that `run` leaves it alone, a run's
+    objects are all freed when its result goes."""
+    config = config_for(case)
     gc.disable()
+    gc.collect()
+    result = run_simulation(config)
+    del result
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(monkeypatch, collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    schedule(config_for(1)).run()
+    assert gc.isenabled() is enabled
+    monkeypatch.setattr(Simulation, "MAX_EVENTS", 10)
+    with pytest.raises(QuiesceError):
+        schedule(config_for(1)).run()
+    assert gc.isenabled() is enabled
+
+
+def test_run_makes_no_collection_and_promotes_its_survivors(collector):
+    gc.enable()
+    sim = schedule(config_for(1))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
     try:
-        gc.collect()
-        result = run_simulation(config)
-        del result
-        assert gc.collect() == 0
+        result = sim.run()
     finally:
-        if enabled:
-            gc.enable()
+        gc.callbacks.remove(count)
+    assert starts == []
+    # the survivors sit in the oldest generation, where no young collection walks them
+    assert any(obj is result.nodes for obj in gc.get_objects(generation=2))
+
+
+def test_run_keeps_the_callers_frozen_objects_frozen(collector):
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        schedule(config_for(1)).run()
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 # favorable lockstep runs of 5 instances: (n, f) -> the most partial_sort
