@@ -18,7 +18,10 @@ saw, and holds the body.  The include step runs on the output, on every new
 body, on the index's grade-1 delivery and after each AABA message for the
 index, which may carry the certificate.  A node that knows the digest but
 not the body recovers it by digest query; peers answer from whatever body
-they hold, deferring the answer until they hold one.
+they hold, deferring the answer until they hold one, and a response counts
+only for a digest this node asked for.  A body recovered by assistance or
+query stays in this layer (`known_blocks`): the index's broadcast takes its
+body from the broadcaster alone.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class AcsqInstance:
         self.trigger_active = False
         self.agreement_started = False
         self.returned = False
-        # +1 each time M2, M_acs or S_ex grows or the instance returns
+        # +1 each time M2, M_acs or S_ex grows
         self.progress = 0
 
         self.gbc: Dict[int, GbcInstance] = {}
@@ -249,9 +252,6 @@ class AcsqInstance:
                 out.append(
                     Send(self.aaba_addr(block.creator), QueryResp(block), to=requester)
                 )
-            if via != "gbc":
-                # let buffered echo pools complete deliveries on this body
-                out.extend(self._absorb(block.creator, self.gbc_for(block.creator).learn_body(block)))
         out.extend(self._advance_includes())
         return out
 
@@ -266,7 +266,15 @@ class AcsqInstance:
         # M_acs and S_ex never share an index; before agreement S_ex is empty
         # and M_acs holds exactly M2's indices
         if len(self.M_acs) + len(self.S_ex) == self.params.n:
-            self._do_return()
+            # no progress of its own: the decision that completed the set
+            # was counted, or the driver itself is activating the instance
+            self.returned = True
+            self.log(
+                "instance_return",
+                k=self.k,
+                acs_size=len(self.M_acs),
+                excluded=sorted(self.S_ex),
+            )
             return []
         if self.trigger_active and not self.agreement_started and len(self.M2) >= self.params.quorum:
             return self._enter_agreement()
@@ -359,19 +367,9 @@ class AcsqInstance:
         return []
 
     def _on_query_resp(self, j: int, block: Block) -> List[Send]:
-        if block.instance != self.k or block.creator != j:
+        # the queried digest came from a grade-1 certificate, so a body that
+        # answers no query of ours is unsolicited and may be forged
+        if block.instance != self.k or block.creator != j or block.digest not in self.queried:
             self.log("drop", k=self.k, j=j, reason="bad_query_resp")
             return []
         return self._note_body(block, via="query_resp")
-
-    # -- completion ------------------------------------------------------------------------------
-
-    def _do_return(self) -> None:
-        self.returned = True
-        self.progress += 1
-        self.log(
-            "instance_return",
-            k=self.k,
-            acs_size=len(self.M_acs),
-            excluded=sorted(self.S_ex),
-        )

@@ -3,10 +3,12 @@
 Receivers echo a partial signature over the block digest tagged with the
 grade; n-f matching tag-1 partials yield a grade-1 delivery plus the node's
 tag-2 echo, and n-f tag-2 partials yield a grade-2 delivery.  A correct node
-echoes the first proposal only, which with quorum intersection gives
-consistency under an equivocating broadcaster.  The tag-2 echo is gated on
-the node's own grade-1 delivery; that ordering is what makes grade-2
-delivery imply that f+1 correct nodes already delivered at grade 1.
+takes a body only from the broadcaster's own `Propose` and echoes its first
+proposal only, which with quorum intersection gives consistency under an
+equivocating broadcaster; a body recovered by assistance or query never
+reaches the broadcast.  The tag-2 echo is gated on the node's own grade-1
+delivery; that ordering is what makes grade-2 delivery imply that f+1
+correct nodes already delivered at grade 1.
 """
 
 from __future__ import annotations
@@ -115,15 +117,21 @@ class GbcInstance:
     def on_propose(self, sender: int, block: Block) -> List[object]:
         if sender != self.addr.index:
             return []  # only the broadcaster may propose in its own instance
+        out = self.learn_body(block)
+        if out:
+            out.extend(self._maybe_echo1())
+            out.extend(self._try_deliveries())
+        return out
+
+    def learn_body(self, block: Block) -> List[object]:
+        """Take the broadcaster's block as this broadcast's body, once."""
         if block.creator != self.addr.index or block.instance != self.addr.acsq_id:
             return []
         if self.received_block is not None:
             return []
-        self._receive(block)
-        out: List[object] = [BodyReceived(block)]
-        out.extend(self._maybe_echo1())
-        out.extend(self._try_deliveries())
-        return out
+        self.received_block = block
+        self.tags = (cert_tag(self.addr, block.digest, 1), cert_tag(self.addr, block.digest, 2))
+        return [BodyReceived(block)]
 
     def _maybe_echo1(self) -> List[object]:
         if self.echoed1 or self.silenced or self.received_block is None:
@@ -181,19 +189,6 @@ class GbcInstance:
         if len(shares) < self.params.quorum:
             return []
         return self._try_deliveries()
-
-    def learn_body(self, block: Block) -> List[object]:
-        """Adopt a block body learned out of band (assist or query response)."""
-        if block.creator != self.addr.index or block.instance != self.addr.acsq_id:
-            return []
-        if self.received_block is None:
-            self._receive(block)
-            return [BodyReceived(block)] + self._try_deliveries()
-        return self._try_deliveries()
-
-    def _receive(self, block: Block) -> None:
-        self.received_block = block
-        self.tags = (cert_tag(self.addr, block.digest, 1), cert_tag(self.addr, block.digest, 2))
 
     # -- delivery ------------------------------------------------------------
 

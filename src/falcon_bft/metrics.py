@@ -149,12 +149,14 @@ def tx_records(result: RunResult) -> List[TxRecord]:
     return rows
 
 
-def stability_report(
-    txs: List[TxRecord], min_txs: int = 100, continuity_threshold: int = 5
-) -> dict:
+STABILITY_MIN_TXS = 100  # fewer committed txs raise InsufficientData
+CONTINUITY_THRESHOLD = 5  # distinct commit ticks that make commits "continuous"
+
+
+def stability_report(txs: List[TxRecord]) -> dict:
     """Spread statistics of commit latency plus a burstiness flag."""
-    if len(txs) < min_txs:
-        raise InsufficientData(f"{len(txs)} committed txs < {min_txs}")
+    if len(txs) < STABILITY_MIN_TXS:
+        raise InsufficientData(f"{len(txs)} committed txs < {STABILITY_MIN_TXS}")
     latencies = sorted(r.latency for r in txs)
 
     def pct(q: float) -> int:
@@ -169,7 +171,7 @@ def stability_report(
         "max": latencies[-1],
         "spread": latencies[-1] - latencies[0],
         "distinct_commit_times": distinct_times,
-        "continuous": distinct_times >= continuity_threshold,
+        "continuous": distinct_times >= CONTINUITY_THRESHOLD,
     }
 
 

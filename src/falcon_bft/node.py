@@ -9,12 +9,13 @@ Messages beyond k+1 wait in a holding area; messages past the last instance
 the run can activate are dropped.
 
 The driver (`_drive`, with sorting and pruning) runs only on progress:
-after an envelope grew the handled instance's `M2`, `M_acs` or `S_ex`, or
-made it return.  Nothing else it reads changes outside the driver itself,
-so a run without such a change would do nothing.  The instance counts its
-progress itself: `AcsqInstance.progress` goes up by one at each of the
-five places where one of those three collections grows or the instance
-returns, so `handle` compares one int before and after the envelope.
+after an envelope grew the handled instance's `M2`, `M_acs` or `S_ex`.
+An envelope that makes the instance return also grew one of them, and
+nothing else the driver reads changes outside the driver itself, so a run
+without such a change would do nothing.  The instance counts its progress
+itself: `AcsqInstance.progress` goes up by one at each of the four places
+where one of those three collections grows, so `handle` compares one int
+before and after the envelope.
 
 One instance past the configured window is still activated so the last
 measured instance has a successor to fire its trigger from; that extra

@@ -13,17 +13,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 from falcon_bft import node as node_module
 from falcon_bft.aaba import AabaInstance
 from falcon_bft.core_types import (
+    Block,
     Echo2,
+    Envelope,
     GradedDelivery,
     InstanceAddr,
     Proto,
+    QueryResp,
     Send,
     SystemParams,
+    Transaction,
 )
 from falcon_bft.crypto import KeyRegistry, ThresholdSig
 from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
 from falcon_bft.node import Node
-from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig
+from falcon_bft.simnet import DelayRule, FaultSpec, SilentNode, SimConfig
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -88,6 +92,27 @@ def late_proof_config(i: int) -> SimConfig:
         tx_load=2,
         rules=tuple(rules),
     )
+
+
+class BodyForgingNode(SilentNode):
+    """A silent node that, at start, sends every other node one made-up
+    `QueryResp` per (instance, index), none of them asked for: each holds a
+    block in the right slot that its creator never proposed.  Tests install
+    it with `monkeypatch.setitem(simnet._FAULT_NODE_CLASSES, FORGE_BODIES,
+    BodyForgingNode)`."""
+
+    def start(self) -> List[Envelope]:
+        out = super().start()
+        ids = self.params.node_ids()
+        for k in range(1, self.last_instance + 1):
+            for j in ids:
+                forged = QueryResp(Block(j, k, (Transaction(b"forged:%d:%d" % (k, j)),)))
+                addr = InstanceAddr(k, Proto.AABA, j)
+                out.extend(Envelope(self.node_id, r, addr, forged) for r in ids if r != self.node_id)
+        return out
+
+
+FORGE_BODIES = "forge_bodies"
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:

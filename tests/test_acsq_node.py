@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from falcon_bft import simnet
 from falcon_bft.acsq import AcsqInstance
 from falcon_bft.core_types import (
     Assist,
@@ -30,7 +31,13 @@ from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
-from support import echo2_hold_config, late_proof_config, make_registry
+from support import (
+    FORGE_BODIES,
+    BodyForgingNode,
+    echo2_hold_config,
+    late_proof_config,
+    make_registry,
+)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -421,3 +428,81 @@ def test_deferred_query_answered_once_the_body_arrives():
     assert inst.pending_queries == {}
     sent = [r for r in records if r["kind"] == "query_resp_sent"]
     assert sent == [{"kind": "query_resp_sent", "k": 1, "to": 3, "digest": block.digest.hex()}]
+
+
+def _forged(j, k=1):
+    return Block(j, k, (Transaction(b"forged"),))
+
+
+def test_unsolicited_query_resp_dropped():
+    inst, _, records = _lone_instance()
+    block = _forged(2)
+    assert inst.handle(Envelope(3, 1, InstanceAddr(1, Proto.AABA, 2), QueryResp(block))) == []
+    assert inst.known_blocks == {}
+    assert _drops(records) == ["bad_query_resp"]
+    assert not [r for r in records if r["kind"] == "body_received"]
+
+
+def test_assisted_body_stays_out_of_the_broadcast():
+    inst, registry, _ = _lone_instance()
+    block = Block(2, 1, (Transaction(b"tx"),))
+    tagged = cert_tag(InstanceAddr(1, Proto.GBC, 2), block.digest, 2)
+    gd = GradedDelivery(block, 2, registry.combine([registry.partial_sign(i, tagged) for i in (1, 2, 3)], 3))
+    inst.handle(Envelope(3, 1, InstanceAddr(1, Proto.AABA, 2), Assist(gd)))
+    assert inst.M2 == {2: gd} and inst.known_blocks == {block.digest: block}
+    assert inst.gbc_for(2).received_block is None
+
+
+def _echo1_tags(out):
+    return [(s.addr.index, s.body.partial.tagged) for s in out if type(s.body) is Echo1]
+
+
+def test_unsolicited_query_resp_leaves_the_broadcast_to_its_propose():
+    inst, _, _ = _lone_instance()
+    inst.activate(None)
+    inst.handle(Envelope(3, 1, InstanceAddr(1, Proto.AABA, 2), QueryResp(_forged(2))))
+    assert inst.gbc_for(2).received_block is None
+    block = Block(2, 1, (Transaction(b"tx"),))
+    out = inst.handle(Envelope(2, 1, InstanceAddr(1, Proto.GBC, 2), Propose(block)))
+    assert inst.gbc[2].received_block == block
+    assert _echo1_tags(out) == [(2, cert_tag(InstanceAddr(1, Proto.GBC, 2), block.digest, 1))]
+
+
+def test_passive_instance_echoes_only_its_broadcasters_block_on_activation():
+    inst, _, _ = _lone_instance()
+    for j in (2, 3):
+        inst.handle(Envelope(4, 1, InstanceAddr(1, Proto.AABA, j), QueryResp(_forged(j))))
+    block = Block(2, 1, (Transaction(b"tx"),))
+    assert _echo1_tags(inst.handle(Envelope(2, 1, InstanceAddr(1, Proto.GBC, 2), Propose(block)))) == []
+    assert _echo1_tags(inst.activate(None)) == [
+        (2, cert_tag(InstanceAddr(1, Proto.GBC, 2), block.digest, 1))
+    ]
+
+
+FORGER_RUNS = [
+    pytest.param(
+        dict(params=SystemParams(n, f), num_instances=3, rules=rules),
+        id=f"lockstep-n{n}-" + (f"propose+{rules[0].delay}" if rules else "norule"),
+    )
+    for n, f in ((4, 1), (7, 2))
+    for rules in ((),) + tuple((DelayRule(body="Propose", delay=d),) for d in (2, 3, 5))
+] + [
+    pytest.param(
+        dict(params=SystemParams(4, 1), num_instances=3, seed=seed, mode="random",
+             delay_min=1, delay_max=5),
+        id=f"random-n4-seed{seed}",
+    )
+    for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("fields", FORGER_RUNS)
+def test_forged_query_responses_break_nothing(monkeypatch, fields):
+    """A node that floods unsolicited forged bodies at start costs no
+    correct node its Echo1, its deliveries or a returned instance."""
+    monkeypatch.setitem(simnet._FAULT_NODE_CLASSES, FORGE_BODIES, BodyForgingNode)
+    n = fields["params"].n
+    res = run_simulation(SimConfig(faults=(FaultSpec(n, FORGE_BODIES),), **fields))
+    assert clean(res) == []
+    drops = [r for r in res.log.of_kind("drop") if r.get("reason") == "bad_query_resp"]
+    assert drops  # the forgeries arrived and were turned away
