@@ -143,7 +143,8 @@ class AcsqInstance:
     def handle(self, env: Envelope) -> List[Send]:
         addr = env.addr
         j = addr.index
-        if not 1 <= j <= self.params.n:
+        g = self.gbc.get(j)  # a live broadcast's index is in range
+        if g is None and not 1 <= j <= self.params.n:
             self.log("drop", k=self.k, j=j, reason="bad_index")
             return []
         if addr.proto is not _GBC:
@@ -155,7 +156,6 @@ class AcsqInstance:
         if cls is not Propose and body.partial.signer != env.sender:
             self.log("drop", k=self.k, j=j, reason="bad_signer")
             return []
-        g = self.gbc.get(j)
         if g is None:
             g = self.gbc_for(j)
         if cls is Propose:

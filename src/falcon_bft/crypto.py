@@ -16,7 +16,9 @@ MAC and computes one only for a pair the registry never signed.  The MAC
 is a pure function of the key and the digest, so the remembered value is
 the one verification would compute, and every share gets the same verdict
 as without the memo.  Only `partial_sign` fills the memo, never a
-presented share, so forged shares cannot grow it.
+presented share, so forged shares cannot grow it.  The last share accepted,
+if its fields are `bytes`, is accepted again at once: a broadcast hands all
+its receivers that one object.  `cert_tags` holds gbc's per-run grade tags.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 DIGEST_LEN = 32
 
@@ -91,6 +93,8 @@ class KeyRegistry:
         self.coin_secret = sha256(b"falcon-coin" + system_seed)
         # tagged -> signer -> MAC, for every share partial_sign produced
         self._signed: Dict[bytes, Dict[int, bytes]] = {}
+        self._accepted: Optional[PartialSig] = None
+        self.cert_tags: Dict[bytes, Tuple[bytes, bytes]] = {}
 
     def _mac(self, signer: int, tagged: bytes) -> bytes:
         return hmac.digest(self._keys[signer], tagged, "sha256")
@@ -102,6 +106,8 @@ class KeyRegistry:
 
     def verify_partial(self, ps: PartialSig) -> bool:
         """Check the MAC only; binding to a concrete message needs verify_partial_for."""
+        if ps is self._accepted:
+            return True
         if not 1 <= ps.signer <= self.n or len(ps.tagged) != DIGEST_LEN:
             return False
         try:
@@ -111,7 +117,10 @@ class KeyRegistry:
         expected = by_signer.get(ps.signer) if by_signer else None
         if expected is None:
             expected = self._mac(ps.signer, ps.tagged)
-        return hmac.compare_digest(ps.mac, expected)
+        ok = hmac.compare_digest(ps.mac, expected)
+        if ok and type(ps.tagged) is type(ps.mac) is bytes:
+            self._accepted = ps
+        return ok
 
     def verify_partial_for(self, ps: PartialSig, message: bytes, tag: int) -> bool:
         return ps.tagged == tagged_digest(message, tag) and self.verify_partial(ps)

@@ -8,7 +8,8 @@ proposal only, which with quorum intersection gives consistency under an
 equivocating broadcaster; a body recovered by assistance or query never
 reaches the broadcast.  The tag-2 echo is gated on the node's own grade-1
 delivery; that ordering is what makes grade-2 delivery imply that f+1
-correct nodes already delivered at grade 1.
+correct nodes already delivered at grade 1.  A block's grade tags are
+hashed once per run and shared through `KeyRegistry.cert_tags`.
 """
 
 from __future__ import annotations
@@ -130,7 +131,10 @@ class GbcInstance:
         if self.received_block is not None:
             return []
         self.received_block = block
-        self.tags = (cert_tag(self.addr, block.digest, 1), cert_tag(self.addr, block.digest, 2))
+        digest, table = block.digest, self.registry.cert_tags
+        if digest not in table:  # past the checks above, the tags depend on it alone
+            table[digest] = (cert_tag(self.addr, digest, 1), cert_tag(self.addr, digest, 2))
+        self.tags = table[digest]
         return [BodyReceived(block)]
 
     def _maybe_echo1(self) -> List[object]:

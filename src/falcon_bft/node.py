@@ -6,7 +6,8 @@ first grade-2 delivery inside k+1 fires k's agreement trigger.  Messages
 for k+1 arriving before local activation are processed passively: pools
 fill and deliveries can complete, but no partial signatures leave the node.
 Messages beyond k+1 wait in a holding area; messages past the last instance
-the run can activate are dropped.
+the run can activate are dropped.  A live instance has passed those tests
+and the pruning test (`k` only grows), so only a new instance is tested.
 
 The driver (`_drive`, with sorting and pruning) runs only on progress:
 after an envelope grew the handled instance's `M2`, `M_acs` or `S_ex`.
@@ -82,15 +83,15 @@ class Node:
 
     def handle(self, env: Envelope) -> List[Envelope]:
         k = env.addr.acsq_id
-        if k > self.last_instance:
-            self.log("drop", k=k, reason="beyond_window")
-            return []
-        if k > self.k + 1:
-            self.held.setdefault(k, []).append(env)
-            self.log("held", k=k, body=type(env.body).__name__)
-            return []
         inst = self.instances.get(k)
-        if inst is None:
+        if inst is None:  # a live instance has passed these tests
+            if k > self.last_instance:
+                self.log("drop", k=k, reason="beyond_window")
+                return []
+            if k > self.k + 1:
+                self.held.setdefault(k, []).append(env)
+                self.log("held", k=k, body=type(env.body).__name__)
+                return []
             if k < self.pruned_below:
                 self.log("drop", k=k, reason="pruned_instance")
                 return []

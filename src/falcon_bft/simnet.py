@@ -424,7 +424,7 @@ class Simulation:
         self._ids = tuple(config.params.node_ids())  # a broadcast's recipients
         # random mode's base delay is delay_min plus a draw below this width
         self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
-        self._bits = self._width.bit_length()
+        self._delays: Dict[Tuple[int, ...], List[int]] = {}  # matched rules -> delay by recipient
         plugins = {fs.node: _FAULT_NODE_CLASSES[fs.kind] for fs in config.faults}
         self.nodes: Dict[int, Node] = {}
         for i in config.params.node_ids():
@@ -434,39 +434,39 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------------
 
-    def _draw_delay(self) -> int:
-        """One random-mode base delay, drawn as `Random.randint(delay_min,
-        delay_max)` draws it, from the same bits: `getrandbits` of the
-        width's bit length, redrawn while it is not below the width."""
-        width, bits, getrandbits = self._width, self._bits, self.rng.getrandbits
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        return self.config.delay_min + r
-
     def _delivery_groups(
         self, env: Envelope, recipients: Sequence[int]
     ) -> Iterable[Tuple[int, Sequence[int]]]:
         """(tick, recipients due then) for each delivery tick of `env`.
 
-        A recipient's delay is its base delay, 1 in lockstep and drawn in id
-        order in random mode, plus the extra ticks of the first rule in file
-        order that matches the envelope and names that recipient or none.
-        Only the recipient varies between an envelope's deliveries, so each
-        rule's other fields are matched once per envelope.
+        A recipient's delay is its base delay, 1 in lockstep and in random
+        mode drawn in id order as `randint(delay_min, delay_max)` draws it,
+        plus the extra ticks of the first rule in file order that matches the
+        envelope and names that recipient or none.  Rules are matched once per
+        envelope, and each set of matches is tabled once per run: the delay
+        of each recipient, less its random draw.
         """
-        now = self.log.time
-        hits = [rule for rule in self.config.rules if rule.matches(env)]
-        if not (hits or self._width):  # lockstep and no rule: all due one tick on
+        now, rules, width = self.log.time, self.config.rules, self._width
+        hits = tuple(i for i, rule in enumerate(rules) if rule.matches(env)) if rules else ()
+        if not (hits or width):  # lockstep and no rule: all due one tick on
             return ((now + 1, recipients),)
+        delays = self._delays.get(hits)
+        if delays is None:
+            matched = [rules[i] for i in hits]
+            delays = self._delays[hits] = [(self.config.delay_min if width else 1) + next(
+                (rule.delay for rule in matched if rule.recipient in (None, to)), 0
+            ) for to in range(len(self._ids) + 1)]
         groups: Dict[int, List[int]] = defaultdict(list)
-        for to in recipients:
-            t = now + (self._draw_delay() if self._width else 1)
-            for rule in hits:
-                if rule.recipient in (None, to):
-                    t += rule.delay
-                    break
-            groups[t].append(to)
+        if width:
+            getrandbits, bits = self.rng.getrandbits, width.bit_length()
+            for to in recipients:
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                groups[now + r + delays[to]].append(to)
+        else:
+            for to in recipients:
+                groups[now + delays[to]].append(to)
         return groups.items()
 
     def _dispatch(self, envelopes: List[Envelope]) -> None:

@@ -11,18 +11,22 @@ differs from FILE's, or that only one side has, instead of the digests,
 and exits 1 if there is any.
 
 The sweep covers the shipped scenarios, both n=16 benchmark workloads at
-seeds 1-3, `fuzz_config(0..499)`, `crash_fuzz_config(0..299)`, and two
+seeds 1-3, favorable n=31 (f=10) at seed 1 in lockstep and random mode
+(the favorable-n16 workload's other settings; the widest fan-out per
+broadcast), `fuzz_config(0..499)`, `crash_fuzz_config(0..299)`, and two
 generators that reach the agreement paths: `echo2_hold_config(0..299)` and
 `late_proof_config(0..199)`.  The file has no `test_` prefix, so pytest
 does not collect it.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+from falcon_bft.core_types import SystemParams
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
 from support import crash_fuzz_config, echo2_hold_config, late_proof_config, load_bench_module
@@ -38,6 +42,9 @@ def configs():
     for name in ("favorable-n16", "byzantine-n16"):
         for seed in (1, 2, 3):
             yield f"{name}:{seed}", workloads.WORKLOADS[name](seed)[0]
+    favorable_n31 = dataclasses.replace(workloads.favorable_n16(1)[0], params=SystemParams(31, 10))
+    for mode in ("lockstep", "random"):
+        yield f"favorable-n31:1:{mode}", dataclasses.replace(favorable_n31, mode=mode)
     for i in range(500):
         yield f"fuzz_config({i})", workloads.fuzz_config(i)
     for i in range(300):

@@ -115,6 +115,19 @@ class BodyForgingNode(SilentNode):
 FORGE_BODIES = "forge_bodies"
 
 
+def scenario_mutants(path: Path, count: int = 300):
+    """`count` copies of a scenario file's bytes, each with 1-3 bytes
+    overwritten by random values, drawn from a generator seeded by the
+    file's name, so every caller sees the same mutants in the same order."""
+    original = path.read_bytes()
+    rng = random.Random(path.name)
+    for _ in range(count):
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        yield bytes(data)
+
+
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:
     return KeyRegistry(n, system_seed=seed)
 

@@ -27,6 +27,7 @@ from falcon_bft.core_types import (
 )
 from falcon_bft.crypto import tagged_digest
 from falcon_bft.gbc import cert_tag
+from falcon_bft.node import Node
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
@@ -36,6 +37,7 @@ from support import (
     BodyForgingNode,
     echo2_hold_config,
     late_proof_config,
+    load_bench_module,
     make_registry,
 )
 
@@ -331,6 +333,88 @@ def test_instance_past_window_dropped_not_held():
     assert max(node.instances) == last
     drops = [r for r in res.log.of_kind("drop") if r["reason"] == "beyond_window"]
     assert [r["k"] for r in drops] == [last + 1, 10**6, 10**6 + 1]
+
+
+def test_window_held_and_pruned_tests_fire_beside_live_instances(monkeypatch):
+    """Mid-run, while node 1 holds live instances and has pruned some, an
+    envelope past the window is dropped, one beyond k+1 is held and one
+    below the pruning horizon is dropped, each with its one record, and one
+    for a live instance reaches it with neither.  The probe envelopes are
+    proposals from a node that is not the broadcaster, which a broadcast
+    ignores, so the run goes on unchanged."""
+    sim = simnet.schedule(SimConfig(params=SystemParams(4, 1), seed=1, num_instances=8, tx_load=2))
+    records = sim.log.records
+    handle = Node.handle
+    probed = []
+
+    def probe(node, k):
+        """The held and drop records that node's handling of a probe for instance k writes."""
+        before = len(records)
+        env = Envelope(2, 1, InstanceAddr(k, Proto.GBC, 3), Propose(Block(3, k, ())))
+        assert handle(node, env) == []
+        return [(r["kind"], r.get("reason")) for r in records[before:] if r["kind"] in ("held", "drop")]
+
+    def handle_then_probe(self, env):
+        out = handle(self, env)
+        if self.node_id == 1 and not probed and self.pruned_below > 1 and self.k + 2 <= self.last_instance:
+            live = set(self.instances)
+            probed.append({
+                "beyond_window": probe(self, self.last_instance + 1),
+                "held": probe(self, self.k + 2),
+                "pruned_instance": probe(self, self.pruned_below - 1),
+                "live": probe(self, self.k),
+            })
+            assert set(self.instances) == live and self.k in live
+            assert self.held[self.k + 2]
+        return out
+
+    monkeypatch.setattr(Node, "handle", handle_then_probe)
+    res = sim.run()
+    assert probed == [{
+        "beyond_window": [("drop", "beyond_window")],
+        "held": [("held", None)],
+        "pruned_instance": [("drop", "pruned_instance")],
+        "live": [],
+    }]
+    assert clean(res) == []
+
+
+def test_no_node_holds_an_instance_past_the_window_or_k_plus_one(monkeypatch):
+    """Over `fuzz_config(0..49)`, after every envelope a node handles, its
+    instances all lie at or below both its last instance and its k+1."""
+    workloads = load_bench_module("workloads")
+    handle = Node.handle
+    checked = []
+
+    def handle_then_check(self, env):
+        out = handle(self, env)
+        assert max(self.instances) <= min(self.last_instance, self.k + 1)
+        checked.append(env.addr.acsq_id > self.k + 1)
+        return out
+
+    monkeypatch.setattr(Node, "handle", handle_then_check)
+    for i in range(50):
+        run_simulation(workloads.fuzz_config(i))
+    assert any(checked)  # some envelope came for an instance beyond k+1
+
+
+def test_lone_instance_with_a_live_broadcast_still_drops_bad_signer_and_bad_index():
+    """Once index 2's broadcast is live, a share its sender did not sign is
+    still dropped as `bad_signer`, and an index out of range, on a GBC or
+    an AABA address, as `bad_index` ahead of any signer test."""
+    inst, registry, records = _lone_instance()
+    addr = InstanceAddr(1, Proto.GBC, 2)
+    block = Block(2, 1, (Transaction(b"tx"),))
+    inst.handle(Envelope(2, 1, addr, Propose(block)))
+    assert set(inst.gbc) == {2}
+    share = registry.partial_sign(3, cert_tag(addr, block.digest, 1))
+    assert inst.handle(Envelope(4, 1, addr, Echo1(share))) == []
+    assert inst.gbc[2].pool1 == {}
+    for j in (0, 5, 10**6):
+        assert inst.handle(Envelope(4, 1, InstanceAddr(1, Proto.GBC, j), Echo1(share))) == []
+        assert inst.handle(Envelope(4, 1, InstanceAddr(1, Proto.AABA, j), Sho2(0))) == []
+    assert _drops(records) == ["bad_signer"] + ["bad_index"] * 6
+    assert set(inst.gbc) == {2} and inst.aaba == {}
 
 
 @pytest.mark.parametrize("to", [None, 3])

@@ -65,6 +65,34 @@ def test_bytearray_digest_gets_the_same_verdict(registry):
     assert not registry.verify_partial(PartialSig(1, bytearray(ps.tagged), bytes(32)))
 
 
+@pytest.mark.parametrize("signed_here", [True, False])
+def test_wrong_mac_right_after_an_accepted_share_is_rejected(registry, signed_here):
+    # the registry keeps the share it last accepted; another share object
+    # with that share's signer and digest but another MAC is still checked
+    tagged = tagged_digest(b"hello", 1)
+    signer_side = registry if signed_here else KeyRegistry(4, system_seed=b"unit")
+    ps = signer_side.partial_sign(2, tagged)
+    assert registry.verify_partial(ps)
+    for mac in (bytes(32), bytes([ps.mac[0] ^ 1]) + ps.mac[1:], ps.mac[:-1]):
+        assert not registry.verify_partial(PartialSig(ps.signer, ps.tagged, mac))
+    assert registry.verify_partial(ps)
+    assert not registry.verify_partial(PartialSig(ps.signer, ps.tagged, bytes(32)))
+
+
+@pytest.mark.parametrize("field", ["tagged", "mac"])
+def test_bytearray_share_is_checked_afresh_on_every_call(registry, field):
+    # a share with a bytearray field is never taken as already accepted, so
+    # changing that field after it was accepted gets it rejected
+    ps = registry.partial_sign(1, tagged_digest(b"hello", 1))
+    mutable = bytearray(getattr(ps, field))
+    share = PartialSig(1, mutable, ps.mac) if field == "tagged" else PartialSig(1, ps.tagged, mutable)
+    assert registry.verify_partial(share)
+    mutable[0] ^= 1
+    assert not registry.verify_partial(share)
+    mutable[0] ^= 1
+    assert registry.verify_partial(share)
+
+
 def test_forged_shares_do_not_grow_the_memo(registry):
     def memo_size():
         return sum(len(by_signer) for by_signer in registry._signed.values())

@@ -4,7 +4,8 @@ The node driver runs only when a handled instance made progress, a run's
 objects are freed by reference counting alone, which is what lets
 `Simulation.run` pause the cycle collector, and a favorable lockstep run
 verifies exactly the echo shares its deliveries need, computing no MAC
-beyond the ones its shares were signed with.  Work is pinned as call
+beyond the ones its shares were signed with, comparing each echo
+envelope's MAC at most once and hashing each block's grade tags once.  Work is pinned as call
 counts, which repeat exactly where wall-clock time does not.
 """
 
@@ -219,6 +220,7 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     count(KeyRegistry, "verify_partial", "verify_partial")
     count(KeyRegistry, "partial_sign", "partial_sign")
     count(crypto.hmac, "digest", "hmac")
+    count(crypto.hmac, "compare_digest", "compare_digest")
     count(node, "partial_sort", "partial_sort")
     count(crypto, "tagged_digest", "tagged_digest")
     count(gbc, "tagged_digest", "tagged_digest")
@@ -232,9 +234,12 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     quorum = config.params.quorum
     assert calls["verify_partial"] == n * n * 2 * quorum * (instances + 1)
     assert calls["partial_sort"] <= WORK_BOUNDS[(n, f)]
-    # each node hashes the two grade tags of each GBC once, when the body
-    # arrives, and signs its echoes with them
-    assert calls["tagged_digest"] == 2 * n * n * (instances + 1)
+    # the two grade tags of each GBC are hashed once per run, by the first
+    # node the body reaches, and every node signs its echoes with them
+    assert calls["tagged_digest"] == 2 * n * (instances + 1)
+    # an echo envelope's share is one object for all its recipients, so its
+    # MAC is compared at most once: the n echo envelopes per grade of each GBC
+    assert calls["compare_digest"] <= 2 * n * n * (instances + 1)
     # each node signs those two tags in each GBC, and every verified share
     # was signed in the run, so the only MACs computed are the signatures
     assert calls["partial_sign"] == 2 * n * n * (instances + 1)

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +5,7 @@ import pytest
 
 from falcon_bft.scenario import ScenarioError, load_scenario
 from falcon_bft.simnet import InvalidConfig
+from support import scenario_mutants
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -108,14 +108,9 @@ def test_mutated_scenario_bytes_load_or_raise_a_defined_error(tmp_path, name):
     """Overwrite 1-3 bytes of a shipped scenario with random values: loading
     and validating it either succeeds or raises `ScenarioError` or
     `InvalidConfig` with a one-line message.  Nothing is run."""
-    original = (SCENARIOS / name).read_bytes()
-    rng = random.Random(name)
     path = tmp_path / name
     outcomes = Counter()
-    for _ in range(300):
-        data = bytearray(original)
-        for _ in range(rng.randint(1, 3)):
-            data[rng.randrange(len(data))] = rng.randrange(256)
+    for data in scenario_mutants(SCENARIOS / name):
         path.write_bytes(data)
         try:
             load_scenario(path).validate()

@@ -99,11 +99,18 @@ def test_delay_rules_applied():
 @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 3), (1, 5), (2, 7), (1, 8), (1, 9)])
 def test_random_delay_draws_are_randint(lo, hi):
     """Each random-mode delay is the next `randint(delay_min, delay_max)` of
-    the run's seeded stream; at width 1 a draw still consumes one bit."""
+    the run's seeded stream, drawn in recipient id order; at width 1 a draw
+    still consumes one bit.  The delays are read as each recipient's tick
+    in `_delivery_groups`, 10 000 per seed."""
+    env = Envelope(1, None, InstanceAddr(1, Proto.GBC, 1), Echo1(PartialSig(1, b"t", b"m")))
     for seed in range(10):
         sim = Simulation(favorable(seed=seed, mode="random", delay_min=lo, delay_max=hi))
         reference = random.Random(seed)
-        draws = [sim._draw_delay() for _ in range(10_000)]
+        draws = []
+        for now in range(10_000 // len(sim._ids)):
+            sim.log.time = now
+            ticks = {to: t for t, group in sim._delivery_groups(env, sim._ids) for to in group}
+            draws.extend(ticks[to] - now for to in sim._ids)
         assert draws == [reference.randint(lo, hi) for _ in range(10_000)]
         assert sim.rng.getstate() == reference.getstate()
 
@@ -168,24 +175,13 @@ def _random_envelope(rng, n):
     return Envelope(sender, recipient, InstanceAddr(k, proto, j), body)
 
 
-@pytest.mark.parametrize("mode", ["random", "lockstep"])
-@pytest.mark.parametrize("seed", range(10))
-def test_dispatch_ticks_match_per_recipient_envelopes(mode, seed):
-    """The ticks `_dispatch` queues a broadcast's recipients at, each rule
-    matched once per envelope, equal those of one envelope per recipient
-    with every rule matched in full: the first matching rule in file order
-    still wins for each recipient, and random base delays are drawn in
-    recipient id order from the same stream."""
-    rng = random.Random(seed)
-    n = rng.choice((4, 7))
-    config = SimConfig(
-        params=SystemParams(n, (n - 1) // 3), seed=seed, mode=mode, delay_min=1,
-        delay_max=5, num_instances=1, rules=_random_rules(rng, n),
-    )
+def _check_dispatch_ticks(config, envelopes):
+    """Dispatch each envelope alone at ticks 0, 1, ... and compare the
+    ticks it is queued at with those of one envelope per recipient."""
     sim = Simulation(config)
-    reference = random.Random(seed)
-    for now in range(300):
-        env = _random_envelope(rng, n)
+    reference = random.Random(config.seed)
+    n = config.params.n
+    for now, env in enumerate(envelopes):
         sim.log.time = now
         sim._queue.clear()
         sim._dispatch([env])
@@ -200,6 +196,53 @@ def test_dispatch_ticks_match_per_recipient_envelopes(mode, seed):
         want = {u.recipient: now + _old_delay_for(config, reference, u) for u in unicasts}
         assert got == want, (now, env)
     assert sim.rng.getstate() == reference.getstate()
+    return sim
+
+
+@pytest.mark.parametrize("mode", ["random", "lockstep"])
+@pytest.mark.parametrize("seed", range(10))
+def test_dispatch_ticks_match_per_recipient_envelopes(mode, seed):
+    """The ticks `_dispatch` queues a broadcast's recipients at, each rule
+    matched once per envelope, equal those of one envelope per recipient
+    with every rule matched in full: the first matching rule in file order
+    still wins for each recipient, and random base delays are drawn in
+    recipient id order from the same stream."""
+    rng = random.Random(seed)
+    n = rng.choice((4, 7))
+    config = SimConfig(
+        params=SystemParams(n, (n - 1) // 3), seed=seed, mode=mode, delay_min=1,
+        delay_max=5, num_instances=1, rules=_random_rules(rng, n),
+    )
+    _check_dispatch_ticks(config, [_random_envelope(rng, n) for _ in range(300)])
+
+
+# rules the random ones may miss: matching rules of delay 0, which still
+# shadow every later rule; one rule set that every envelope matches, so one
+# table of delays serves them all; a rule naming no recipient ahead of
+# rules naming one, which then never apply to what it matches
+FIXED_RULES = {
+    "delay_0": (
+        DelayRule(body="Echo1", delay=0), DelayRule(recipient=2, delay=0), DelayRule(delay=3),
+    ),
+    "one_rule_set": (DelayRule(recipient=3, delay=2),),
+    "wildcard_first": (
+        DelayRule(body="Propose", delay=4), DelayRule(recipient=2, body="Propose", delay=1),
+        DelayRule(recipient=2, delay=2), DelayRule(sender=1, recipient=4, delay=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["random", "lockstep"])
+@pytest.mark.parametrize("case", sorted(FIXED_RULES))
+def test_dispatch_ticks_match_per_recipient_envelopes_under_fixed_rules(mode, case):
+    rng = random.Random(case)
+    config = SimConfig(
+        params=SystemParams(4, 1), seed=5, mode=mode, delay_min=1, delay_max=5,
+        num_instances=1, rules=FIXED_RULES[case],
+    )
+    sim = _check_dispatch_ticks(config, [_random_envelope(rng, 4) for _ in range(300)])
+    if case == "one_rule_set":
+        assert len(sim._delays) == 1
 
 
 def test_equivocator_wrap_splits_only_its_proposal():
