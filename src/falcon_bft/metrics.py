@@ -58,7 +58,12 @@ class BlockStages:
 
 
 def decompose_latency(result: RunResult) -> List[BlockStages]:
-    """Per-node, per-committed-block stage durations."""
+    """Per-node, per-committed-block stage durations, in (node, k, j) order,
+    as a new list; the rows are built once per state of the log and kept in
+    its `memo`, so `tx_records` reads the ones this call built."""
+    memo = result.log.memo()
+    if "stage_rows" in memo:
+        return list(memo["stage_rows"])
     correct = set(result.config.correct_nodes())
     activate: Dict[Tuple[int, int], int] = {}
     agreement_enter: Dict[Tuple[int, int], int] = {}
@@ -71,9 +76,7 @@ def decompose_latency(result: RunResult) -> List[BlockStages]:
         agreement_enter.setdefault((rec["node"], rec["k"]), rec["t"])
     for rec in log.of_kind("decide"):
         if rec["outcome"] == "include":
-            decide.setdefault(
-                (rec["node"], rec["k"], rec["j"]), (rec["t"], rec["source"])
-            )
+            decide.setdefault((rec["node"], rec["k"], rec["j"]), (rec["t"], rec["source"]))
     for rec in log.of_kind("commit"):
         commit.setdefault((rec["node"], rec["k"], rec["j"]), rec["t"])
     rows = []
@@ -89,17 +92,12 @@ def decompose_latency(result: RunResult) -> List[BlockStages]:
             stage_end = t_decide
         else:
             stage_end = agreement_enter.get((node, k), t_decide)
-        rows.append(
-            BlockStages(
-                node=node,
-                k=k,
-                j=j,
-                broadcast=stage_end - t0,
-                agreement=t_decide - stage_end,
-                sorting=commit[key] - t_decide,
-            )
-        )
-    return rows
+        rows.append(BlockStages(
+            node=node, k=k, j=j, broadcast=stage_end - t0,
+            agreement=t_decide - stage_end, sorting=commit[key] - t_decide,
+        ))
+    memo["stage_rows"] = rows
+    return list(rows)
 
 
 @dataclass(frozen=True)

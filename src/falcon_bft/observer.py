@@ -16,7 +16,6 @@ removed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 from typing import Callable, Dict, List, Set, Tuple
@@ -152,32 +151,27 @@ def _check_correlation(
     what: str,
 ) -> List[dict]:
     """Each of the correct nodes' `records` needs f+1 correct nodes with a
-    strictly earlier `prior` record on the same key."""
+    strictly earlier `prior` record on the same key: it must come after the
+    (f+1)-th smallest of the nodes' first prior orders on that key, one
+    comparison.  Only a violation counts the nodes."""
     out = []
     need = result.config.params.small_quorum
-    seen: Dict[tuple, List[Tuple[Tuple[int, int], int]]] = {}
+    firsts: Dict[tuple, Dict[int, Tuple[int, int]]] = {}
     for rec in prior:
-        seen.setdefault(key(rec), []).append((_order(rec), rec["node"]))
-    # per key: its priors' orders, sorted, and the number of distinct nodes
-    # among the first m of them at index m
-    counted: Dict[tuple, Tuple[List[Tuple[int, int]], List[int]]] = {}
-    for k, entries in seen.items():
-        entries.sort()
-        nodes: Set[int] = set()
-        distinct = [0]
-        for _, node in entries:
-            nodes.add(node)
-            distinct.append(len(nodes))
-        counted[k] = ([order for order, _ in entries], distinct)
+        order, by_node = _order(rec), firsts.setdefault(key(rec), {})
+        if by_node.setdefault(rec["node"], order) > order:
+            by_node[rec["node"]] = order
+    quorum_at = {
+        k: sorted(by_node.values())[need - 1]
+        for k, by_node in firsts.items()
+        if len(by_node) >= need
+    }
     for rec in records:
-        orders, distinct = counted.get(key(rec), ((), (0,)))
-        earlier = distinct[bisect_left(orders, _order(rec))]
-        if earlier < need:
-            out.append(
-                _violation(
-                    check, f"only {earlier} {what}", k=rec["k"], j=rec["j"], node=rec["node"]
-                )
-            )
+        order, at = _order(rec), quorum_at.get(key(rec))
+        if at is None or not at < order:
+            earlier = sum(first < order for first in firsts.get(key(rec), {}).values())
+            detail = f"only {earlier} {what}"
+            out.append(_violation(check, detail, k=rec["k"], j=rec["j"], node=rec["node"]))
     return out
 
 
@@ -314,9 +308,7 @@ def check_liveness(result: RunResult, min_checked: int = 0) -> List[dict]:
     commits: Dict[Tuple[int, str], int] = {}
     for rec in result.log.of_kind("commit"):
         for txid in rec["txids"]:
-            key = (rec["node"], txid)
-            if key not in commits:
-                commits[key] = rec["k"]
+            commits.setdefault((rec["node"], txid), rec["k"])
     checked = 0
     for inject in result.log.of_kind("inject"):
         txid, batch, when = inject["txid"], inject["batch"], inject["t"]

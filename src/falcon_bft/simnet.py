@@ -274,32 +274,55 @@ def _getter(keys: List[str]) -> Callable[[dict], tuple]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _shape_line(shape: tuple) -> Optional[Tuple[Callable, str]]:
+def _shape_line(shape: tuple) -> Optional[Tuple[Callable, Callable, Tuple[int, ...], str]]:
     """The line template of a record shape, or None if a key is not a str
-    or holds `%`, `(` or `)`, or a value is not an int or a str.
+    or a value is not an int, str, bool, None or list.
 
     A shape is (kind, *keys, *value types), keys and types in the record's
-    order.  The template is (str values getter, line): the line holds the
-    keys in sorted order and `kind`'s value, with a `%(key)d` slot for each
-    int and a `"%(key)s"` slot for each str, filled from the record itself.
+    order.  The template is (str values getter, slot values getter, places
+    of the bool and list slots, line): the line has the keys sorted, `kind`'s
+    value, `null` for each None and a slot for each other value, in order.
     """
     width = len(shape) // 2
     kind, keys = shape[0], shape[1:width + 1]
-    if any(type(key) is not str or "%" in key or "(" in key or ")" in key for key in keys):
+    if any(type(key) is not str for key in keys):
         return None
-    parts, strs = [], []
+    parts, strs, slots, texts = [], [], [], []
     for key, tp in sorted(zip(keys, shape[width + 1:])):
-        head = encode_basestring_ascii(key) + ":"
+        head = _json_text(key) + ":"
         if key == "kind":
             parts.append(head + _json_text(kind))
-        elif tp is int:
-            parts.append(head + "%%(%s)d" % key)
-        elif tp is str:
-            parts.append(head + '"%%(%s)s"' % key)
-            strs.append(key)
+        elif tp is type(None):
+            parts.append(head + "null")
+        elif tp in (int, str, bool, list):
+            if tp is str:
+                strs.append(key)
+            elif tp is not int:
+                texts.append(len(slots))
+            slots.append(key)
+            parts.append(head + ("%d" if tp is int else '"%s"' if tp is str else "%s"))
         else:
             return None
-    return _getter(strs), "{" + ",".join(parts) + "}\n"
+    return _getter(strs), _getter(slots), tuple(texts), "{" + ",".join(parts) + "}\n"
+
+
+def _all_plain(strs: Iterable[str], plain: set) -> bool:
+    """Whether JSON writes each of `strs` unescaped; `plain` caches such strs."""
+    if not plain.issuperset(strs):
+        plain.update(s for s in strs if encode_basestring_ascii(s) == f'"{s}"')
+    return plain.issuperset(strs)
+
+
+def _json_value(value, plain: set) -> Optional[str]:
+    """A bool's JSON text, or a list's if it holds only exact ints or only plain strs."""
+    if type(value) is bool:
+        return "true" if value else "false"
+    types = set(map(type, value))
+    if types <= {int}:
+        return "[%s]" % ",".join(map(str, value))
+    if types == {str} and _all_plain(value, plain):
+        return '["%s"]' % '","'.join(value)
+    return None
 
 
 class EventLog:
@@ -310,7 +333,8 @@ class EventLog:
 
     `of_kind` reads a by-kind index that it builds on first use and extends
     with the records appended since, so `append` does no indexing work.
-    Assigning a new list to `records` starts the index afresh.
+    Assigning a new list to `records` starts the index afresh.  It holds
+    every kind but `send`, most of a log: `of_kind("send")` scans `records`.
     """
 
     def __init__(self):
@@ -319,6 +343,7 @@ class EventLog:
         self._indexed: List[dict] = []  # the list `_by_kind` indexes
         self._by_kind: Dict[str, List[dict]] = {}
         self._indexed_count = 0
+        self._memo: Tuple[List[dict], int, dict] = (self._indexed, 0, {})
 
     def append(self, record: dict) -> None:
         record["i"] = len(self.records)
@@ -348,14 +373,16 @@ class EventLog:
           are ints.  A send record with other keys is written like the rest.
         - Every other record is written from the template of its shape, its
           kind, keys and value types, which `_shape_line` builds once per
-          shape and caches.  Its ints and strs fill the template's slots,
-          once each str is known to be one that JSON writes unescaped.
+          shape and caches.  Its values fill the slots in order, once each
+          str is known to be one JSON writes unescaped; a bool is written
+          `true` or `false`, a list of only exact ints or only such strs as
+          its JSON text.
 
-        Any record a template cannot write byte for byte, with a bool,
-        float, None, list or dict value, a str that JSON escapes or a key
-        that is not a plain str, goes through the encoder instead.  The
-        lines stream into one buffer: a list of every line would set a
-        run's peak memory.
+        Any record a template cannot write byte for byte, with a float or
+        dict value, another list (nested, mixed or holding a bool), a str
+        that JSON escapes or a key that is not a str, goes through the
+        encoder instead.  The lines stream into one buffer: a list of every
+        line would set a run's peak memory.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         out = io.BytesIO()
@@ -385,26 +412,39 @@ class EventLog:
             elif type(kind) is str:
                 line = _shape_line((kind, *r, *map(type, r.values())))
                 if line is not None:
-                    strs, template = line
-                    texts = strs(r)
-                    if not plain.issuperset(texts):
-                        plain.update(s for s in texts if encode_basestring_ascii(s) == f'"{s}"')
-                    if plain.issuperset(texts):
-                        write((template % r).encode())
-                        continue
+                    strs, slots, texts, template = line
+                    if _all_plain(strs(r), plain):
+                        values = slots(r)
+                        if texts:
+                            values = list(values)
+                            for at in texts:
+                                values[at] = _json_value(values[at], plain)
+                            values = None if None in values else tuple(values)
+                        if values is not None:
+                            write((template % values).encode())
+                            continue
             write((encode(r) + "\n").encode())
         return out.getvalue()
+
+    def memo(self) -> dict:
+        """A dict for values derived from the records; a new list or an append empties it."""
+        if self._memo[0] is not self.records or self._memo[1] != len(self.records):
+            self._memo = (self.records, len(self.records), {})
+        return self._memo[2]
 
     def of_kind(self, kind: str) -> List[dict]:
         """A new list of the records of `kind`, in log order."""
         records = self.records
+        if kind == "send":
+            return [rec for rec in records if rec["kind"] == "send"]
         if records is not self._indexed:
             self._indexed, self._by_kind, self._indexed_count = records, {}, 0
         by_kind = self._by_kind
         for rec in records[self._indexed_count:]:
-            if rec["kind"] in by_kind:
-                by_kind[rec["kind"]].append(rec)
-            else:
+            same = by_kind.get(rec["kind"])
+            if same is not None:
+                same.append(rec)
+            elif rec["kind"] != "send":
                 by_kind[rec["kind"]] = [rec]
         self._indexed_count = len(records)
         return list(by_kind.get(kind, ()))

@@ -1,6 +1,6 @@
 """Print how one `falcon-sim run` pipeline splits into simulate, observe and
 serialise seconds, each stage the best of K runs, with the cycle collector's
-seconds inside each.
+seconds inside each, then the observe stage split into its parts.
 
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
@@ -13,7 +13,14 @@ settings: 5 instances, 8 txs per batch.  Each run starts after a full
 collection, as each benchmark pass does.  A stage's `gc` column is the
 collector time, timed from `gc.callbacks`, of the run that gave that
 stage's best time.  The last column is serialise as a share of simulate.
-The file has no `test_` prefix, so pytest does not collect it.
+
+The second table splits observe into the same calls made one at a time,
+in the same order: `index` is the first `EventLog.of_kind` call, which
+builds the log's by-kind index, then each of `observer.ALL_CHECKS`, then
+`check_liveness`, `decompose_latency` and `tx_records`.  Each part is the
+best of K runs, with the collector time and the number of young (gen0)
+collections of the run that gave it.  The file has no `test_` prefix, so
+pytest does not collect it.
 """
 
 import argparse
@@ -24,7 +31,7 @@ import time
 
 from falcon_bft import metrics
 from falcon_bft.core_types import SystemParams
-from falcon_bft.observer import check_liveness, observe_invariants
+from falcon_bft.observer import ALL_CHECKS, check_liveness
 from falcon_bft.simnet import schedule
 from support import load_bench_module
 
@@ -39,33 +46,47 @@ def configs():
 
 
 class CollectorClock:
-    """A `gc.callbacks` entry that sums the seconds collections take."""
+    """A `gc.callbacks` entry that sums the seconds collections take and
+    counts the young ones."""
 
     def __init__(self):
         self.seconds = 0.0
+        self.young = 0
         self._start = 0.0
 
     def __call__(self, phase, info):
         if phase == "start":
             self._start = time.perf_counter()
+            self.young += info["generation"] == 0
         else:
             self.seconds += time.perf_counter() - self._start
 
 
+def observe_parts(result):
+    """(name, call) of each part of the observe stage, in pipeline order."""
+    yield "index", lambda: result.log.of_kind("commit")
+    for check in ALL_CHECKS:
+        yield check.__name__, lambda check=check: check(result)
+    yield "check_liveness", lambda: check_liveness(result)
+    yield "decompose_latency", lambda: metrics.decompose_latency(result)
+    yield "tx_records", lambda: metrics.tx_records(result)
+
+
 def split(config, clock):
-    """((seconds, collector seconds) of simulate, observe, serialise) of one pipeline run."""
+    """((seconds, collector seconds, young collections) of simulate, observe,
+    serialise, then of each observe part) of one pipeline run."""
     gc.collect()
-    marks = [(time.perf_counter(), clock.seconds)]
+    marks = [(time.perf_counter(), clock.seconds, clock.young)]
     result = schedule(config).run()
-    marks.append((time.perf_counter(), clock.seconds))
-    observe_invariants(result)
-    check_liveness(result)
-    metrics.decompose_latency(result)
-    metrics.tx_records(result)
-    marks.append((time.perf_counter(), clock.seconds))
+    marks.append((time.perf_counter(), clock.seconds, clock.young))
+    for _, call in observe_parts(result):
+        call()
+        marks.append((time.perf_counter(), clock.seconds, clock.young))
     result.log.to_lines()
-    marks.append((time.perf_counter(), clock.seconds))
-    return tuple((t1 - t0, c1 - c0) for (t0, c0), (t1, c1) in zip(marks, marks[1:]))
+    marks.append((time.perf_counter(), clock.seconds, clock.young))
+    steps = [tuple(b - a for a, b in zip(m0, m1)) for m0, m1 in zip(marks, marks[1:])]
+    observe = tuple(map(sum, zip(*steps[1:-1])))
+    return (steps[0], observe, steps[-1], *steps[1:-1])
 
 
 def main() -> int:
@@ -74,12 +95,22 @@ def main() -> int:
     args = parser.parse_args()
     clock = CollectorClock()
     gc.callbacks.append(clock)
+    splits = {}
     print("config          simulate_s      gc  observe_s      gc  serialise_s      gc  serialise/simulate")
     for name, config in configs():
         runs = [split(config, clock) for _ in range(args.repeats)]
-        (sim, sim_gc), (obs, obs_gc), (ser, ser_gc) = (min(stage) for stage in zip(*runs))
+        splits[name] = parts = [min(stage) for stage in zip(*runs)]
+        (sim, sim_gc, _), (obs, obs_gc, _), (ser, ser_gc, _) = parts[:3]
         print(f"{name:15s} {sim:10.3f} {sim_gc:7.3f} {obs:10.3f} {obs_gc:7.3f} "
               f"{ser:12.3f} {ser_gc:7.3f} {ser / sim:19.1%}")
+    print()
+    print("observe part                   " + "".join(f"{name:>26s}" for name in splits))
+    print(" " * 31 + "        seconds     gc young" * len(splits))
+    names = [name for name, _ in observe_parts(None)]
+    for row, part in enumerate(names, 3):
+        cells = "".join(f"{s:15.4f} {g:6.4f} {y:4d}" for s, g, y in
+                        (parts[row] for parts in splits.values()))
+        print(f"{part:30s} {cells}")
     return 0
 
 

@@ -11,11 +11,13 @@ mid-run as well as from the start.
 
 `to_lines` writes no line through the JSON encoder that a template can
 write: send records from one `_SEND_RUN` template per broadcast, every other
-record from a template cached per record shape.  Every line of every run
-here must equal the encoder's line of its record, and so must the lines of a
-hand-built log whose records no template can write: escaped strings, bool,
-float, None, list and dict values, and send records with an extra key or a
-non-int field.
+record from a template cached per record shape, which also writes bool and
+None values and lists of only exact ints or only plain strs.  Every line of
+every run here must equal the encoder's line of its record, and so must the
+lines of a hand-built log of records that templates write only in part or
+not at all: escaped strings, bool, float, None, list and dict values, lists
+of escaped strs, bools, nested or mixed items, and send records with an
+extra key or a non-int field.
 """
 
 import hashlib
@@ -167,6 +169,17 @@ def test_to_lines_matches_json_encoder_on_any_record():
         log.append(_send(body=text))
     for value in (True, False, 1.5, None, 2**70, -3, [1, [2, "x"]], {"b": {"c": [None]}, "a": 1}):
         log.append({"kind": "note", "t": 1, "node": 1, "value": value})
+    # one list shape, written from the template or not by what its items are:
+    # plain strs, strs JSON escapes, exact ints, bools, nothing, nested and
+    # mixed items
+    lists = (
+        ["ab", "c d", "100%", "f(x)"], ["ok", 'say "hi"'], list(texts), [1, -2, 2**70], [True],
+        [1, True], [False, 0], [], [[]], [[1], [2]], [1, "a"], ["a", 1], [1.5], [None], ["ab"],
+    )
+    for items in lists:
+        log.append({"kind": "commit", "t": 1, "node": 1, "txids": items})
+        log.append({"kind": "commit", "t": 2, "node": 1, "txids": items, "flag": True, "none": None})
+    log.append({"kind": "vote", "t": 1, "bit": False, "seen": [], "ids": ["a", "b"], "q_valid": True})
     log.append({"kind": "note"})
     log.append({"kind": ["not", "a", "str"], "t": 1})
     # runs of send records, each broken by a record that shares the run's

@@ -9,7 +9,7 @@ from falcon_bft.metrics import (
     tx_records,
     txs_csv,
 )
-from falcon_bft.simnet import DelayRule, SimConfig, run_simulation
+from falcon_bft.simnet import DelayRule, EventLog, RunResult, SimConfig, run_simulation
 
 
 def run(seed=1, instances=2, tx_load=4, **kwargs):
@@ -99,3 +99,40 @@ def test_csv_outputs_are_schema_stable():
     assert tx_lines[0].startswith("node,txid,submit,commit,latency")
     again = stages_csv(decompose_latency(run()))
     assert "\n".join(stage_lines) + "\n" == again
+
+
+def _on_a_new_log(res):
+    """(decompose_latency, tx_records) over a new log of the same records,
+    which has no stage table to reuse."""
+    log = EventLog()
+    log.records = list(res.log.records)
+    fresh = RunResult(res.config, log, res.nodes)
+    return decompose_latency(fresh), tx_records(fresh)
+
+
+def test_stage_table_is_rebuilt_when_the_log_changes():
+    # index 4 of instance 1 is decided by agreement, so its stages differ
+    res = run(seed=3, rules=(DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),))
+    log = res.log
+    stages, txs = decompose_latency(res), tx_records(res)
+    assert (stages, txs) == _on_a_new_log(res)
+    # each call hands out a list of its own
+    decompose_latency(res).clear()
+    tx_records(res).clear()
+    assert (decompose_latency(res), tx_records(res)) == (stages, txs)
+    # a new records list without one of node 1's commits
+    commit = next(r for r in log.records if r["kind"] == "commit" and r["node"] == 1)
+    log.records = [r for r in log.records if r is not commit]
+    dropped = (decompose_latency(res), tx_records(res))
+    assert dropped != (stages, txs) and dropped == _on_a_new_log(res)
+    # a new list of the same length, with node 2 activating instance 1 a tick earlier
+    activate = next(
+        r for r in log.records if r["kind"] == "activate" and (r["node"], r["k"]) == (2, 1)
+    )
+    log.records = [dict(r, t=r["t"] - 1) if r is activate else r for r in log.records]
+    shifted = (decompose_latency(res), tx_records(res))
+    assert shifted != dropped and shifted == _on_a_new_log(res)
+    # the commit appended back
+    log.append(dict(commit))
+    appended = (decompose_latency(res), tx_records(res))
+    assert appended != shifted and appended == _on_a_new_log(res)

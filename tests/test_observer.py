@@ -4,12 +4,18 @@ import ast
 import hashlib
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+
+from falcon_bft import observer
 from falcon_bft.core_types import SystemParams
 from falcon_bft.observer import (
     check_acs_blocks_match,
     check_chain_safety,
+    check_delivery_correlation,
     check_liveness,
+    check_receipt_correlation,
     check_totality,
     observe_invariants,
 )
@@ -218,3 +224,60 @@ def test_corrupted_corpus_report_pinned():
     assert {ast.literal_eval(line)["check"] for line in lines} == CHECK_NAMES
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CORPUS_PIN
+
+
+# -- the correlation checks against a brute-force reference -----------------------------
+
+
+def _correlation_reference(result, check, prior, records, key, what):
+    """`observer._check_correlation` by definition: for each record, count the
+    distinct nodes with a prior record on its key at a strictly earlier (t, i)."""
+    need = result.config.params.small_quorum
+    out = []
+    for rec in records:
+        order = (rec["t"], rec["i"])
+        nodes = {p["node"] for p in prior if key(p) == key(rec) and (p["t"], p["i"]) < order}
+        if len(nodes) < need:
+            out.append({"check": check, "k": rec["k"], "j": rec["j"], "node": rec["node"],
+                        "detail": f"only {len(nodes)} {what}"})
+    return out
+
+
+def _key(rec):
+    return (rec["k"], rec["digest"])
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_check_correlation_matches_a_brute_force_reference_on_random_records(seed):
+    """Priors out of time order, several per node and key, and ties in `t`."""
+    rng = random.Random(seed)
+    f = rng.randrange(1, 4)
+    result = SimpleNamespace(config=SimpleNamespace(params=SystemParams(3 * f + 1, f)))
+    records = [
+        {"t": rng.randrange(6), "i": i, "node": rng.randrange(1, 3 * f + 2),
+         "k": rng.randrange(1, 3), "j": 1, "digest": rng.choice("ab")}
+        for i in rng.sample(range(1000), rng.randrange(1, 40))
+    ]
+    prior = [rec for rec in records if rng.random() < 0.7]
+    checked = [rec for rec in records if rec not in prior or rng.random() < 0.1]
+    args = (result, "c", prior, checked, _key, "priors")
+    assert observer._check_correlation(*args) == _correlation_reference(*args)
+
+
+@pytest.mark.parametrize("seed", range(len(list(_corpus_configs()))))
+def test_correlation_checks_match_a_brute_force_reference_on_corrupted_runs(monkeypatch, seed):
+    """Each corpus run, corrupted as the pinned corpus is, with a fifth of its
+    deliveries and body receipts then moved to a random tick, so `t` runs
+    backwards in the log."""
+    res = _corrupt(run_simulation(list(_corpus_configs())[seed]), seed)
+    rng = random.Random(seed)
+    last = max(rec["t"] for rec in res.log.records)
+    moved = [
+        dict(rec, t=rng.randrange(last + 1))
+        if rec["kind"] in ("gbc_deliver", "body_received") and rng.random() < 0.2 else rec
+        for rec in res.log.records
+    ]
+    res.log.records = moved
+    got = check_delivery_correlation(res) + check_receipt_correlation(res)
+    monkeypatch.setattr(observer, "_check_correlation", _correlation_reference)
+    assert got == check_delivery_correlation(res) + check_receipt_correlation(res)

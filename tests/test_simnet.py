@@ -18,6 +18,7 @@ from falcon_bft.core_types import (
     SystemParams,
 )
 from falcon_bft.crypto import PartialSig
+from falcon_bft.metrics import decompose_latency, tx_records
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import (
@@ -30,6 +31,8 @@ from falcon_bft.simnet import (
     _twin,
     run_simulation,
 )
+
+from support import load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -374,6 +377,21 @@ def test_of_kind_matches_a_scan_after_appends_and_replacement():
     log.records = [r for r in log.records if r["kind"] != "commit"]
     assert log.of_kind("commit") == []
     assert log.of_kind("send") == scan("send")
+
+
+def test_observe_stage_indexes_no_send_records():
+    """The by-kind index the observe stage reads holds every kind but `send`,
+    most of a log, which `of_kind` answers with a scan."""
+    res = run_simulation(load_bench_module("workloads").favorable_n16(1)[0])
+    log = res.log
+    observe_invariants(res)
+    check_liveness(res)
+    decompose_latency(res)
+    tx_records(res)
+    assert "commit" in log._by_kind and "send" not in log._by_kind
+    sends = log.of_kind("send")
+    assert sends == [r for r in log.records if r["kind"] == "send"] != []
+    assert "send" not in log._by_kind
 
 
 def test_snapshot_shape():
