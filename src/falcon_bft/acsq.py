@@ -72,7 +72,7 @@ class AcsqInstance:
         self.trigger_active = False
         self.agreement_started = False
         self.returned = False
-        # +1 each time M2, M_acs or S_ex grows
+        # +1 each time M_acs or S_ex grows: the number of decided indices
         self.progress = 0
 
         self.gbc: Dict[int, GbcInstance] = {}
@@ -217,7 +217,6 @@ class AcsqInstance:
         if j in self.M2:
             return []
         self.M2[j] = gd
-        self.progress += 1
         kind = "gbc_deliver" if via == "gbc" else "da_adopt"
         self.log(kind, k=self.k, j=j, grade=2, digest=gd.block.digest.hex())
         out = self._note_body(gd.block, via=via)

@@ -27,7 +27,7 @@ def _write_outputs(out_dir: Path, result, violations) -> None:
     stage_rows = metrics.decompose_latency(result)
     (out_dir / "metrics.csv").write_text(metrics.stages_csv(stage_rows))
     txs = metrics.tx_records(result)
-    (out_dir / "txs.csv").write_text(metrics.txs_csv(txs))
+    (out_dir / "txs.csv").write_text(metrics.txs_csv(txs, stage_rows))
     chain_lines = []
     for snap in result.snapshots():
         chain_lines.append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .simnet import RunResult
 
@@ -59,11 +59,7 @@ class BlockStages:
 
 def decompose_latency(result: RunResult) -> List[BlockStages]:
     """Per-node, per-committed-block stage durations, in (node, k, j) order,
-    as a new list; the rows are built once per state of the log and kept in
-    its `memo`, so `tx_records` reads the ones this call built."""
-    memo = result.log.memo()
-    if "stage_rows" in memo:
-        return list(memo["stage_rows"])
+    computed afresh from the log's by-kind index on each call."""
     correct = set(result.config.correct_nodes())
     activate: Dict[Tuple[int, int], int] = {}
     agreement_enter: Dict[Tuple[int, int], int] = {}
@@ -96,8 +92,7 @@ def decompose_latency(result: RunResult) -> List[BlockStages]:
             node=node, k=k, j=j, broadcast=stage_end - t0,
             agreement=t_decide - stage_end, sorting=commit[key] - t_decide,
         ))
-    memo["stage_rows"] = rows
-    return list(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,6 @@ class TxRecord:
     commit: int
     k: int
     j: int
-    stages: Optional[BlockStages]
 
     @property
     def latency(self) -> int:
@@ -116,12 +110,10 @@ class TxRecord:
 
 
 def tx_records(result: RunResult) -> List[TxRecord]:
-    """First commit of each injected tx at each correct node."""
+    """First commit of each injected tx at each correct node; `txs_csv`
+    joins each to its block's `decompose_latency` row by (node, k, j)."""
     correct = set(result.config.correct_nodes())
     submit = {rec["txid"]: rec["t"] for rec in result.log.of_kind("inject")}
-    stages = {
-        (s.node, s.k, s.j): s for s in decompose_latency(result)
-    }
     seen = set()
     rows = []
     for rec in result.log.of_kind("commit"):
@@ -140,7 +132,6 @@ def tx_records(result: RunResult) -> List[TxRecord]:
                     commit=rec["t"],
                     k=rec["k"],
                     j=rec["j"],
-                    stages=stages.get((node, rec["k"], rec["j"])),
                 )
             )
     rows.sort(key=lambda r: (r.node, r.commit, r.txid))
@@ -183,12 +174,15 @@ def stages_csv(rows: List[BlockStages]) -> str:
     return buf.getvalue()
 
 
-def txs_csv(rows: List[TxRecord]) -> str:
+def txs_csv(rows: List[TxRecord], stage_rows: List[BlockStages]) -> str:
+    """One line per tx, with the stages of the `stage_rows` row of its
+    block's (node, k, j), or empty stage cells if there is none."""
+    stages = {(s.node, s.k, s.j): s for s in stage_rows}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TX_HEADER)
     for r in rows:
-        s = r.stages
+        s = stages.get((r.node, r.k, r.j))
         writer.writerow(
             [
                 r.node, r.txid, r.submit, r.commit, r.latency, r.k, r.j,

@@ -10,12 +10,13 @@ the run can activate are dropped.  A live instance has passed those tests
 and the pruning test (`k` only grows), so only a new instance is tested.
 
 The driver (`_drive`, with sorting and pruning) runs only on progress:
-after an envelope grew the handled instance's `M2`, `M_acs` or `S_ex`.
-An envelope that makes the instance return also grew one of them, and
-nothing else the driver reads changes outside the driver itself, so a run
-without such a change would do nothing.  The instance counts its progress
-itself: `AcsqInstance.progress` goes up by one at each of the four places
-where one of those three collections grows, so `handle` compares one int
+after an envelope decided an index of the handled instance, growing its
+`M_acs` or `S_ex`.  A return follows a decision.  A grade-2 delivery that
+decides nothing comes after the instance entered agreement, so it is past
+its quorum and its predecessor's trigger has fired.  Nothing else the
+driver reads changes outside the driver, so a run without a decision
+would do nothing.  `AcsqInstance.progress` goes up by one at each of the
+three places where `M_acs` or `S_ex` grows, so `handle` compares one int
 before and after the envelope.
 
 One instance past the configured window is still activated so the last

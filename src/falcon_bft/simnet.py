@@ -331,19 +331,17 @@ class EventLog:
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
 
-    `of_kind` reads a by-kind index that it builds on first use and extends
-    with the records appended since, so `append` does no indexing work.
-    Assigning a new list to `records` starts the index afresh.  It holds
-    every kind but `send`, most of a log: `of_kind("send")` scans `records`.
+    `of_kind` reads a by-kind index, built in one pass over `records` and
+    again whenever `records` is another list or another length, so `append`
+    does no indexing work.  It holds every kind but `send`, most of a log:
+    `of_kind("send")` scans `records`.
     """
 
     def __init__(self):
         self.records: List[dict] = []
         self.time = 0
-        self._indexed: List[dict] = []  # the list `_by_kind` indexes
-        self._by_kind: Dict[str, List[dict]] = {}
-        self._indexed_count = 0
-        self._memo: Tuple[List[dict], int, dict] = (self._indexed, 0, {})
+        # (records, its length, kind -> records) as of the last index build
+        self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.records, 0, {})
 
     def append(self, record: dict) -> None:
         record["i"] = len(self.records)
@@ -426,27 +424,21 @@ class EventLog:
             write((encode(r) + "\n").encode())
         return out.getvalue()
 
-    def memo(self) -> dict:
-        """A dict for values derived from the records; a new list or an append empties it."""
-        if self._memo[0] is not self.records or self._memo[1] != len(self.records):
-            self._memo = (self.records, len(self.records), {})
-        return self._memo[2]
-
     def of_kind(self, kind: str) -> List[dict]:
         """A new list of the records of `kind`, in log order."""
         records = self.records
         if kind == "send":
             return [rec for rec in records if rec["kind"] == "send"]
-        if records is not self._indexed:
-            self._indexed, self._by_kind, self._indexed_count = records, {}, 0
-        by_kind = self._by_kind
-        for rec in records[self._indexed_count:]:
-            same = by_kind.get(rec["kind"])
-            if same is not None:
-                same.append(rec)
-            elif rec["kind"] != "send":
-                by_kind[rec["kind"]] = [rec]
-        self._indexed_count = len(records)
+        indexed, count, by_kind = self._index
+        if indexed is not records or count != len(records):
+            by_kind = {}
+            for rec in records:
+                same = by_kind.get(rec["kind"])
+                if same is not None:
+                    same.append(rec)
+                elif rec["kind"] != "send":
+                    by_kind[rec["kind"]] = [rec]
+            self._index = (records, len(records), by_kind)
         return list(by_kind.get(kind, ()))
 
 

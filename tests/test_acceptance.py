@@ -327,7 +327,9 @@ def test_criterion_8_determinism():
     second = run_simulation(cfg)
     assert first.log.to_lines() == second.log.to_lines()
     assert stages_csv(decompose_latency(first)) == stages_csv(decompose_latency(second))
-    assert txs_csv(tx_records(first)) == txs_csv(tx_records(second))
+    assert txs_csv(tx_records(first), decompose_latency(first)) == txs_csv(
+        tx_records(second), decompose_latency(second)
+    )
     report(8, "re-runs reproduce the event log and metrics CSVs byte for byte")
 
 

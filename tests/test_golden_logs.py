@@ -7,7 +7,8 @@ process, so a change to scheduling, message order or log format anywhere
 in the stack shows up here even when every invariant still holds.  The fuzz
 runs add random delays, delay rules and every fault plugin to what the
 scenarios cover, and the crash runs stop a node at ticks from 0 to 63,
-mid-run as well as from the start.
+mid-run as well as from the start.  The `metrics.csv` and `txs.csv` tables
+that `falcon-sim run` writes for each scenario are pinned the same way.
 
 `to_lines` writes no line through the JSON encoder that a template can
 write: send records from one `_SEND_RUN` template per broadcast, every other
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from falcon_bft import simnet
+from falcon_bft.cli import main
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import EventLog, run_simulation
 from support import crash_fuzz_config, load_bench_module
@@ -48,13 +50,61 @@ GOLDEN = {
 
 
 def test_every_scenario_is_pinned():
-    assert sorted(p.name for p in SCENARIOS.glob("*.ini")) == sorted(GOLDEN)
+    assert sorted(p.name for p in SCENARIOS.glob("*.ini")) == sorted(GOLDEN) == sorted(CSV_GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_scenario_log_digest(name):
     result = run_simulation(load_scenario(SCENARIOS / name))
     assert hashlib.sha256(result.log.to_lines()).hexdigest() == GOLDEN[name]
+
+
+# sha256 of the post-run tables `falcon-sim run` writes for each shipped
+# scenario: (metrics.csv, txs.csv)
+CSV_GOLDEN = {
+    "adversarial_skew.ini": (
+        "01529f46c62b6bfade3ea2778b6417d1723146ae7ed610cd05fad393e4cb8fef",
+        "923f245eea47bb7120e0ce88579e9cf7a77031b92f10fbd323d01ea061128f36",
+    ),
+    "crash_4.ini": (
+        "c771f1188445658d9c6303e04a007d3404d8e63859d8832402329f6aa7230123",
+        "04ef1dabc8e8c1f557c9f3df1d8a11221ca45a4f84677ce9447f5d0001927a92",
+    ),
+    "equivocator_random.ini": (
+        "e0f81a17f1a9d27a71787ca175f07869e0b6e1b8087b7a306a3f4e3b1b935a45",
+        "8815f86adefd0c4f6b3bae6ca49d14c6de082415dcbfc128cfe8debb723570db",
+    ),
+    "favorable_4.ini": (
+        "b83ffadd0211ed4adaf9f71e40aad4172ddecc109325c713024f04573af55049",
+        "57c892680221e21c6752a7d2f4edbbc33dc068411ee183c2571b71e95bc07b4d",
+    ),
+    "favorable_7.ini": (
+        "653b7016205d20da70ef4495d8697078541ff7f7f594c664f452202920a248f0",
+        "cef07c94ae9e4498f5d731c93aaa300194f48e68f48541da8109a76b55568318",
+    ),
+    "late_proof_include.ini": (
+        "9756d1221524a8c2827c2552ed24bc6626a50574b1dc24557b1a1c3799c2f3a9",
+        "bc4732bb1e1d02a143ab5f7a3809145a22219ca9d86a52eeeb2c3b2218f6b85c",
+    ),
+    "wrong_bit_one_path.ini": (
+        "c6950182f2cb8450afcc0c9305d24ca2a7ce98de8edba8d628a8d5eda3e4597c",
+        "ba852bf9f44ca039659e7b150e49ae21a63bd5cbe221b34cd25ebe06b87bca2d",
+    ),
+    "wrong_bits_adversarial.ini": (
+        "95efc769a3afded90c13161bb92ed37cd83525d0af41d9d33f3dc434d7c163cb",
+        "8e04669b2099b6e1b170afa511f77350d9849dc07f66efaf64f651cdc7ba0c52",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_GOLDEN))
+def test_scenario_csv_digests(name, tmp_path):
+    assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / table).read_bytes()).hexdigest()
+        for table in ("metrics.csv", "txs.csv")
+    )
+    assert digests == CSV_GOLDEN[name]
 
 
 # fuzz_config(i) for i in 0..23, the benchmark's fuzz-mix pass at seed 0

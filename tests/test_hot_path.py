@@ -114,21 +114,21 @@ def test_driver_is_idle_after_every_envelope(monkeypatch, case):
 @pytest.mark.parametrize("case", RUN_CASES)
 def test_progress_counts_every_growth(monkeypatch, case):
     """After `Node.handle`, each live instance's `progress` is the number of
-    entries in its `M2`, `M_acs` and `S_ex`.
+    its decided indices, the entries in its `M_acs` and `S_ex`.
 
     The driver gate needs only that the counter moves whenever one of them
-    does, and one growth often comes with another (a grade-2 delivery fills
-    `M2` and `M_acs` at once), so a counter missing one site can still gate
-    correctly; this pins every site.  A return is not counted: the decision
-    it follows is.
+    does, and a decision often comes with a return, so a counter missing
+    one site can still gate correctly; this pins every site.  A return is
+    not counted: the decision it follows is.  Nor is a grade-2 delivery: one
+    that decides nothing comes after agreement began, when the instance is
+    past its quorum and has fired its predecessor's trigger.
     """
     handle = Node.handle
 
     def handle_then_count(self, env):
         out = handle(self, env)
         for inst in self.instances.values():
-            grown = len(inst.M2) + len(inst.M_acs) + len(inst.S_ex)
-            assert inst.progress == grown
+            assert inst.progress == len(inst.M_acs) + len(inst.S_ex)
         return out
 
     monkeypatch.setattr(Node, "handle", handle_then_count)

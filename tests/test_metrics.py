@@ -95,7 +95,7 @@ def test_csv_outputs_are_schema_stable():
     data_lines = [l for l in stage_lines if not l.startswith("#")]
     assert data_lines[0] == "node,instance,index,broadcast,agreement,sorting,total"
     assert stage_lines[0].startswith("#")  # stage definitions ride in the header
-    tx_lines = txs_csv(tx_records(res)).splitlines()
+    tx_lines = txs_csv(tx_records(res), decompose_latency(res)).splitlines()
     assert tx_lines[0].startswith("node,txid,submit,commit,latency")
     again = stages_csv(decompose_latency(run()))
     assert "\n".join(stage_lines) + "\n" == again
@@ -103,14 +103,17 @@ def test_csv_outputs_are_schema_stable():
 
 def _on_a_new_log(res):
     """(decompose_latency, tx_records) over a new log of the same records,
-    which has no stage table to reuse."""
+    whose by-kind index is built from nothing."""
     log = EventLog()
     log.records = list(res.log.records)
     fresh = RunResult(res.config, log, res.nodes)
     return decompose_latency(fresh), tx_records(fresh)
 
 
-def test_stage_table_is_rebuilt_when_the_log_changes():
+def test_post_run_tables_follow_every_change_to_the_log():
+    """Both tables equal those of a new log of the same records after each
+    change: a new list without a record, a new list of the same length with
+    a record changed, and an append.  Each call hands out lists of its own."""
     # index 4 of instance 1 is decided by agreement, so its stages differ
     res = run(seed=3, rules=(DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),))
     log = res.log

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -366,14 +367,19 @@ def test_of_kind_matches_a_scan_after_appends_and_replacement():
     def scan(kind):
         return [r for r in log.records if r["kind"] == kind]
 
-    kinds = sorted({r["kind"] for r in log.records}) + ["no_such_kind"]
+    kinds = sorted({r["kind"] for r in log.records}) + ["no_such_kind", "late_kind"]
     assert all(log.of_kind(kind) == scan(kind) for kind in kinds)
+    # appends between two calls on the same list
     log.append({"kind": "commit", "t": 99, "node": 1})
     log.append({"kind": "late_kind", "t": 99, "node": 1})
-    assert all(log.of_kind(kind) == scan(kind) for kind in kinds + ["late_kind"])
+    assert all(log.of_kind(kind) == scan(kind) for kind in kinds)
     # each call hands out its own list
     log.of_kind("commit").clear()
     assert log.of_kind("commit") == scan("commit") != []
+    # a new list of the same length, with one record's kind changed
+    commit = next(r for r in log.records if r["kind"] == "commit")
+    log.records = [dict(r, kind="late_kind") if r is commit else r for r in log.records]
+    assert all(log.of_kind(kind) == scan(kind) for kind in kinds)
     log.records = [r for r in log.records if r["kind"] != "commit"]
     assert log.of_kind("commit") == []
     assert log.of_kind("send") == scan("send")
@@ -381,17 +387,23 @@ def test_of_kind_matches_a_scan_after_appends_and_replacement():
 
 def test_observe_stage_indexes_no_send_records():
     """The by-kind index the observe stage reads holds every kind but `send`,
-    most of a log, which `of_kind` answers with a scan."""
+    most of a log, which `of_kind` answers with a scan: the stage leaves each
+    commit record with one more reference, the index's, and each send
+    record with none."""
     res = run_simulation(load_bench_module("workloads").favorable_n16(1)[0])
     log = res.log
+    commit = next(r for r in log.records if r["kind"] == "commit")
+    send = next(r for r in log.records if r["kind"] == "send")
+    refs = sys.getrefcount(commit), sys.getrefcount(send)
     observe_invariants(res)
     check_liveness(res)
     decompose_latency(res)
     tx_records(res)
-    assert "commit" in log._by_kind and "send" not in log._by_kind
+    assert (sys.getrefcount(commit), sys.getrefcount(send)) == (refs[0] + 1, refs[1])
     sends = log.of_kind("send")
     assert sends == [r for r in log.records if r["kind"] == "send"] != []
-    assert "send" not in log._by_kind
+    del sends
+    assert (sys.getrefcount(commit), sys.getrefcount(send)) == (refs[0] + 1, refs[1])
 
 
 def test_snapshot_shape():
