@@ -32,7 +32,6 @@ Two artifact-level details:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .aba import AbaInstance, DoubleInput
@@ -56,21 +55,6 @@ class InvalidOneInput(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AabaInput:
-    bit: int
-    digest: Optional[bytes] = None
-    proof: Optional[ThresholdSig] = None
-
-    @staticmethod
-    def zero() -> "AabaInput":
-        return AabaInput(0)
-
-    @staticmethod
-    def one(digest: bytes, proof: ThresholdSig) -> "AabaInput":
-        return AabaInput(1, digest, proof)
-
-
 class Output:
     """Local emission: this AABA instance produced its output bit."""
 
@@ -92,7 +76,7 @@ class AabaInstance:
         self.params = params
         self.registry = registry
 
-        self.input: Optional[AabaInput] = None
+        self.input: Optional[Amp] = None
         self.cnt0 = 0
         self.amp_counted: Set[int] = set()
         self.sho1_sent: Set[int] = set()
@@ -125,7 +109,9 @@ class AabaInstance:
 
     # -- input -------------------------------------------------------------------
 
-    def give_input(self, value: AabaInput) -> List[object]:
+    def give_input(self, value: Amp) -> List[object]:
+        """Take `value`, Amp(0) or Amp(1, digest, grade-1 certificate), as
+        this node's input and broadcast it as the amplification vote."""
         if self.input is not None:
             raise DoubleInput(f"AABA {self.addr} already has an input")
         if value.bit == 1 and not self.q_check(value.digest, value.proof):
@@ -134,7 +120,7 @@ class AabaInstance:
         if self.inner.halted:
             return []
         self._note_proof(value.digest, value.proof)
-        out: List[object] = [Send(self.addr, Amp(value.bit, value.digest, value.proof))]
+        out: List[object] = [Send(self.addr, value)]
         backlog, self.buffered = self.buffered, []
         for sender, body in backlog:
             out.extend(self.handle(sender, body))

@@ -17,19 +17,20 @@ index's digest, from its own grade-1 delivery or from a certificate its AABA
 saw, and holds the body.  The include step runs on the output, on every new
 body, on the index's grade-1 delivery and after each AABA message for the
 index, which may carry the certificate.  A node that knows the digest but
-not the body recovers it by digest query; peers answer from whatever body
-they hold, deferring the answer until they hold one, and a response counts
-only for a digest this node asked for.  A body recovered by assistance or
-query stays in this layer (`known_blocks`): the index's broadcast takes its
-body from the broadcaster alone.
+not the body recovers it by digest query; peers answer one query per index
+and peer from whatever body they hold, deferring the answer until they hold
+one, and a response counts only for a digest this node asked for.  A body
+recovered by assistance or query stays in this layer (`known_blocks`): the
+index's broadcast takes its body from the broadcaster alone.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .aaba import AabaInput, AabaInstance, Output
+from .aaba import AabaInstance, Output
 from .core_types import (
+    Amp,
     Assist,
     Block,
     Echo1,
@@ -44,7 +45,7 @@ from .core_types import (
     SystemParams,
 )
 from .crypto import KeyRegistry
-from .gbc import BodyReceived, Deliver, GbcInstance, verify_delivery
+from .gbc import GbcInstance, verify_delivery
 
 # bound once: reading a member off its Enum class costs a lookup in the class
 _GBC = Proto.GBC
@@ -82,6 +83,7 @@ class AcsqInstance:
         self.S_ex: Set[int] = set()
         self.known_blocks: Dict[bytes, Block] = {}
         self.assist_sent: Set[Tuple[int, int]] = set()  # (index, peer)
+        self.queries_taken: Set[Tuple[int, int]] = set()  # (index, peer)
         self.pending_queries: Dict[bytes, List[int]] = {}  # digest -> requesters
         self.pending_includes: Set[int] = set()  # 1-outputs not yet in M_acs
         self.queried: Set[bytes] = set()
@@ -173,7 +175,7 @@ class AcsqInstance:
         if cls is Assist:
             return self._on_assist(j, body.delivery)
         if cls is Query:
-            return self._on_query(env.sender, body.digest)
+            return self._on_query(j, env.sender, body.digest)
         if cls is QueryResp:
             return self._on_query_resp(j, body.block)
         if j in self.M2:
@@ -191,16 +193,21 @@ class AcsqInstance:
         return out
 
     def _absorb(self, j: int, sub: List[object]) -> List[Send]:
-        """Interpret sub-machine emissions; local events update instance state."""
+        """Interpret index j's sub-machine emissions, in order: a `Send` goes
+        out, a `GradedDelivery` or the broadcaster's `Block` comes from the
+        broadcast, an `Output` from AABA.  `Output` is the one item that is no
+        protocol value: it pairs the bit with its path, and its place in the
+        list puts the decision ahead of the `Stop` and inner-ABA sends that
+        `_eval_sho2` emits after it.  Any other type is ignored."""
         out: List[Send] = []
         for item in sub:
             cls = type(item)
             if cls is Send:
                 out.append(item)
-            elif cls is Deliver:
-                out.extend(self._on_deliver(j, item.delivery))
-            elif cls is BodyReceived:
-                out.extend(self._note_body(item.block, via="gbc"))
+            elif cls is GradedDelivery:
+                out.extend(self._on_deliver(j, item))
+            elif cls is Block:
+                out.extend(self._note_body(item, via="gbc"))
             elif cls is Output:
                 out.extend(self._on_aaba_output(j, item.bit, item.source))
         return out
@@ -294,10 +301,7 @@ class AcsqInstance:
     def honest_input(self, j: int) -> List[Send]:
         """Honest input rule: grade-1 delivery turns into a certified one-input."""
         m1 = self.delivered1(j)
-        if m1 is not None:
-            value = AabaInput.one(m1.block.digest, m1.proof)
-        else:
-            value = AabaInput.zero()
+        value = Amp(0) if m1 is None else Amp(1, m1.block.digest, m1.proof)
         self.log("aaba_input", k=self.k, j=j, bit=value.bit, q_valid=value.bit == 1)
         return self._absorb(j, self.aaba_for(j).give_input(value))
 
@@ -353,13 +357,17 @@ class AcsqInstance:
             return []
         return self._adopt_grade2(j, gd, via="assist")
 
-    def _on_query(self, sender: int, digest: bytes) -> List[Send]:
-        if sender == self.node_id:
+    def _on_query(self, j: int, sender: int, digest: bytes) -> List[Send]:
+        # a correct peer queries index j's one certified digest once, so
+        # one query per (index, peer) is answered or queued, and no more
+        if sender == self.node_id or (j, sender) in self.queries_taken:
             return []
+        self.queries_taken.add((j, sender))
         block = self.known_blocks.get(digest)
         if block is not None:
             self.log("query_resp_sent", k=self.k, to=sender, digest=digest.hex())
             return [Send(self.aaba_addr(block.creator), QueryResp(block), to=sender)]
+        # a peer may name one digest under several indices: one answer is enough
         waiting = self.pending_queries.setdefault(digest, [])
         if sender not in waiting:
             waiting.append(sender)

@@ -272,6 +272,9 @@ def encode_envelope(env: Envelope) -> bytes:
 
 
 # --- emissions from state machines ------------------------------------------
+# A state machine returns a list of `Send`s and of the values it produced:
+# a graded broadcast its `GradedDelivery`s and its broadcaster's `Block`,
+# an AABA instance its `aaba.Output`.
 
 
 @dataclass(frozen=True)

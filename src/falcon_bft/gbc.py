@@ -33,24 +33,6 @@ class AlreadyStarted(Exception):
     pass
 
 
-class Deliver:
-    """Local emission: this node just delivered at the given grade."""
-
-    __slots__ = ("delivery",)
-
-    def __init__(self, delivery: GradedDelivery):
-        self.delivery = delivery
-
-
-class BodyReceived:
-    """Local emission: the block body became known at this node."""
-
-    __slots__ = ("block",)
-
-    def __init__(self, block: Block):
-        self.block = block
-
-
 def cert_tag(addr: InstanceAddr, digest: bytes, grade: int) -> bytes:
     """What a grade-`grade` echo or certificate for `digest` in GBC `addr` signs:
     the instance address bound to the block digest, tagged with the grade."""
@@ -125,7 +107,8 @@ class GbcInstance:
         return out
 
     def learn_body(self, block: Block) -> List[object]:
-        """Take the broadcaster's block as this broadcast's body, once."""
+        """Take the broadcaster's block as this broadcast's body, once; the
+        block itself is the emission that tells the caller it is known."""
         if block.creator != self.addr.index or block.instance != self.addr.acsq_id:
             return []
         if self.received_block is not None:
@@ -135,7 +118,7 @@ class GbcInstance:
         if digest not in table:  # past the checks above, the tags depend on it alone
             table[digest] = (cert_tag(self.addr, digest, 1), cert_tag(self.addr, digest, 2))
         self.tags = table[digest]
-        return [BodyReceived(block)]
+        return [block]
 
     def _maybe_echo1(self) -> List[object]:
         if self.echoed1 or self.silenced or self.received_block is None:
@@ -208,12 +191,12 @@ class GbcInstance:
             if pool is not None and len(pool) >= quorum:
                 sig = self.registry.combine(pool.values(), quorum)
                 self.delivered1 = GradedDelivery(block, 1, sig)
-                out.append(Deliver(self.delivered1))
+                out.append(self.delivered1)
                 out.extend(self._maybe_echo2())
         if self.delivered2 is None and self.delivered1 is not None:
             pool = self.pool2.get(t2)
             if pool is not None and len(pool) >= quorum:
                 sig = self.registry.combine(pool.values(), quorum)
                 self.delivered2 = GradedDelivery(block, 2, sig)
-                out.append(Deliver(self.delivered2))
+                out.append(self.delivered2)
         return out

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
 from .crypto import KeyRegistry
-from .sorter import Chain, SortCursor, partial_sort
+from .sorter import SortCursor, chain_digest, partial_sort
 
 if TYPE_CHECKING:
     from .simnet import EventLog, SimConfig
@@ -67,7 +67,7 @@ class Node:
         self.last_instance = config.num_instances + 1
 
         self.buffer: Dict[bytes, Transaction] = {}  # txid -> tx, in arrival order
-        self.chain = Chain()
+        self.chain: List[Block] = []
         self.cursor = SortCursor()
         self.k = 1
         self.instances: Dict[int, AcsqInstance] = {}
@@ -107,7 +107,7 @@ class Node:
         return {
             "node": self.node_id,
             "k": self.k,
-            "chain_digest": self.chain.digest().hex(),
+            "chain_digest": chain_digest(self.chain).hex(),
             "chain_len": len(self.chain),
             "buffer_size": len(self.buffer),
         }
@@ -176,7 +176,7 @@ class Node:
     # -- sorting -------------------------------------------------------------------------
 
     def _commit(self, k: int, blocks: List[Block]) -> None:
-        base = len(self.chain.slots) - len(blocks)
+        base = len(self.chain) - len(blocks)
         for i, block in enumerate(blocks):
             for tx in block.txs:
                 self.buffer.pop(tx.txid, None)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .aaba import AabaInput
 from .acsq import AcsqInstance
 from .core_types import (
     AABA_BODIES,
@@ -228,7 +227,7 @@ class WrongBitNode(Node):
     def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
         if inst.delivered1(j) is not None:
             inst.log("aaba_input", k=inst.k, j=j, bit=0, q_valid=False)
-            return inst._absorb(j, inst.aaba_for(j).give_input(AabaInput.zero()))
+            return inst._absorb(j, inst.aaba_for(j).give_input(Amp(0)))
         junk = sha256(b"forged:%d:%d:%d" % (inst.node_id, inst.k, j))
         proof = ThresholdSig(tagged=junk, parts=((inst.node_id, junk),))
         inst.log("aaba_input", k=inst.k, j=j, bit=1, q_valid=False)
@@ -617,7 +616,7 @@ class RunResult:
 
     def chains(self) -> Dict[int, List[str]]:
         return {
-            i: [b.digest.hex() for b in self.nodes[i].chain.slots]
+            i: [b.digest.hex() for b in self.nodes[i].chain]
             for i in sorted(self.nodes)
         }
 

@@ -2,8 +2,9 @@
 
 Within an instance, index j commits as soon as every smaller index is
 decided (included or excluded); across instances, instance k may only
-write to the chain once instance k-1 is fully sorted.  Slots keep whole
-blocks so cross-node safety is byte-equality of slots.
+write to the chain once instance k-1 is fully sorted.  A chain is a plain
+list of committed blocks, one per slot; it keeps whole blocks so
+cross-node safety is byte-equality of slots.
 """
 
 from __future__ import annotations
@@ -15,20 +16,9 @@ from .core_types import Block
 from .crypto import sha256
 
 
-@dataclass
-class Chain:
-    """Append-only committed-block vector."""
-
-    slots: List[Block] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def append(self, block: Block) -> None:
-        self.slots.append(block)
-
-    def digest(self) -> bytes:
-        return sha256(b"".join(b.digest for b in self.slots))
+def chain_digest(chain: List[Block]) -> bytes:
+    """One hash over a chain's block digests, in slot order."""
+    return sha256(b"".join(b.digest for b in chain))
 
 
 @dataclass
@@ -45,7 +35,7 @@ def partial_sort(
     n: int,
     included: Dict[int, Block],
     excluded: Set[int],
-    chain: Chain,
+    chain: List[Block],
     integral: bool = False,
 ) -> List[Block]:
     """Advance the sort cursor for instance k; returns blocks committed now.

@@ -25,7 +25,7 @@ from falcon_bft.core_types import (
     Transaction,
 )
 from falcon_bft.crypto import KeyRegistry, ThresholdSig
-from falcon_bft.gbc import Deliver, GbcInstance, cert_tag
+from falcon_bft.gbc import GbcInstance, cert_tag
 from falcon_bft.node import Node
 from falcon_bft.simnet import DelayRule, FaultSpec, SilentNode, SimConfig
 
@@ -244,7 +244,7 @@ class EagerEcho2Gbc(GbcInstance):
         if len(pool) >= self.params.quorum:
             sig = self.registry.combine(pool.values(), self.params.quorum)
             self.delivered2 = GradedDelivery(block, 2, sig)
-            out.append(Deliver(self.delivered2))
+            out.append(self.delivered2)
         return out
 
 

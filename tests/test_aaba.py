@@ -1,6 +1,6 @@
 import pytest
 
-from falcon_bft.aaba import AabaInput, AabaInstance, DoubleInput, InvalidOneInput, Output
+from falcon_bft.aaba import AabaInstance, DoubleInput, InvalidOneInput, Output
 from falcon_bft.core_types import (
     Amp,
     InstanceAddr,
@@ -44,7 +44,7 @@ def make_cluster(n=4, f=1, registry=None):
 
 def one_input(registry, params, digest=None):
     digest = digest or sha256(b"block")
-    return AabaInput.one(digest, grade1_cert(registry, params, K, J, digest))
+    return Amp(1, digest, grade1_cert(registry, params, K, J, digest))
 
 
 def drain_outputs(emissions, outputs, i):
@@ -55,7 +55,7 @@ def drain_outputs(emissions, outputs, i):
 
 def test_zero_input_broadcasts_amp():
     _, registry, nodes, _, _ = make_cluster()
-    out = nodes[1].give_input(AabaInput.zero())
+    out = nodes[1].give_input(Amp(0))
     amps = [s for s in out if isinstance(s, Send) and isinstance(s.body, Amp)]
     assert len(amps) == 1 and amps[0].body.bit == 0
 
@@ -63,10 +63,10 @@ def test_zero_input_broadcasts_amp():
 def test_one_input_requires_certificate():
     _, registry, nodes, _, _ = make_cluster()
     with pytest.raises(InvalidOneInput):
-        nodes[1].give_input(AabaInput(1, sha256(b"x"), None))
+        nodes[1].give_input(Amp(1, sha256(b"x"), None))
     junk = ThresholdSig(tagged=sha256(b"junk"), parts=((1, b"junk"),))
     with pytest.raises(InvalidOneInput):
-        nodes[2].give_input(AabaInput(1, sha256(b"x"), junk))
+        nodes[2].give_input(Amp(1, sha256(b"x"), junk))
     params = SystemParams(4, 1)
     out = nodes[3].give_input(one_input(registry, params))
     amps = [s for s in out if isinstance(s, Send) and isinstance(s.body, Amp)]
@@ -75,15 +75,15 @@ def test_one_input_requires_certificate():
 
 def test_double_input_rejected():
     _, registry, nodes, _, _ = make_cluster()
-    nodes[1].give_input(AabaInput.zero())
+    nodes[1].give_input(Amp(0))
     with pytest.raises(DoubleInput):
-        nodes[1].give_input(AabaInput.zero())
+        nodes[1].give_input(Amp(0))
 
 
 def test_single_valid_amp_one_triggers_sho1_one():
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     value = one_input(registry, params)
     out = node.handle(2, Amp(1, value.digest, value.proof))
     sho1s = [s for s in out if isinstance(s, Send) and isinstance(s.body, Sho1)]
@@ -94,7 +94,7 @@ def test_single_valid_amp_one_triggers_sho1_one():
 def test_quorum_of_zero_amps_triggers_sho1_zero():
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     out = []
     for sender in (1, 2, 3):
         out += node.handle(sender, Amp(0))
@@ -105,7 +105,7 @@ def test_quorum_of_zero_amps_triggers_sho1_zero():
 def test_forged_amp_one_ignored():
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     junk = ThresholdSig(tagged=sha256(b"forged"), parts=((4, b"x"),))
     out = node.handle(4, Amp(1, sha256(b"fake"), junk))
     assert out == []
@@ -116,7 +116,7 @@ def test_sho1_relay_even_after_other_bit():
     # a node that voted sho1(0) still relays sho1(1) at f+1 support
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     for sender in (1, 2, 3):
         node.handle(sender, Amp(0))
     assert node.sho1_sent == {0}
@@ -132,7 +132,7 @@ def test_sho1_relay_even_after_other_bit():
 def test_sho1_quorum_grows_s_and_votes_sho2():
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     out = []
     for sender in (1, 2, 3):
         out += node.handle(sender, Sho1(0))
@@ -144,7 +144,7 @@ def test_sho1_quorum_grows_s_and_votes_sho2():
 def test_sho2_bits_outside_s_wait_for_s_growth():
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     # three sho2(0) votes buffered while S is empty
     for sender in (1, 2, 3):
         assert node.handle(sender, Sho2(0)) == []
@@ -162,7 +162,7 @@ def test_sho2_bits_outside_s_wait_for_s_growth():
 def test_stop_thresholds():
     params, registry, nodes, _, _ = make_cluster()
     node = nodes[1]
-    node.give_input(AabaInput.zero())
+    node.give_input(Amp(0))
     assert node.handle(2, Stop()) == []  # f stops: nothing
     out = node.handle(3, Stop())  # f+1: relay + output 0
     assert node.output == 0 and node.output_source == "stop"
@@ -175,7 +175,7 @@ def test_all_zero_shortcut_exactly_three_hops():
     params, registry, nodes, handlers, outputs = make_cluster()
     bus = LockstepBus(4, handlers)
     for i in nodes:
-        emissions = nodes[i].give_input(AabaInput.zero())
+        emissions = nodes[i].give_input(Amp(0))
         drain_outputs(emissions, outputs, i)
         bus.post(i, emissions)
     output_hops = {}
@@ -193,7 +193,7 @@ def test_all_zero_early_stop_halts_inner_aba():
     params, registry, nodes, handlers, outputs = make_cluster()
     bus = LockstepBus(4, handlers)
     for i in nodes:
-        bus.post(i, nodes[i].give_input(AabaInput.zero()))
+        bus.post(i, nodes[i].give_input(Amp(0)))
     bus.run()
     for node in nodes.values():
         assert node.inner.halted
@@ -203,7 +203,7 @@ def test_all_zero_early_stop_halts_inner_aba():
 def test_biased_validity_lockstep():
     params, registry, nodes, handlers, outputs = make_cluster()
     value = one_input(registry, params)
-    inputs = {1: value, 2: value, 3: AabaInput.zero(), 4: AabaInput.zero()}
+    inputs = {1: value, 2: value, 3: Amp(0), 4: Amp(0)}
     bus = LockstepBus(4, handlers)
     for i in nodes:
         emissions = nodes[i].give_input(inputs[i])
@@ -217,7 +217,7 @@ def test_biased_validity_lockstep():
 def test_agreement_under_adversarial_reordering(seed):
     params, registry, nodes, handlers, outputs = make_cluster()
     value = one_input(registry, params)
-    inputs = {1: value, 2: AabaInput.zero(), 3: AabaInput.zero(), 4: AabaInput.zero()}
+    inputs = {1: value, 2: Amp(0), 3: Amp(0), 4: Amp(0)}
     bus = ShuffleBus(4, handlers, seed=seed)
     for i in nodes:
         emissions = nodes[i].give_input(inputs[i])
@@ -234,7 +234,7 @@ def test_late_engagement_replays_buffered_traffic():
     late = nodes[4]
     bus = LockstepBus(4, {i: handlers[i] for i in (1, 2, 3)})
     for i in (1, 2, 3):
-        bus.post(i, nodes[i].give_input(AabaInput.zero()))
+        bus.post(i, nodes[i].give_input(Amp(0)))
     # deliver everything among 1..3 while 4 buffers silently
     fed = []
     while bus.queue:
@@ -245,7 +245,7 @@ def test_late_engagement_replays_buffered_traffic():
     for sender, body in fed:
         late.handle(sender, body)
     assert late.output is None and late.buffered
-    emissions = late.give_input(AabaInput.zero())
+    emissions = late.give_input(Amp(0))
     drain_outputs(emissions, outputs, 4)
     assert late.output == 0  # replay catches it up instantly
 

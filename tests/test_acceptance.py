@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from falcon_bft.aaba import AabaInput, AabaInstance, Output
+from falcon_bft.aaba import AabaInstance, Output
 from falcon_bft.core_types import (
     Amp,
     InstanceAddr,
@@ -151,7 +151,7 @@ def test_criterion_3a_all_zero_shortcut_three_rounds(n, f):
     params, registry, nodes, handlers, outputs = aaba_cluster(n, f)
     bus = LockstepBus(n, handlers)
     for i in nodes:
-        bus.post(i, nodes[i].give_input(AabaInput.zero()))
+        bus.post(i, nodes[i].give_input(Amp(0)))
     hop_of_output = {}
     while bus.queue:
         bus.step()
@@ -171,11 +171,11 @@ def test_criterion_3b_biased_validity_200_schedules():
         params, registry, nodes, handlers, outputs = aaba_cluster(4, 1)
         digest = bytes([seed % 256]) * 32
         cert = grade1_cert(registry, params, 1, 1, digest)
-        value = AabaInput.one(digest, cert)
+        value = Amp(1, digest, cert)
         # f+1 = 2 correct one-inputs; node 4 is the adversary pushing zeros
         del handlers[4]
         bus = ShuffleBus(4, handlers, seed=seed)
-        for i, inp in ((1, value), (2, value), (3, AabaInput.zero())):
+        for i, inp in ((1, value), (2, value), (3, Amp(0))):
             bus.post(i, nodes[i].give_input(inp))
         bus.post(4, [Send(nodes[1].addr, Amp(0)), Send(nodes[1].addr, Sho1(0)),
                      Send(nodes[1].addr, Sho2(0)), Send(nodes[1].addr, Stop())])
@@ -195,7 +195,7 @@ def test_criterion_3c_early_stop_halts_inner_aba():
 
     bus = LockstepBus(4, handlers, delay_fn=delay_sho2_to_4)
     for i in nodes:
-        bus.post(i, nodes[i].give_input(AabaInput.zero()))
+        bus.post(i, nodes[i].give_input(Amp(0)))
     bus.run()
     # nodes 1..3 shortcut (f+1 correct outputs at line-20 style), node 4 is
     # rescued by the stop exchange without ever reaching its own shortcut

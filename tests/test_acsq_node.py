@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from falcon_bft import simnet
+from falcon_bft.aaba import Output
 from falcon_bft.acsq import AcsqInstance
 from falcon_bft.core_types import (
     Assist,
@@ -379,6 +380,25 @@ def test_window_held_and_pruned_tests_fire_beside_live_instances(monkeypatch):
     assert clean(res) == []
 
 
+def test_sub_machines_emit_only_the_four_known_kinds(monkeypatch):
+    """`_absorb` ignores an emission of any other type, so a new kind that
+    nothing interprets would vanish without notice; each kind also occurs."""
+    workloads = load_bench_module("workloads")
+    absorb = AcsqInstance._absorb
+    seen = set()
+
+    def absorb_and_record(self, j, sub):
+        seen.update(type(item) for item in sub)
+        return absorb(self, j, sub)
+
+    monkeypatch.setattr(AcsqInstance, "_absorb", absorb_and_record)
+    configs = [workloads.favorable_n16(1)[0], workloads.byzantine_n16(1)[0]]
+    configs += [echo2_hold_config(i) for i in range(10)]
+    for config in configs:
+        run_simulation(config)
+    assert seen == {Send, GradedDelivery, Block, Output}
+
+
 def test_no_node_holds_an_instance_past_the_window_or_k_plus_one(monkeypatch):
     """Over `fuzz_config(0..49)`, after every envelope a node handles, its
     instances all lie at or below both its last instance and its k+1."""
@@ -512,6 +532,33 @@ def test_deferred_query_answered_once_the_body_arrives():
     assert inst.pending_queries == {}
     sent = [r for r in records if r["kind"] == "query_resp_sent"]
     assert sent == [{"kind": "query_resp_sent", "k": 1, "to": 3, "digest": block.digest.hex()}]
+
+
+def test_a_repeated_query_is_answered_once():
+    """32 bytes in buy one block out per peer, not one per query: answered
+    at once for a known digest, or once when a queued digest's body arrives."""
+    inst, _, records = _lone_instance()
+    block = Block(2, 1, (Transaction(b"tx"),))
+    aaba = InstanceAddr(1, Proto.AABA, 2)
+    for j in (2, 2, 3):
+        assert inst.handle(Envelope(4, 1, InstanceAddr(1, Proto.AABA, j), Query(block.digest))) == []
+    out = inst.handle(Envelope(2, 1, InstanceAddr(1, Proto.GBC, 2), Propose(block)))
+    assert [s for s in out if type(s.body) is QueryResp] == [Send(aaba, QueryResp(block), to=4)]
+    out = []
+    for _ in range(3):
+        out.extend(inst.handle(Envelope(3, 1, aaba, Query(block.digest))))
+    assert out == [Send(aaba, QueryResp(block), to=3)]
+    assert len([r for r in records if r["kind"] == "query_resp_sent"]) == 2
+
+
+def test_a_digest_flood_queues_one_query_per_index_and_peer():
+    """Made-up digests from one peer hold at most one pending query per index."""
+    inst, _, _ = _lone_instance()
+    for i in range(1000):
+        j = 1 + i % 4
+        assert inst.handle(Envelope(3, 1, InstanceAddr(1, Proto.AABA, j), Query(b"%032d" % i))) == []
+    assert sum(len(waiting) for waiting in inst.pending_queries.values()) == 4
+    assert len(inst.pending_queries) == 4
 
 
 def _forged(j, k=1):

@@ -15,8 +15,6 @@ from falcon_bft.core_types import (
 from falcon_bft.crypto import tagged_digest
 from falcon_bft.gbc import (
     AlreadyStarted,
-    BodyReceived,
-    Deliver,
     GbcInstance,
     cert_tag,
     verify_delivery,
@@ -41,7 +39,7 @@ def sends(emissions):
 
 
 def deliveries(emissions):
-    return [e.delivery for e in emissions if isinstance(e, Deliver)]
+    return [e for e in emissions if isinstance(e, GradedDelivery)]
 
 
 def echo1_for(registry, signer, block):
@@ -66,7 +64,7 @@ def test_first_propose_echoes():
     g = make_instance()
     block = make_block()
     out = g.on_propose(1, block)
-    assert any(isinstance(e, BodyReceived) for e in out)
+    assert block in out
     echoes = [s for s in sends(out) if isinstance(s.body, Echo1)]
     assert len(echoes) == 1
     assert g.registry.verify_partial(echoes[0].body.partial)

@@ -7,8 +7,9 @@ process, so a change to scheduling, message order or log format anywhere
 in the stack shows up here even when every invariant still holds.  The fuzz
 runs add random delays, delay rules and every fault plugin to what the
 scenarios cover, and the crash runs stop a node at ticks from 0 to 63,
-mid-run as well as from the start.  The `metrics.csv` and `txs.csv` tables
-that `falcon-sim run` writes for each scenario are pinned the same way.
+mid-run as well as from the start.  The other files `falcon-sim run`
+writes for each scenario (`metrics.csv`, `txs.csv`, `chains.txt` and
+`report.txt`) are pinned the same way.
 
 `to_lines` writes no line through the JSON encoder that a template can
 write: send records from one `_SEND_RUN` template per broadcast, every other
@@ -59,40 +60,57 @@ def test_scenario_log_digest(name):
     assert hashlib.sha256(result.log.to_lines()).hexdigest() == GOLDEN[name]
 
 
-# sha256 of the post-run tables `falcon-sim run` writes for each shipped
-# scenario: (metrics.csv, txs.csv)
+# sha256 of every file but the event log that `falcon-sim run` writes for
+# each shipped scenario
+RUN_OUTPUTS = ("metrics.csv", "txs.csv", "chains.txt", "report.txt")
 CSV_GOLDEN = {
     "adversarial_skew.ini": (
         "01529f46c62b6bfade3ea2778b6417d1723146ae7ed610cd05fad393e4cb8fef",
         "923f245eea47bb7120e0ce88579e9cf7a77031b92f10fbd323d01ea061128f36",
+        "8b7a2ae06491e635fedcfbb59f2ffd27ae5acb657756f66a384fba9c319093e1",
+        "bc025ebfbc70776bc461c381bcdff3955120a8e80e8d63266cd317feb6bddf42",
     ),
     "crash_4.ini": (
         "c771f1188445658d9c6303e04a007d3404d8e63859d8832402329f6aa7230123",
         "04ef1dabc8e8c1f557c9f3df1d8a11221ca45a4f84677ce9447f5d0001927a92",
+        "4e1ea52af62a93f62051bc4907a244b242e0eff319dae3389859163da7855e64",
+        "1186e660f3571dcef215d6f56c154b33f0d966ec59459998a7d71ad8b56e851a",
     ),
     "equivocator_random.ini": (
         "e0f81a17f1a9d27a71787ca175f07869e0b6e1b8087b7a306a3f4e3b1b935a45",
         "8815f86adefd0c4f6b3bae6ca49d14c6de082415dcbfc128cfe8debb723570db",
+        "995bb3e37f486675051b4037d7b830d29e249167f1457c76ab97a5865184d2a3",
+        "2b07f6a86cc320e1c2d29b970402c94b734f4b03e568b7d2c8827b18834499c7",
     ),
     "favorable_4.ini": (
         "b83ffadd0211ed4adaf9f71e40aad4172ddecc109325c713024f04573af55049",
         "57c892680221e21c6752a7d2f4edbbc33dc068411ee183c2571b71e95bc07b4d",
+        "875e34f56a1d00cc2479e217d3acf8536139e89a78912e2eb3eeeced6158680d",
+        "85d8ed16048cad8503687d0d90e5b17b8f55e53e2618faf71dc31498ece70076",
     ),
     "favorable_7.ini": (
         "653b7016205d20da70ef4495d8697078541ff7f7f594c664f452202920a248f0",
         "cef07c94ae9e4498f5d731c93aaa300194f48e68f48541da8109a76b55568318",
+        "425e310b128ec908af6147dcdc23d27ef33a7c6b4e552985f6518002d0793237",
+        "cb4e19cb679ecaeb717a0cf01f0508bb20153cd3d7fe7b63256e2fe8e7f3ddfa",
     ),
     "late_proof_include.ini": (
         "9756d1221524a8c2827c2552ed24bc6626a50574b1dc24557b1a1c3799c2f3a9",
         "bc4732bb1e1d02a143ab5f7a3809145a22219ca9d86a52eeeb2c3b2218f6b85c",
+        "e3c9119e43357a2dd71725e2113a26ddabded5d25287d3795e7fc50700e70ca7",
+        "fac0fc9bb98793a495d33d3744aacc06a7fe0c61b0f01b4ca507b61107d796bd",
     ),
     "wrong_bit_one_path.ini": (
         "c6950182f2cb8450afcc0c9305d24ca2a7ce98de8edba8d628a8d5eda3e4597c",
         "ba852bf9f44ca039659e7b150e49ae21a63bd5cbe221b34cd25ebe06b87bca2d",
+        "fa5ccb58e0c1883b16968507b9c94e31c3799b6592d1bae631416218e61cf723",
+        "b4e489b2d6460af987724460e77b0687de1a9fa8770ece89b77d73a93e135317",
     ),
     "wrong_bits_adversarial.ini": (
         "95efc769a3afded90c13161bb92ed37cd83525d0af41d9d33f3dc434d7c163cb",
         "8e04669b2099b6e1b170afa511f77350d9849dc07f66efaf64f651cdc7ba0c52",
+        "a7eb9021f7dabf9875784b7ea87d48a35aff82b0cce940f6e345a473a452deae",
+        "45b53615b61da5da8bafbeb55d370f0b13c5eb98775e3e0077e019a224ff9a23",
     ),
 }
 
@@ -102,7 +120,7 @@ def test_scenario_csv_digests(name, tmp_path):
     assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path)]) == 0
     digests = tuple(
         hashlib.sha256((tmp_path / table).read_bytes()).hexdigest()
-        for table in ("metrics.csv", "txs.csv")
+        for table in RUN_OUTPUTS
     )
     assert digests == CSV_GOLDEN[name]
 

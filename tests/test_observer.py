@@ -39,7 +39,7 @@ def test_clean_run_empty_report():
 
 def test_corrupted_chain_detected():
     res = run_simulation(favorable())
-    res.nodes[2].chain.slots[1] = res.nodes[2].chain.slots[0]
+    res.nodes[2].chain[1] = res.nodes[2].chain[0]
     found = check_chain_safety(res)
     assert found and all(v["check"] == "chain_safety" for v in found)
 
@@ -204,7 +204,7 @@ def _corrupt(res, seed):
             res.log.append({"kind": kind, "t": rng.randrange(1, 50), "node": rng.choice(correct),
                             "k": rng.randrange(1, last_k + 1), "j": rng.choice(correct)})
     if rng.random() < 0.3:
-        slots = res.nodes[rng.choice(correct)].chain.slots
+        slots = res.nodes[rng.choice(correct)].chain
         if len(slots) > 1:
             slots[rng.randrange(1, len(slots))] = slots[0]
     return res

@@ -1,5 +1,5 @@
 from falcon_bft.core_types import Block, Transaction
-from falcon_bft.sorter import Chain, SortCursor, partial_sort
+from falcon_bft.sorter import SortCursor, chain_digest, partial_sort
 
 
 def blk(creator, instance=1, payload=None):
@@ -8,18 +8,18 @@ def blk(creator, instance=1, payload=None):
 
 
 def test_commits_across_excluded_index():
-    chain = Chain()
+    chain = []
     cursor = SortCursor()
     b1, b3 = blk(1), blk(3)
     committed = partial_sort(cursor, 1, 3, {1: b1, 3: b3}, {2}, chain)
     assert [b.creator for b in committed] == [1, 3]
     assert cursor.idx[1] == 3
     assert cursor.done_id == 1
-    assert chain.slots == [b1, b3]
+    assert chain == [b1, b3]
 
 
 def test_prefix_gate_blocks_later_indices():
-    chain = Chain()
+    chain = []
     cursor = SortCursor()
     assert partial_sort(cursor, 1, 3, {2: blk(2), 3: blk(3)}, set(), chain) == []
     assert cursor.idx.get(1, 0) == 0
@@ -27,7 +27,7 @@ def test_prefix_gate_blocks_later_indices():
 
 
 def test_progressive_commit_resumes():
-    chain = Chain()
+    chain = []
     cursor = SortCursor()
     included = {1: blk(1)}
     excluded = set()
@@ -40,17 +40,17 @@ def test_progressive_commit_resumes():
 
 
 def test_instance_gate_defers_successor():
-    chain = Chain()
+    chain = []
     cursor = SortCursor()
     second = {1: blk(1, 2), 2: blk(2, 2)}
     assert partial_sort(cursor, 2, 2, second, set(), chain) == []  # instance 1 not done
     assert len(partial_sort(cursor, 1, 2, {1: blk(1, 1), 2: blk(2, 1)}, set(), chain)) == 2
     assert len(partial_sort(cursor, 2, 2, second, set(), chain)) == 2
-    assert [b.instance for b in chain.slots] == [1, 1, 2, 2]
+    assert [b.instance for b in chain] == [1, 1, 2, 2]
 
 
 def test_integral_mode_commits_only_when_all_decided():
-    chain = Chain()
+    chain = []
     cursor = SortCursor()
     included = {1: blk(1), 2: blk(2)}
     assert partial_sort(cursor, 1, 3, included, set(), chain, integral=True) == []
@@ -59,19 +59,19 @@ def test_integral_mode_commits_only_when_all_decided():
 
 
 def test_duplicate_txs_kept_in_slots():
-    chain = Chain()
+    chain = []
     cursor = SortCursor()
     shared = Transaction(b"shared")
     b1 = Block(1, 1, (shared,))
     b2 = Block(2, 1, (shared, Transaction(b"own")))
     partial_sort(cursor, 1, 2, {1: b1, 2: b2}, set(), chain)
-    assert chain.slots == [b1, b2]  # both blocks occupy slots
+    assert chain == [b1, b2]  # both blocks occupy slots
 
 
 def test_chain_digest_tracks_slots():
-    a, b = Chain(), Chain()
+    a, b = [], []
     for c in (a, b):
         c.append(blk(1))
-    assert a.digest() == b.digest()
+    assert chain_digest(a) == chain_digest(b)
     b.append(blk(2))
-    assert a.digest() != b.digest()
+    assert chain_digest(a) != chain_digest(b)
