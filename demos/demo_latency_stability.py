@@ -9,20 +9,20 @@ from falcon_bft import DelayRule, SimConfig, SystemParams, run_simulation
 from falcon_bft.metrics import stability_report, tx_records
 
 
-def run(integral):
+def run(variant):
     cfg = SimConfig(
         params=SystemParams(4, 1),
         seed=5,
         num_instances=3,
         tx_load=40,
         rules=(DelayRule(body="Echo2", proto="gbc", index=4, delay=40),),
-        integral_sort=integral,
+        variant=variant,
     )
     return stability_report(tx_records(run_simulation(cfg)))
 
 
-partial = run(False)
-integral = run(True)
+partial = run("falcon")
+integral = run("integral_sort")
 
 print(f"{'':>22}{'partial sorting':>18}{'integral foil':>16}")
 for key in ("count", "min", "p50", "p90", "max", "spread", "distinct_commit_times"):

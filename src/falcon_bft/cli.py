@@ -4,8 +4,9 @@
     falcon-sim check <scenario-dir>
 
 Exit code 0 means the run (or every run in the directory) finished with an
-empty violation report; scenario errors and runs that do not quiesce exit 2
-with one line on stderr and no outputs, violations exit 1.
+empty violation report; violations exit 1.  Scenario errors, runs that do
+not quiesce and outputs that cannot be written exit 2 with one line on
+stderr; the first two write no outputs.
 """
 
 from __future__ import annotations
@@ -67,7 +68,11 @@ def run_one(path: Path, args, nested: bool = False) -> int:
         out_dir = Path(args.out) / path.stem if nested else Path(args.out)
     else:
         out_dir = path.with_suffix(".out")
-    _write_outputs(out_dir, result, violations)
+    try:
+        _write_outputs(out_dir, result, violations)
+    except OSError as exc:
+        print(f"{path}: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     commits = len(result.log.of_kind("commit"))
     status = "PASS" if not violations else "FAIL"
     print(
@@ -98,18 +103,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="falcon-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario file")
+    common = argparse.ArgumentParser(add_help=False)  # options of both commands
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", default=None)
+    common.add_argument("--mode", choices=MODES, default=None)
+
+    run_p = sub.add_parser("run", parents=[common], help="run one scenario file")
     run_p.add_argument("scenario")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--mode", choices=MODES, default=None)
     run_p.set_defaults(func=cmd_run)
 
-    check_p = sub.add_parser("check", help="run every *.ini scenario in a directory")
+    check_p = sub.add_parser(
+        "check", parents=[common], help="run every *.ini scenario in a directory"
+    )
     check_p.add_argument("scenario_dir")
-    check_p.add_argument("--seed", type=int, default=None)
-    check_p.add_argument("--out", default=None)
-    check_p.add_argument("--mode", choices=MODES, default=None)
     check_p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

@@ -25,10 +25,12 @@ instance is never waited on.
 
 How a node drives an instance lives here and nowhere else: which block it
 proposes (`_own_block`), what its agreement input for a missing index is
-(`_agreement_input`), and how its outgoing messages are addressed
-(`_wrap`).  These three methods are the seam for fault plugins, which
-override them in `Node` subclasses; the crash plugin overrides the harness
-surface (`start`, `inject_tx`, `handle`) instead.
+(`_agreement_input`), how its outgoing messages are addressed (`_wrap`),
+and whether an instance may sort yet (`_sortable`).  The first three are
+the seam for fault plugins, which override them in `Node` subclasses; the
+crash plugin overrides the harness surface (`start`, `inject_tx`,
+`handle`) instead.  `_sortable` is the seam for foils, the `Node`
+subclasses that swap one of Falcon's mechanisms for the one it replaces.
 """
 
 from __future__ import annotations
@@ -189,14 +191,18 @@ class Node:
                 txids=[tx.txid.hex() for tx in block.txs],
             )
 
+    def _sortable(self, inst: AcsqInstance) -> bool:
+        """Whether instance `inst` may write to the chain now.  Partial
+        sorting always lets it: `partial_sort` commits the decided prefix."""
+        return True
+
     def _run_sorts(self) -> None:
         while True:
             k = self.cursor.done_id + 1
             inst = self.instances.get(k)
-            if inst is None:
+            if inst is None or not self._sortable(inst):
                 break
-            done = partial_sort(self.cursor, k, self.params.n, inst.M_acs, inst.S_ex,
-                                self.chain, integral=self.config.integral_sort)
+            done = partial_sort(self.cursor, k, self.params.n, inst.M_acs, inst.S_ex, self.chain)
             if done:
                 self._commit(k, done)
             if self.cursor.done_id < k:

@@ -41,14 +41,6 @@ class ScenarioError(Exception):
     pass
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ScenarioError(f"not a boolean: {raw!r}")
-
-
 # Every settable key, by where it appears: key -> (field, parser).  [system]
 # and [network] keys set `SimConfig` fields, except n and f, which set
 # `SystemParams`; the tokens of an [adversary] rule set `DelayRule` fields.
@@ -60,7 +52,7 @@ _KEYS = {
         "seed": ("seed", int),
         "instances": ("num_instances", int),
         "tx_load": ("tx_load", int),
-        "integral_sort": ("integral_sort", _parse_bool),
+        "variant": ("variant", str),
     },
     "network": {
         "mode": ("mode", str),

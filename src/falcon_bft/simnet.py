@@ -21,6 +21,10 @@ a twin block, and wrong-bit inverts the node's agreement inputs (its forged
 one-inputs carry junk certificates that verifiers reject).  Crash overrides
 the harness surface: from a given tick on, the node starts nothing, takes
 no txs and drops every envelope delivered to it.
+
+A foil, the mechanism one of Falcon's replaces, enters the same way:
+`SimConfig.variant` names a `Node` subclass that runs at every correct
+node, while a faulty node keeps its fault plugin.
 """
 
 from __future__ import annotations
@@ -114,11 +118,13 @@ class SimConfig:
     faults: Tuple[FaultSpec, ...] = ()
     num_instances: int = 1
     tx_load: int = 4
-    integral_sort: bool = False
+    variant: str = "falcon"  # a key of _VARIANT_NODE_CLASSES
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise InvalidConfig(f"unknown mode {self.mode!r}")
+        if self.variant not in _VARIANT_NODE_CLASSES:
+            raise InvalidConfig(f"unknown variant {self.variant!r}")
         if not 1 <= self.delay_min <= self.delay_max:
             raise InvalidConfig("need 1 <= delay_min <= delay_max")
         if self.num_instances < 1:
@@ -240,6 +246,20 @@ _FAULT_NODE_CLASSES = {
     "equivocate": EquivocatingNode,
     "wrong_aaba_bit": WrongBitNode,
 }
+
+
+# -- foils --------------------------------------------------------------------------
+
+
+class IntegralSortNode(Node):
+    """Integral sorting: an instance writes to the chain only once every
+    index is decided, so each block waits for the slowest agreement."""
+
+    def _sortable(self, inst: AcsqInstance) -> bool:
+        return len(inst.M_acs) + len(inst.S_ex) == self.params.n
+
+
+_VARIANT_NODE_CLASSES = {"falcon": Node, "integral_sort": IntegralSortNode}
 
 
 # -- the simulation ------------------------------------------------------------------
@@ -457,9 +477,10 @@ class Simulation:
         self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
         self._delays: Dict[Tuple[int, ...], List[int]] = {}  # matched rules -> delay by recipient
         plugins = {fs.node: _FAULT_NODE_CLASSES[fs.kind] for fs in config.faults}
+        base = _VARIANT_NODE_CLASSES[config.variant]
         self.nodes: Dict[int, Node] = {}
         for i in config.params.node_ids():
-            self.nodes[i] = plugins.get(i, Node)(i, config, self.registry, self.log)
+            self.nodes[i] = plugins.get(i, base)(i, config, self.registry, self.log)
         self._correct = config.correct_nodes()
         self._batches_injected = 0
 

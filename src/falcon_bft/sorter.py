@@ -2,7 +2,8 @@
 
 Within an instance, index j commits as soon as every smaller index is
 decided (included or excluded); across instances, instance k may only
-write to the chain once instance k-1 is fully sorted.  A chain is a plain
+write to the chain once instance k-1 is fully sorted.  Whether an instance
+may sort at all is the node's call (`Node._sortable`).  A chain is a plain
 list of committed blocks, one per slot; it keeps whole blocks so
 cross-node safety is byte-equality of slots.
 """
@@ -36,19 +37,15 @@ def partial_sort(
     included: Dict[int, Block],
     excluded: Set[int],
     chain: List[Block],
-    integral: bool = False,
 ) -> List[Block]:
     """Advance the sort cursor for instance k; returns blocks committed now.
 
     `included` and `excluded` are the instance's decisions over indices 1..n,
-    disjoint, read and never written.  `integral` is the foil mode used by the
-    stability comparison: nothing commits until every index is decided.
+    disjoint, read and never written.
     """
     if cursor.done_id != k - 1:
         return []
     idx = cursor.idx.get(k, 0)
-    if integral and len(included) + len(excluded) < n:
-        return []
     committed = []
     while idx < n and (idx + 1 in included or idx + 1 in excluded):
         j = idx + 1

@@ -51,6 +51,20 @@ def crash_fuzz_config(i: int) -> SimConfig:
     return replace(config, faults=(crash, *rest))
 
 
+def delayed_index_configs(variant: str) -> Tuple[SimConfig, SimConfig]:
+    """Criterion 6's two runs under `variant`: n=4 at seed 5 with index 4's
+    Echo2 40 ticks late, in one instance with 4 txs a batch and in three
+    instances with 40."""
+    return (
+        SimConfig(params=SystemParams(4, 1), seed=5, num_instances=1, tx_load=4,
+                  rules=(DelayRule(body="Echo2", proto="gbc", index=4, acsq_id=1, delay=40),),
+                  variant=variant),
+        SimConfig(params=SystemParams(4, 1), seed=5, num_instances=3, tx_load=40,
+                  rules=(DelayRule(body="Echo2", proto="gbc", index=4, delay=40),),
+                  variant=variant),
+    )
+
+
 def echo2_hold_config(i: int) -> SimConfig:
     """The benchmark's `fuzz_config(i)` with one or two indices' Echo2s held
     8-40 ticks: correct blocks miss grade 2 before the trigger, so agreement
@@ -259,11 +273,11 @@ def _sort_every_instance(self: Node) -> None:
     cursor = self.cursor
     for k in sorted(self.instances):
         inst = self.instances[k]
+        if not self._sortable(inst):
+            continue
         saved, cursor.done_id = cursor.done_id, k - 1
-        done = node_module.partial_sort(
-            cursor, k, self.params.n, inst.M_acs, inst.S_ex, self.chain,
-            integral=self.config.integral_sort,
-        )
+        done = node_module.partial_sort(cursor, k, self.params.n, inst.M_acs, inst.S_ex,
+                                        self.chain)
         cursor.done_id = max(saved, k) if cursor.done_id == k else saved
         if done:
             self._commit(k, done)

@@ -230,18 +230,18 @@ def test_criterion_4_and_5_safety_and_liveness_fuzz():
 
 
 def test_criterion_6_partial_sort_progressiveness():
-    def run_mode(integral):
+    def run_mode(variant):
         cfg = SimConfig(
             params=SystemParams(4, 1),
             seed=5,
             num_instances=1,
             tx_load=4,
             rules=(DelayRule(body="Echo2", proto="gbc", index=4, acsq_id=1, delay=40),),
-            integral_sort=integral,
+            variant=variant,
         )
         return run_simulation(cfg)
 
-    partial = run_mode(False)
+    partial = run_mode("falcon")
     assert observe_invariants(partial) == []
     commit_order = [
         (r["t"], r["i"]) for r in partial.log.of_kind("commit") if r["k"] == 1 and r["j"] < 4
@@ -252,7 +252,7 @@ def test_criterion_6_partial_sort_progressiveness():
     assert commit_order and decide_order
     assert max(commit_order) < min(decide_order)  # low indices commit first
 
-    integral = run_mode(True)
+    integral = run_mode("integral_sort")
     commit_order_i = [
         (r["t"], r["i"]) for r in integral.log.of_kind("commit") if r["k"] == 1 and r["j"] < 4
     ]
@@ -262,19 +262,19 @@ def test_criterion_6_partial_sort_progressiveness():
     assert min(commit_order_i) > min(decide_order_i)  # foil waits for the gap
 
     # the stability report separates the two modes on a longer run
-    def stability(integral):
+    def stability(variant):
         cfg = SimConfig(
             params=SystemParams(4, 1),
             seed=5,
             num_instances=3,
             tx_load=40,
             rules=(DelayRule(body="Echo2", proto="gbc", index=4, delay=40),),
-            integral_sort=integral,
+            variant=variant,
         )
         return stability_report(tx_records(run_simulation(cfg)))
 
-    rep_partial = stability(False)
-    rep_integral = stability(True)
+    rep_partial = stability("falcon")
+    rep_integral = stability("integral_sort")
     assert rep_partial["distinct_commit_times"] > rep_integral["distinct_commit_times"]
     assert rep_partial["spread"] < rep_integral["spread"]
     assert rep_partial["p50"] < rep_integral["p50"]

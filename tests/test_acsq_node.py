@@ -36,6 +36,7 @@ from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 from support import (
     FORGE_BODIES,
     BodyForgingNode,
+    delayed_index_configs,
     echo2_hold_config,
     late_proof_config,
     load_bench_module,
@@ -637,3 +638,32 @@ def test_forged_query_responses_break_nothing(monkeypatch, fields):
     assert clean(res) == []
     drops = [r for r in res.log.of_kind("drop") if r.get("reason") == "bad_query_resp"]
     assert drops  # the forgeries arrived and were turned away
+
+
+def _commits_before_last_decide(res):
+    """(node, k, j) of each commit a correct node logs for instance k before
+    its last `decide` record for k."""
+    correct = set(res.config.correct_nodes())
+    last = {(r["node"], r["k"]): r["i"] for r in res.log.of_kind("decide")}
+    return [
+        (r["node"], r["k"], r["j"])
+        for r in res.log.of_kind("commit")
+        if r["node"] in correct and r["i"] < last[r["node"], r["k"]]
+    ]
+
+
+def test_integral_sort_commits_only_after_every_decision():
+    """Under the integral_sort variant no correct node commits a block of an
+    instance before that instance's last decision; under Falcon's partial
+    sorting every one of these runs commits some block before it."""
+    fuzz_config = load_bench_module("workloads").fuzz_config
+    configs = [*delayed_index_configs("falcon")]
+    configs += [replace(fuzz_config(i), faults=()) for i in range(10)]
+    early = []
+    for config in configs:
+        foil = run_simulation(replace(config, variant="integral_sort"))
+        assert observe_invariants(foil) == []  # the foil's delay may miss liveness
+        assert foil.log.of_kind("commit")
+        assert _commits_before_last_decide(foil) == []
+        early.append(len(_commits_before_last_decide(run_simulation(config))))
+    assert all(early)

@@ -106,6 +106,40 @@ def test_negative_crash_tick_exits_two_with_one_line(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "line", ["variant = integral", "integral_sort = true"], ids=["unknown_variant", "old_key"]
+)
+def test_bad_variant_exits_two_with_one_line(tmp_path, capsys, line):
+    scenario = write(tmp_path, FAVORABLE + line + "\n", "variant.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_integral_sort_run_with_a_crash_is_clean(tmp_path, capsys):
+    """The crashed node keeps its crash plugin; the foil runs at the others."""
+    text = CRASHED.replace("[faults]", "variant = integral_sort\n\n[faults]")
+    scenario = write(tmp_path, text, "foil.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    assert '"reason":"crashed"' in (out_dir / "events.log").read_text()
+    assert (out_dir / "report.txt").read_text().startswith("violations=0")
+
+
+def test_unwritable_outputs_exit_two_with_one_line(tmp_path, capsys):
+    scenario = write(tmp_path, FAVORABLE, "fav.ini")
+    taken = write(tmp_path, "not a directory", "taken")
+    assert main(["run", str(scenario), "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"{scenario}: cannot write outputs: ")
+    assert taken.read_text() == "not a directory"
+
+
 def test_missing_scenario_nonzero(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
 

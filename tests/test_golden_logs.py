@@ -1,6 +1,7 @@
 """Golden event logs: each shipped scenario, the byzantine-n16 workload at
-seed 1, and each pinned run of the benchmark's fuzz shape, with and without
-a crash, replays to a pinned log digest.
+seed 1, each pinned run of the benchmark's fuzz shape, with and without a
+crash, and the integral-sorting foil's two pinned runs replay to a pinned
+log digest.
 
 The digests are sha256 over `EventLog.to_lines()`, recorded in a separate
 process, so a change to scheduling, message order or log format anywhere
@@ -33,7 +34,7 @@ from falcon_bft import simnet
 from falcon_bft.cli import main
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import EventLog, run_simulation
-from support import crash_fuzz_config, load_bench_module
+from support import crash_fuzz_config, delayed_index_configs, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WORKLOADS = load_bench_module("workloads")
@@ -191,6 +192,20 @@ CRASH_GOLDEN = [
 def test_crash_fuzz_log_digest(i):
     result = run_simulation(crash_fuzz_config(i))
     assert hashlib.sha256(result.log.to_lines()).hexdigest() == CRASH_GOLDEN[i]
+
+
+# delayed_index_configs("integral_sort"): the integral-sorting foil on
+# criterion 6's two runs, one instance and three
+FOIL_GOLDEN = [
+    "61825a6964d63d8e30c9d0f8e96de84bdc2120a7b1fe81a460be44caef98fcf8",
+    "cfd77acafbc22e0b8faf2f11cdfc2dbf2ab37acd613b0be1364f9131c5e0af90",
+]
+
+
+@pytest.mark.parametrize("i", range(len(FOIL_GOLDEN)))
+def test_integral_sort_log_digest(i):
+    result = run_simulation(delayed_index_configs("integral_sort")[i])
+    assert hashlib.sha256(result.log.to_lines()).hexdigest() == FOIL_GOLDEN[i]
 
 
 # every config the golden digests cover, plus both n=16 benchmark workloads

@@ -83,6 +83,13 @@ def test_defaults(tmp_path):
     assert config.mode == "lockstep"
     assert config.num_instances == 1
     assert config.faults == () and config.rules == ()
+    assert config.variant == "falcon"
+
+
+def test_variant_key_loads(tmp_path):
+    config = load_scenario(write(tmp_path, "[system]\nvariant = integral_sort\n"))
+    assert config.variant == "integral_sort"
+    config.validate()
 
 
 def test_rules_keep_file_order(tmp_path):

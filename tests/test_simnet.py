@@ -273,6 +273,9 @@ def test_config_validation():
     for mode in ("warp", "adversarial"):
         with pytest.raises(InvalidConfig):
             SimConfig(params=SystemParams(4, 1), mode=mode).validate()
+    for variant in ("Integral_sort", "integral", ""):
+        with pytest.raises(InvalidConfig):
+            SimConfig(params=SystemParams(4, 1), variant=variant).validate()
     # mistyped delay rules would otherwise match nothing and be ignored
     for rule in (
         DelayRule(proto="GBC", delay=5),

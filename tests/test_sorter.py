@@ -49,15 +49,6 @@ def test_instance_gate_defers_successor():
     assert [b.instance for b in chain] == [1, 1, 2, 2]
 
 
-def test_integral_mode_commits_only_when_all_decided():
-    chain = []
-    cursor = SortCursor()
-    included = {1: blk(1), 2: blk(2)}
-    assert partial_sort(cursor, 1, 3, included, set(), chain, integral=True) == []
-    assert len(partial_sort(cursor, 1, 3, included, {3}, chain, integral=True)) == 2
-    assert cursor.done_id == 1
-
-
 def test_duplicate_txs_kept_in_slots():
     chain = []
     cursor = SortCursor()
