@@ -1,17 +1,19 @@
 """Deterministic discrete-event network with programmable adversaries.
 
 Time is an integer tick count, kept by the run's `EventLog` so that one
-clock stamps every record.  At send time a message gets one `send` record
-per recipient and, for each tick it is due at, one entry in that tick's
-FIFO queue: the envelope and its recipients due then, in id order, so a
-broadcast stays one envelope.  The run delivers the smallest pending tick's
-queue front to back.  Every delay is at least one tick, so a tick's queue
-is complete before it is delivered: equal-time deliveries replay in send
-order, and a (config, seed) pair maps to exactly one event log, byte for
-byte.  Lockstep mode delivers every message one tick after it was sent,
+clock stamps every record.  At send time a message gets one in-memory
+`send` record per recipient and, for each tick it is due at, one entry in
+that tick's FIFO queue: the envelope and its recipients due then, in id
+order, so a broadcast stays one envelope.  The run delivers the smallest
+pending tick's queue front to back.  Every delay is at least one tick, so
+a tick's queue is complete before it is delivered: equal-time deliveries
+replay in send order, and a (config, seed) pair maps to exactly one event
+log, byte for byte.  Lockstep mode delivers every message one tick after it was sent,
 which makes a tick equal to one communication round; random mode draws
 each recipient's delay from the seeded generator; delay rules add extra
-ticks to matching messages.
+ticks to matching messages.  The written log holds no `send` record: once
+the queue drains, the run appends one `sends` record per sender, protocol
+and body, written as node 0's, with the number of deliveries sent.
 
 Misbehaviour enters one way: a fault plugin is a `Node` subclass that acts
 only through its own node's keys.  Silence, equivocation and wrong-bit
@@ -264,24 +266,9 @@ _VARIANT_NODE_CLASSES = {"falcon": Node, "integral_sort": IntegralSortNode}
 
 # -- the simulation ------------------------------------------------------------------
 
-# A send record's line with `i` and `to` left open: filled in with the body,
-# j, k, node, proto and t that a broadcast's records share, keys in sorted order.
-_SEND_RUN = (
-    b'{"body":%s,"i":%%d,"j":%d,"k":%d,"kind":"send",'
-    b'"node":%d,"proto":%s,"t":%d,"to":%%d}\n'
-)
-_SEND_FIELDS = operator.itemgetter("body", "i", "j", "k", "node", "proto", "t", "to")
-
-
 def _json_text(s: str) -> str:
     """`s` as a JSON string, its `%` doubled to stand in a line template."""
     return encode_basestring_ascii(s).replace("%", "%%")
-
-
-@functools.lru_cache(maxsize=256)
-def _json_name(s: str) -> bytes:
-    """`_json_text(s)` as bytes, for a body or proto name in `_SEND_RUN`."""
-    return _json_text(s).encode()
 
 
 def _getter(keys: List[str]) -> Callable[[dict], tuple]:
@@ -350,20 +337,29 @@ class EventLog:
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
 
+    `records` holds a `send` record for each delivery a message is due
+    for, most of a log, but `to_lines` writes none of them: the run's
+    `sends` summary records count them per sender, protocol and body.
+
     `of_kind` reads a by-kind index, built in one pass over `records` and
     again whenever `records` is another list or another length, so `append`
-    does no indexing work.  It holds every kind but `send`, most of a log:
+    does no indexing work.  It holds every kind but `send`:
     `of_kind("send")` scans `records`.
     """
 
     def __init__(self):
         self.records: List[dict] = []
         self.time = 0
+        self._lines = 0  # records appended that `to_lines` writes
         # (records, its length, kind -> records) as of the last index build
         self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.records, 0, {})
 
     def append(self, record: dict) -> None:
-        record["i"] = len(self.records)
+        """Add `record` to `records`; unless it is a `send` record, also
+        number it `i`, its line in `to_lines`."""
+        if record["kind"] != "send":
+            record["i"] = self._lines
+            self._lines += 1
         self.records.append(record)
 
     def logger(self, node_id: int) -> Callable:
@@ -377,23 +373,16 @@ class EventLog:
         return log
 
     def to_lines(self) -> bytes:
-        """Each record as one line of compact JSON with sorted keys: the bytes
-        `json.dumps(rec, sort_keys=True, separators=(",", ":"))` gives.
+        """Each record but the `send` records as one line of compact JSON with
+        sorted keys: the bytes `json.dumps(rec, sort_keys=True,
+        separators=(",", ":"))` gives.
 
-        No line goes through the JSON encoder if a template can write it:
-
-        - A send record is most of a log, and `_dispatch` writes a
-          broadcast's n records one after another, differing only in `i`
-          and `to`.  `_SEND_RUN` is filled with the other six values once
-          per run of records that hold those very objects, checked then to
-          be ints and strs; each record then adds its `i` and `to`, if both
-          are ints.  A send record with other keys is written like the rest.
-        - Every other record is written from the template of its shape, its
-          kind, keys and value types, which `_shape_line` builds once per
-          shape and caches.  Its values fill the slots in order, once each
-          str is known to be one JSON writes unescaped; a bool is written
-          `true` or `false`, a list of only exact ints or only such strs as
-          its JSON text.
+        No line goes through the JSON encoder if a template can write it.  A
+        record is written from the template of its shape, its kind, keys and
+        value types, which `_shape_line` builds once per shape and caches.
+        Its values fill the slots in order, once each str is known to be one
+        JSON writes unescaped; a bool is written `true` or `false`, a list of
+        only exact ints or only such strs as its JSON text.
 
         Any record a template cannot write byte for byte, with a float or
         dict value, another list (nested, mixed or holding a bool), a str
@@ -404,29 +393,12 @@ class EventLog:
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         out = io.BytesIO()
         write = out.write
-        # the current send run: its six shared values and its line template
-        rb = rj = rk = rn = rp = rt = run_line = None
         plain = set()  # str values that JSON writes unescaped
         for r in self.records:
             kind = r["kind"]
-            if kind == "send" and len(r) == 9:
-                try:
-                    body, i, j, k, node, proto, t, to = _SEND_FIELDS(r)
-                except KeyError:  # nine keys, but not the send record's
-                    write((encode(r) + "\n").encode())
-                    continue
-                if not (body is rb and j is rj and k is rk and node is rn
-                        and proto is rp and t is rt):
-                    rb, rj, rk, rn, rp, rt = body, j, k, node, proto, t
-                    if (type(body) is type(proto) is str
-                            and type(j) is type(k) is type(node) is type(t) is int):
-                        run_line = _SEND_RUN % (_json_name(body), j, k, node, _json_name(proto), t)
-                    else:
-                        run_line = None
-                if run_line is not None and type(i) is type(to) is int:
-                    write(run_line % (i, to))
-                    continue
-            elif type(kind) is str:
+            if kind == "send":
+                continue
+            if type(kind) is str:
                 line = _shape_line((kind, *r, *map(type, r.values())))
                 if line is not None:
                     strs, slots, texts, template = line
@@ -476,6 +448,8 @@ class Simulation:
         # random mode's base delay is delay_min plus a draw below this width
         self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
         self._delays: Dict[Tuple[int, ...], List[int]] = {}  # matched rules -> delay by recipient
+        # (sender, proto, body) -> deliveries sent, for the `sends` summary records
+        self._sends: Dict[Tuple[int, str, str], int] = defaultdict(int)
         plugins = {fs.node: _FAULT_NODE_CLASSES[fs.kind] for fs in config.faults}
         base = _VARIANT_NODE_CLASSES[config.variant]
         self.nodes: Dict[int, Node] = {}
@@ -525,13 +499,15 @@ class Simulation:
         # every sender is live: it just started or handled an envelope
         now = self.log.time
         append = self.log.append
-        queue = self._queue
+        queue, sends = self._queue, self._sends
         for env in envelopes:
             addr = env.addr
             recipients = self._ids if env.recipient is None else (env.recipient,)
+            proto, body = addr.proto._name_, type(env.body).__name__
+            sends[env.sender, proto, body] += len(recipients)
             # each recipient's record is a copy of this one: copying beats building
             send = {"kind": "send", "t": now, "node": env.sender, "to": 0, "k": addr.acsq_id,
-                    "proto": addr.proto._name_, "j": addr.index, "body": type(env.body).__name__}
+                    "proto": proto, "j": addr.index, "body": body}
             for to in recipients:
                 rec = send.copy()
                 rec["to"] = to
@@ -567,7 +543,8 @@ class Simulation:
     # -- run -----------------------------------------------------------------------------
 
     def run(self) -> "RunResult":
-        """Deliver until no message is pending.  An enabled cycle collector is
+        """Deliver until no message is pending, then log the `sends` summary
+        records in (sender, proto, body) order.  An enabled cycle collector is
         paused meanwhile: reference counting alone frees a finished run (pinned
         in tests/test_hot_path.py), so a collection in it frees nothing.  Then
         freeze() and unfreeze() move the survivors, in O(1), to the oldest
@@ -602,6 +579,9 @@ class Simulation:
                     processed += len(recipients)
                     if processed > max_events:
                         raise self._quiesce_error()
+            summary = log.logger(0)
+            for (sender, proto, body), count in sorted(self._sends.items()):
+                summary("sends", sender=sender, proto=proto, body=body, count=count)
             return RunResult(self.config, self.log, self.nodes)
         finally:
             if enabled:

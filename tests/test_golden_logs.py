@@ -12,25 +12,24 @@ mid-run as well as from the start.  The other files `falcon-sim run`
 writes for each scenario (`metrics.csv`, `txs.csv`, `chains.txt` and
 `report.txt`) are pinned the same way.
 
-`to_lines` writes no line through the JSON encoder that a template can
-write: send records from one `_SEND_RUN` template per broadcast, every other
-record from a template cached per record shape, which also writes bool and
-None values and lists of only exact ints or only plain strs.  Every line of
-every run here must equal the encoder's line of its record, and so must the
-lines of a hand-built log of records that templates write only in part or
-not at all: escaped strings, bool, float, None, list and dict values, lists
-of escaped strs, bools, nested or mixed items, and send records with an
-extra key or a non-int field.
+`to_lines` writes no `send` record, and no line through the JSON encoder
+that a template can write: each record comes from a template cached per
+record shape, which also writes bool and None values and lists of only
+exact ints or only plain strs.  Every line of every run here must equal
+the encoder's line of its record, in log order with the `send` records
+left out, and carry its line number as `i`; so must the lines of a
+hand-built log of records that templates write only in part or not at all:
+escaped strings, bool, float, None, list and dict values, lists of escaped
+strs, bools, nested or mixed items; its `send` records, odd ones included,
+write no line.
 """
 
 import hashlib
 import json
-import re
 from pathlib import Path
 
 import pytest
 
-from falcon_bft import simnet
 from falcon_bft.cli import main
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import EventLog, run_simulation
@@ -40,14 +39,14 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WORKLOADS = load_bench_module("workloads")
 
 GOLDEN = {
-    "adversarial_skew.ini": "84001a788dc5273dbfc5e6b95168e4851b464d127ced005d7587564de23dcb51",
-    "crash_4.ini": "f3f04b680a610456d4106b5b2b6f10cefc9e5b61ef730f024774ffb224f6eee5",
-    "equivocator_random.ini": "293a1e2117763c3c997edd4fcc0b5e965220253bc7b7a0f2ee3f9099ff28f6b7",
-    "favorable_4.ini": "01ed2e37592794bfb7f46511315e7a900735ed5f6953783c697688945dd41252",
-    "favorable_7.ini": "28950c5e7966fc949b28f203f96cdb07b3a087dc00ae16e6d6234d59d80c9b19",
-    "late_proof_include.ini": "f8ea16f6c8456f6044c5f834f85e3fe8faa6a19915936dff58266e5bc9d0cf96",
-    "wrong_bit_one_path.ini": "d7e4fa8de593958cc72bc7a9347804352e3a904a67b595feb9f3f6fa7bf338cb",
-    "wrong_bits_adversarial.ini": "5109c5587a0792d548fb0b58e86d59cac50b14c2ab8060c6e094ab877da13f0e",
+    "adversarial_skew.ini": "38912ba5f69fb60e8f8f285430f4a7637fdac639731cdf90d9f6bdcd7ba8ed38",
+    "crash_4.ini": "ef9617d8f9d819b60bed5b16eceedfc11966c638112e5741e31d3a4712d579e1",
+    "equivocator_random.ini": "f6a6f1ec4d908fac4c9c7334273162c9bbf02becbd8839ee4b0b3e2500b59704",
+    "favorable_4.ini": "0bc7a3f018288f2efc24aa30ce6d67ddd40581adc92f8d9a03b8563f7ec4adbb",
+    "favorable_7.ini": "e79d2bf9c808c9d20ca14ac6552a195ba2bc8722ddbdb054f8ef5a8e3cc1b3fa",
+    "late_proof_include.ini": "3a95f6609b430939473f838a0814c9f38fd7c5971a4cae8d4a865e89950e8503",
+    "wrong_bit_one_path.ini": "d35dda1c981702ca7e0b3180494eb2d0872a03f596efcf8ea2513eebce3b8bcf",
+    "wrong_bits_adversarial.ini": "ab946e5289ce15730662617e4255ed0f38da9cf04b35a9028c9573854e98a1b4",
 }
 
 
@@ -128,30 +127,30 @@ def test_scenario_csv_digests(name, tmp_path):
 
 # fuzz_config(i) for i in 0..23, the benchmark's fuzz-mix pass at seed 0
 FUZZ_GOLDEN = [
-    "d719e04d74482a88409cf6523e41973c6c0a43d285e6177d9c2fb5467735fdf9",
-    "ffa63ce02130b4800f837ce5dee6d2167c6994889dcb4a3114c69b1ebe8c32db",
-    "52412eb6f17cdb7de3980872d285473673c564f93be1ca0f649f6318fc704492",
-    "f410a3a9355696c0ec364f7111339de4501e58458ff6f4e60be9c4ab8cb04252",
-    "83c5111b0f98efc59f2eb6119caa6f81ecb56af3ea4640c8f6ea6cb1d48e77cf",
-    "7d0a74908128e4574f1e62c4e7ff62e4b60bc42608234a1043bb91daad9dca0f",
-    "0faf8cd7474ce061f274707c76eaa2ddc3fc9bf8a4a307936cae58a4838dfd81",
-    "eafd4ff62acdae3cc272f0ea970da3c9f2f0cf5ee8b3024528425e32fee5b114",
-    "34bd647dffced2f572fa9f5a33cea73a5589da3f20ccc06000231a74364104b0",
-    "f851cdfa86901006231ecab43f67cbe27696818ef87cfd23f543d63891e56d74",
-    "376ce1bb4d90e0562dab291da077dbeb171d550d6004a7878c9ee76c23f9811c",
-    "8a392e2dcbabd320e09a919036a06ce20d6ca8a8950f502dee803594f0a1a85e",
-    "3fb852ef0364acdb928f88378a18090f36b85a54f7b61a1c90e2c838c2d4b3ce",
-    "1ff197aa15764a8972c73c27035128b031f13e09b23914c7f64e191b0186750c",
-    "9111c848618f8c71d136a6dcd7a194f89c2e18bc29e63cff5cd0474fcce727a9",
-    "c85134bc8d96977ff6213a8c1eb386ba26645f8d83a28e150640eb5da9e6cdc6",
-    "47e52ed9255a4b69bf47338e823da1f81108464e4557d65f8b12be5857dacfd2",
-    "f08676576e350d7fb15fd8265552d94fe7727a11713b2fd415c81301f4fd32a4",
-    "d802e41362d60eb00941a1e9f1b7dcd0715bde02aa1e0bb483cbebc5c6fb9a55",
-    "fcdef6943cde6aa45ba5aaadca9a8114b320d58153dede3b3f5bb01cd85af3cf",
-    "b882823e10329cd4b2ee2865d42c11c17a3ecb18904aeaca3513ff0262b9f039",
-    "164f8b7ff785119e0ccbb818cc912ee6c10669bb369568bc7abb11f8eb6bc772",
-    "b4c3b1f701897669fe58633925f338f1c12bbb538d5b874f35d443e056ab41eb",
-    "2430b1ac0dde4e2f6855a90ae0d17712963f1d9311eddcf0450934c81cc6c7e5",
+    "c77ac2a23c421a27b5290e03bdab785ae33e602e30fd83c4e1553ff72e5823fc",
+    "887bc503f6cd7184843c91cdbcc2ae84dbbec1895afe914f6eb4dc36112029bc",
+    "f051e01442ac491271db7cbde85ea8d6a91e725982696047e3c4ec528ac88a9a",
+    "bba7b8aecf477255b4ade673df3e29d3c6dcf459f6ac17aaaa9f760ed753e2a1",
+    "caa5c3f10480172736f73836f0027b3a0a581ac7190e28b6aa3354bbaa9084d5",
+    "6f5fc5ca1cc05d698df315f9fc49949355319bd9b5d18ac93aa1b53fc2c561e6",
+    "e344f8a71e6ed2eb3fa85a68291b445d98f4e5dedc1542832c98106496e2d823",
+    "85e07d59e75369ade9412e43069f3a28e3a91af96b23a928ba90ef1335a717ee",
+    "283af640724f4427f33178afac176548a4858e3fdf186e4989f2e553cb177c39",
+    "3e5d33e918179d8037e1a044c4f26ff2edbf98ce34c8cb34719193f9999564d4",
+    "825aecb2479820e6f6bae40a2db8666036b7bd2cd90f538c3dfdd8bda01a45be",
+    "4e5478dc612afb800ab4b2637c662bd1589cc89f61b0f6fbb7104a7cc15da63f",
+    "a2cb58ee27a604aaa188ed107f7453ac423c486a3e3fc12052de7880a89758dd",
+    "d30e4084ec175443199ac4231475e2d65be279fd7728cc23f856e3411dc48c4e",
+    "18db44ba5017301ffe011052c0d3e262118968dead174e903c0939547a1675ff",
+    "f741389ce4a25e7118ed80935ddb85cc6269ca0a69785bff2759c1688c07754e",
+    "a2139ff8640bf904d44a744ec506ce14e4ccd82f61a89af9b9b6b46cec15d5c5",
+    "49f188184b8416aa143f5d29ec9c4efbef52be08d9b5b469b13a493fdde4d1f1",
+    "f0a94e6d26dadcfb95ec4b78091fc1779a7f665d9114f9cc4a0dd370de42d7d0",
+    "c015b30e5e60149a0709083e7beac9f2bebfc5fd38c4183f781d672da2608aed",
+    "1ab43613a226318a710a9d123bbb766ff2d0733b080e96462226597fc757beec",
+    "e05a3fa4fa7723e4a091dcf4021c4b34b6ea2755ce8110ae25095a4df7623541",
+    "90aaf093824733fe039f0fa4e0545d99237bd2e290a941875fa20c3bab48c5ba",
+    "3ecf9db60925506eab17b6b0724a5069034a3b1172a656dda05614eae9aef190",
 ]
 
 
@@ -163,7 +162,7 @@ def test_fuzz_log_digest(i):
 
 # node 12 crashes at t=40: the one crash at a tick other than 0 among the
 # scenarios and workloads
-BYZANTINE_N16_GOLDEN = "ec82050b8626a830e98c7db33c5d2ef4169d96a476e3e7359e1bcb7a7fd618f9"
+BYZANTINE_N16_GOLDEN = "00a8f4481cb5f563a4f0476a7442812d283bcadf2b06d5033c56307bc4b509dc"
 
 
 def test_byzantine_n16_log_digest():
@@ -173,18 +172,18 @@ def test_byzantine_n16_log_digest():
 
 # crash_fuzz_config(i) for i in 0..11: the crash falls at tick (7 * i) % 70
 CRASH_GOLDEN = [
-    "0fbfc4db79c9b4c8f78aa7c4080e9267ae376e0e1169d96a4bf586b509fff0bb",
-    "86376ea52c3a3dbec5aba66d5964ecca94710699f3b9c1af39ff25b1677928f9",
-    "2ea183ff3dfa779314ddc675f2370a133bf3870bd445b43e5c101a7935f8ff30",
-    "c225a2c02099eb44b8d324d2362d21612b5819c77faff4206b59f7f6a977f151",
-    "414bbc86ecf4f7ae44861e7d61b464e7db24912146035593b3ee834ce1cf53d0",
-    "15a027651bc2b44fc5ecfcb2bb8bfc7a8f439349319f3e3ebf66f7caf8621dc9",
-    "bc209131b19bed6652f166772df45d79aea6a577d0eece2b9e0de1464fb65ded",
-    "975b5e2d5c23c11aa50e4d519ad97ebd1f9801577a988a4e5d6da11e12e4c938",
-    "aee81c58b016f30066f9de59b9ea9fb74755a414ef03d88d90ce2459b723855a",
-    "a41e8c3ab2ba833333c767552cff8e5c9aa53bf89c57f1b8ba3cd2302887f7ad",
-    "a14d181505b9e135d9bc315bc46b302b8525c33e27548b6d8f7bd7aa5e887d2a",
-    "a0abce77b0ae4c42ee8927ae4927fff8f67f88fc5a2aca95223cc0645c3ba4ba",
+    "7b1bc8d8397d9ac9941a13adb7f85dffe19ef4752663febc1ff9de5d8ae61e55",
+    "845ef448037a4f2fa4b1d325c55b63fee132da2c1de512ec5cfa59374fa7b07f",
+    "5c541c1bdecf3ba4915b8e1ec30313cc77df391bbf7a37c147822d1ebbd722b7",
+    "1241e33af814c4dc293874e2bde901eb93becb52b3866ae21b15f469fd31488a",
+    "38ab5cac7db43abf5a36082c93d9ecc256f29c760df35cdff9cbf0010f3192cf",
+    "27b214c7aef72e582ece56ad459ff52b1bb17ffdf4715b853f569b59a46f3118",
+    "467905dd12bedc205efddef69310d82f20000daa3f36fdc97ea512df59a125a8",
+    "719d79a077e7d0bb2aae808095628265aa7c004a5ec7123681be153441cce816",
+    "f8f3435387dda9760ec62313873fe0af000290608428ce9ffe8adee020f7cb20",
+    "69c0f634052f74ccece4c62a20cb066c10d51478c8e303464fc75b64cab8caf3",
+    "a750bb0bed522cb30906b2adac9f1423a16f6cc0efa99f6b51d562f7cb42ca9f",
+    "2e1c3b9757bace943216ac82ea5eca292ccde3f55d06feb474199a664fc05287",
 ]
 
 
@@ -197,8 +196,8 @@ def test_crash_fuzz_log_digest(i):
 # delayed_index_configs("integral_sort"): the integral-sorting foil on
 # criterion 6's two runs, one instance and three
 FOIL_GOLDEN = [
-    "61825a6964d63d8e30c9d0f8e96de84bdc2120a7b1fe81a460be44caef98fcf8",
-    "cfd77acafbc22e0b8faf2f11cdfc2dbf2ab37acd613b0be1364f9131c5e0af90",
+    "23dfd5947b838cf15d89139ecb870a69c736529305cef8628a9fadfdb6e72a08",
+    "6f762c9a0d13b09f4a4f551593f965c67763e33b77ca2bc925606b4bc9c4f73c",
 ]
 
 
@@ -217,23 +216,25 @@ LINE_CONFIGS = {
 }
 
 
+def _written(records):
+    """The encoder's line of each record `to_lines` writes, in log order."""
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")).encode()
+            for r in records if r["kind"] != "send"]
+
+
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
 def test_send_line_template_matches_json_encoder(name):
+    """The run writes no send line, each line is the encoder's line of its
+    record, and the `i` values run 0..L-1 in line order."""
     log = run_simulation(LINE_CONFIGS[name]()).log
-    template_keys = set(re.findall(r'"(\w+)":', simnet._SEND_RUN.decode()))
-    sends = log.of_kind("send")
-    assert sends
-    for rec in sends:
-        assert set(rec) == template_keys, (
-            f"send record keys {sorted(rec)} differ from the line template's "
-            f"{sorted(template_keys)}: update _SEND_RUN"
-        )
+    assert log.of_kind("send") and log.of_kind("sends")
     got = log.to_lines().split(b"\n")
     assert got.pop() == b""
-    want = [json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in log.records]
+    want = _written(log.records)
     assert len(got) == len(want)
     bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert bad is None, f"record {bad}: to_lines wrote {got[bad]!r}, the encoder {want[bad]!r}"
+    assert [json.loads(line)["i"] for line in got] == list(range(len(got)))
 
 
 def _send(**fields):
@@ -265,8 +266,7 @@ def test_to_lines_matches_json_encoder_on_any_record():
     log.append({"kind": "vote", "t": 1, "bit": False, "seen": [], "ids": ["a", "b"], "q_valid": True})
     log.append({"kind": "note"})
     log.append({"kind": ["not", "a", "str"], "t": 1})
-    # runs of send records, each broken by a record that shares the run's
-    # values but not their types, or that has a key too many or another key
+    # send records write no line, whatever their values and keys
     no_body = _send(extra=7)
     del no_body["body"]
     for rec in (
@@ -276,5 +276,18 @@ def test_to_lines_matches_json_encoder_on_any_record():
         log.append(rec)
     got = log.to_lines().split(b"\n")
     assert got.pop() == b""
-    want = [json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in log.records]
-    assert got == want
+    assert got == _written(log.records)
+    assert [json.loads(line)["i"] for line in got] == list(range(len(got)))
+
+
+def test_send_records_write_no_line():
+    """A send record stays in `records` without an `i`; the next written
+    record takes the next line number."""
+    log = EventLog()
+    log.append({"kind": "note", "t": 0, "node": 1})
+    log.append(_send())
+    log.append({"kind": "note", "t": 1, "node": 1})
+    assert [r["kind"] for r in log.records] == ["note", "send", "note"]
+    assert "i" not in log.records[1]
+    assert log.to_lines() == (b'{"i":0,"kind":"note","node":1,"t":0}\n'
+                              b'{"i":1,"kind":"note","node":1,"t":1}\n')

@@ -46,6 +46,19 @@ def test_parse_full_scenario(tmp_path):
     config.validate()
 
 
+def test_readme_example_loads(tmp_path):
+    """The README's scenario example loads as written, comments and all."""
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_scenario(write(tmp_path, example))
+    assert (config.params.n, config.params.f, config.seed) == (4, 1, 7)
+    assert (config.num_instances, config.tx_load, config.variant) == (3, 8, "falcon")
+    assert (config.mode, config.delay_min, config.delay_max) == ("lockstep", 1, 3)
+    assert [(f.node, f.kind, f.at_time) for f in config.faults] == [(4, "crash", 0)]
+    assert [rule.delay for rule in config.rules] == [10, 5]
+    config.validate()
+
+
 def test_fault_budget_enforced_at_validate(tmp_path):
     text = GOOD.replace("4 = crash:0", "4 = crash:0\n2 = equivocate")
     config = load_scenario(write(tmp_path, text))

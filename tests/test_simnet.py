@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,12 @@ from falcon_bft.core_types import (
 )
 from falcon_bft.crypto import PartialSig
 from falcon_bft.metrics import decompose_latency, tx_records
+from falcon_bft.node import Node
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import (
     DelayRule,
+    EventLog,
     FaultSpec,
     InvalidConfig,
     QuiesceError,
@@ -407,6 +410,45 @@ def test_observe_stage_indexes_no_send_records():
     assert sends == [r for r in log.records if r["kind"] == "send"] != []
     del sends
     assert (sys.getrefcount(commit), sys.getrefcount(send)) == (refs[0] + 1, refs[1])
+
+
+BENCH_CONTRACT_CONFIGS = {
+    **{path.name: lambda path=path: load_scenario(path) for path in sorted(SCENARIOS.glob("*.ini"))},
+    "favorable-n16": lambda: load_bench_module("workloads").favorable_n16(1)[0],
+    "byzantine-n16": lambda: load_bench_module("workloads").byzantine_n16(1)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONTRACT_CONFIGS))
+def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
+    """What the benchmark reads off a run: each send record goes through
+    `EventLog.append` as looked up on the class, the send records less the
+    `crashed` drops are the `Node.handle` calls, and the written `sends`
+    summary records count the send records per (sender, proto, body)."""
+    calls = Counter()
+    handle, append = Node.__dict__["handle"], EventLog.__dict__["append"]
+
+    def counting_handle(node, env):
+        calls["handle"] += 1
+        return handle(node, env)
+
+    def counting_append(log, record):
+        calls["append"] += record["kind"] == "send"
+        return append(log, record)
+
+    monkeypatch.setattr(Node, "handle", counting_handle)
+    monkeypatch.setattr(EventLog, "append", counting_append)
+    log = run_simulation(BENCH_CONTRACT_CONFIGS[name]()).log
+    sends = log.of_kind("send")
+    crashed = [r for r in log.of_kind("drop") if r["reason"] == "crashed"]
+    assert calls["append"] == len(sends) > 0
+    assert calls["handle"] == len(sends) - len(crashed)
+    summary = log.of_kind("sends")
+    assert {(r["node"], r["t"]) for r in summary} == {(0, log.time)}
+    assert summary == sorted(summary, key=lambda r: (r["sender"], r["proto"], r["body"]))
+    assert Counter({(r["sender"], r["proto"], r["body"]): r["count"] for r in summary}) == Counter(
+        (r["node"], r["proto"], r["body"]) for r in sends
+    )
 
 
 def test_snapshot_shape():
