@@ -29,6 +29,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 DIGEST_LEN = 32
+# SHA-256's block size and HMAC's key pads, as byte translation tables
+_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 class CryptoError(Exception):
@@ -86,10 +90,16 @@ class KeyRegistry:
 
     def __init__(self, n: int, system_seed: bytes = b""):
         self.n = n
-        self._keys = {
-            i: sha256(b"falcon-share" + system_seed + _u32(i))
-            for i in range(1, n + 1)
-        }
+        # each signer's HMAC inner and outer hash states after its padded key
+        # (RFC 2104); a key is a digest, shorter than the block, so it pads
+        # with zeros
+        self._pads = {}
+        for i in range(1, n + 1):
+            key = sha256(b"falcon-share" + system_seed + _u32(i)).ljust(_BLOCK, b"\0")
+            self._pads[i] = (
+                hashlib.sha256(key.translate(_IPAD)),
+                hashlib.sha256(key.translate(_OPAD)),
+            )
         self.coin_secret = sha256(b"falcon-coin" + system_seed)
         # tagged -> signer -> MAC, for every share partial_sign produced
         self._signed: Dict[bytes, Dict[int, bytes]] = {}
@@ -97,7 +107,13 @@ class KeyRegistry:
         self.cert_tags: Dict[bytes, Tuple[bytes, bytes]] = {}
 
     def _mac(self, signer: int, tagged: bytes) -> bytes:
-        return hmac.digest(self._keys[signer], tagged, "sha256")
+        """HMAC-SHA256 of `tagged` under the signer's key: `hmac.digest`'s bytes."""
+        inner, outer = self._pads[signer]
+        h = inner.copy()
+        h.update(tagged)
+        o = outer.copy()
+        o.update(h.digest())
+        return o.digest()
 
     def partial_sign(self, signer: int, tagged: bytes) -> PartialSig:
         mac = self._mac(signer, tagged)
@@ -131,15 +147,17 @@ class KeyRegistry:
         Raises MixedMessages if the partials disagree on the tagged digest and
         TooFewPartials if fewer than `quorum` distinct signers contributed.
         """
-        by_signer = {}
-        tagged = None
+        partials = iter(partials)
+        first = next(partials, None)
+        if first is None:
+            raise TooFewPartials(f"need {quorum} distinct signers, got 0")
+        tagged = first.tagged
+        by_signer = {first.signer: first.mac}
         for ps in partials:
-            if tagged is None:
-                tagged = ps.tagged
-            elif ps.tagged != tagged:
+            if ps.tagged != tagged:
                 raise MixedMessages("partials cover different tagged digests")
             by_signer[ps.signer] = ps.mac
-        if tagged is None or len(by_signer) < quorum:
+        if len(by_signer) < quorum:
             raise TooFewPartials(
                 f"need {quorum} distinct signers, got {len(by_signer)}"
             )

@@ -145,23 +145,17 @@ class GbcInstance:
         return out
 
     # A pool is read only until its grade delivers, so a later share is
-    # dropped before it is verified.
+    # dropped before it is verified.  Only a verified share enters a pool,
+    # so a forged share under a signer's id cannot shut out the real one;
+    # the caller has bound the share to its sender, so a relayed one cannot
+    # either.  A delivery needs a quorum in one pool, and every call that
+    # could complete one with the shares already pooled has tried it.  The
+    # two grades' bodies differ only in the pool and delivery they read.
 
     def on_echo1(self, ps: PartialSig) -> List[object]:
         if self.delivered1 is not None:
             return []
-        return self._pool_share(self.pool1, ps)
-
-    def on_echo2(self, ps: PartialSig) -> List[object]:
-        if self.delivered2 is not None:
-            return []
-        return self._pool_share(self.pool2, ps)
-
-    def _pool_share(self, pool: Dict[bytes, Dict[int, PartialSig]], ps: PartialSig) -> List[object]:
-        # only a verified share enters the pool, so a forged share under a
-        # signer's id cannot shut out the real one; the caller has bound the
-        # share to its sender, so a relayed one cannot either
-        signer = ps.signer
+        pool, signer = self.pool1, ps.signer
         for shares in pool.values():
             if signer in shares:
                 return []
@@ -171,11 +165,22 @@ class GbcInstance:
         if shares is None:
             shares = pool[ps.tagged] = {}
         shares[signer] = ps
-        # a delivery needs a quorum in one pool, and every call that could
-        # complete one with the shares already pooled has tried it
-        if len(shares) < self.params.quorum:
+        return self._try_deliveries() if len(shares) >= self.params.quorum else []
+
+    def on_echo2(self, ps: PartialSig) -> List[object]:
+        if self.delivered2 is not None:
             return []
-        return self._try_deliveries()
+        pool, signer = self.pool2, ps.signer
+        for shares in pool.values():
+            if signer in shares:
+                return []
+        if not self.registry.verify_partial(ps):
+            return []
+        shares = pool.get(ps.tagged)
+        if shares is None:
+            shares = pool[ps.tagged] = {}
+        shares[signer] = ps
+        return self._try_deliveries() if len(shares) >= self.params.quorum else []
 
     # -- delivery ------------------------------------------------------------
 

@@ -366,9 +366,7 @@ class EventLog:
         """Node `node_id`'s record function; it holds the log and nothing else."""
 
         def log(kind: str, **fields):
-            rec = {"kind": kind, "t": self.time, "node": node_id}
-            rec.update(fields)
-            self.append(rec)
+            self.append({"kind": kind, "t": self.time, "node": node_id, **fields})
 
         return log
 

@@ -1,3 +1,5 @@
+import hmac
+
 import pytest
 
 from falcon_bft.core_types import InstanceAddr, Proto, SystemParams, u32
@@ -7,6 +9,7 @@ from falcon_bft.crypto import (
     PartialSig,
     TooFewPartials,
     coin,
+    sha256,
     tagged_digest,
 )
 
@@ -103,6 +106,33 @@ def test_forged_shares_do_not_grow_the_memo(registry):
         forged = PartialSig(1 + i % 4, tagged_digest(b"forged:%d" % i, 1), bytes(32))
         assert not registry.verify_partial(forged)
     assert memo_size() == size == 1
+
+
+@pytest.mark.parametrize("n, seed", [(1, b""), (4, b"unit"), (7, b"\xff" * 70), (16, b"falcon")])
+def test_mac_is_hmac_sha256_under_the_signers_key(n, seed):
+    """`_mac` gives `hmac.digest`'s bytes under each signer's derived key,
+    for messages of 0-100 bytes, shorter and longer than the hash block."""
+    registry = KeyRegistry(n, seed)
+    for signer in range(1, n + 1):
+        key = sha256(b"falcon-share" + seed + u32(signer))
+        for size in range(101):
+            message = bytes((signer * 31 + size + i) % 256 for i in range(size))
+            assert registry._mac(signer, message) == hmac.digest(key, message, "sha256")
+
+
+def test_combine_takes_a_generator(registry):
+    """`combine` reads its partials once, so a generator gives the list's
+    certificate and errors."""
+    tagged = tagged_digest(b"m", 1)
+    partials = [registry.partial_sign(i, tagged) for i in (3, 1, 4, 2)]
+    assert registry.combine((ps for ps in partials), 3) == registry.combine(partials, 3)
+    mixed = partials[:2] + [registry.partial_sign(4, tagged_digest(b"other", 1))]
+    with pytest.raises(MixedMessages):
+        registry.combine(iter(mixed), 3)
+    with pytest.raises(TooFewPartials):
+        registry.combine(iter(partials[:2]), 3)
+    with pytest.raises(TooFewPartials):
+        registry.combine(iter([]), 1)
 
 
 def test_combine_quorum(registry):

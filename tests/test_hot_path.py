@@ -1,14 +1,17 @@
 """Properties the delivery path's shortcuts rely on, and the work they save.
 
-The node driver runs only when a handled instance made progress, a run's
-objects are freed by reference counting alone, which is what lets
-`Simulation.run` pause the cycle collector, and a favorable lockstep run
+An echo share from its own signer to a live broadcast skips the instance
+router and gives what the router gives, the node driver runs only when a
+handled instance made progress, a run's objects are freed by reference
+counting alone, which is what lets `Simulation.run` pause the cycle
+collector, and a favorable lockstep run
 verifies exactly the echo shares its deliveries need, computing no MAC
 beyond the ones its shares were signed with, comparing each echo
 envelope's MAC at most once and hashing each block's grade tags once.  Work is pinned as call
 counts, which repeat exactly where wall-clock time does not.
 """
 
+import functools
 import gc
 from collections import Counter
 from pathlib import Path
@@ -16,8 +19,19 @@ from pathlib import Path
 import pytest
 
 from falcon_bft import crypto, gbc, node
-from falcon_bft.core_types import SystemParams
+from falcon_bft.core_types import (
+    Block,
+    Echo1,
+    Echo2,
+    Envelope,
+    InstanceAddr,
+    Propose,
+    Proto,
+    SystemParams,
+    Transaction,
+)
 from falcon_bft.crypto import KeyRegistry
+from falcon_bft.gbc import cert_tag
 from falcon_bft.node import Node
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import (
@@ -219,7 +233,7 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
 
     count(KeyRegistry, "verify_partial", "verify_partial")
     count(KeyRegistry, "partial_sign", "partial_sign")
-    count(crypto.hmac, "digest", "hmac")
+    count(KeyRegistry, "_mac", "hmac")
     count(crypto.hmac, "compare_digest", "compare_digest")
     count(node, "partial_sort", "partial_sort")
     count(crypto, "tagged_digest", "tagged_digest")
@@ -244,3 +258,80 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     # was signed in the run, so the only MACs computed are the signatures
     assert calls["partial_sign"] == 2 * n * n * (instances + 1)
     assert calls["hmac"] == calls["partial_sign"]
+
+
+# -- the echo-share shortcut against the instance router -------------------------------
+
+
+def _handle_reference(self, env):
+    """`Node.handle` with no shortcut: every envelope for an instance the
+    node takes goes through `AcsqInstance.handle`."""
+    k = env.addr.acsq_id
+    inst = self.instances.get(k)
+    if inst is None:
+        if k > self.last_instance:
+            self.log("drop", k=k, reason="beyond_window")
+            return []
+        if k > self.k + 1:
+            self.held.setdefault(k, []).append(env)
+            self.log("held", k=k, body=type(env.body).__name__)
+            return []
+        if k < self.pruned_below:
+            self.log("drop", k=k, reason="pruned_instance")
+            return []
+        inst = self._instance(k)
+    before = inst.progress
+    sends = inst.handle(env)
+    if inst.progress != before:
+        sends.extend(self._drive())
+    return self._wrap(sends) if sends else []
+
+
+# slices of the crash, echo2-hold and late-proof generators, which reach
+# crashes, held envelopes, delivery assistance and inner-ABA rounds
+ROUTING_SLICES = {
+    f"{gen.__name__}({i})": functools.partial(gen, i)
+    for gen, indices in (
+        (crash_fuzz_config, range(0, 12, 2)),
+        (echo2_hold_config, range(0, 40, 4)),
+        (late_proof_config, range(0, 40, 4)),
+    )
+    for i in indices
+}
+
+
+@pytest.mark.parametrize("case", SCENARIOS + ["favorable_n16", "byzantine_n16"] + list(ROUTING_SLICES))
+def test_echo_shortcut_logs_what_the_instance_router_logs(monkeypatch, case):
+    config = ROUTING_SLICES[case]() if case in ROUTING_SLICES else config_for(case)
+    got = run_simulation(config).log
+    monkeypatch.setattr(Node, "handle", _handle_reference)
+    want = run_simulation(config).log
+    assert got.to_lines() == want.to_lines()
+    assert got.records == want.records
+
+
+@pytest.mark.parametrize("relayed, tag", [(Echo1, 1), (Echo2, 2)])
+def test_relayed_share_to_a_live_broadcast_takes_the_instance_router(monkeypatch, relayed, tag):
+    """Node 4 relays signer 2's share from index 3's broadcast onto index
+    2's live one: `Node.handle` drops it as `bad_signer`, as the router
+    does, and node 1 still delivers index 2 from the real shares."""
+
+    def deliver():
+        sim = schedule(SimConfig(params=SystemParams(4, 1), seed=1, num_instances=1))
+        receiver, registry = sim.nodes[1], sim.registry
+        addr = InstanceAddr(1, Proto.GBC, 2)
+        block = Block(2, 1, (Transaction(b"tx"),))
+        elsewhere = cert_tag(InstanceAddr(1, Proto.GBC, 3), Block(3, 1, ()).digest, tag)
+        out = [receiver.handle(Envelope(2, 1, addr, Propose(block)))]
+        out.append(receiver.handle(Envelope(4, 1, addr, relayed(registry.partial_sign(2, elsewhere)))))
+        for echo, t in ((Echo1, 1), (Echo2, 2)):
+            for signer in (1, 2, 3):
+                share = registry.partial_sign(signer, cert_tag(addr, block.digest, t))
+                out.append(receiver.handle(Envelope(signer, 1, addr, echo(share))))
+        assert 2 in receiver.instances[1].M2
+        return out, sim.log.records
+
+    got = deliver()
+    assert [r["reason"] for r in got[1] if r["kind"] == "drop"] == ["bad_signer"]
+    monkeypatch.setattr(Node, "handle", _handle_reference)
+    assert got == deliver()
