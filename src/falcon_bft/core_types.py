@@ -190,23 +190,36 @@ Body = Union[
 
 GBC_BODIES = (Propose, Echo1, Echo2)
 AABA_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided, Assist, Query, QueryResp)
+# the echo round of each echo body, as `Envelope.own_echo` holds it
+_ECHO_ROUNDS = {Echo1: 1, Echo2: 2}
 
 
 @dataclass(frozen=True)
 class Envelope:
     """One message on the wire; recipient None is a broadcast to every node
-    in id order, as for `Send.to`, kept as one envelope until delivered."""
+    in id order, as for `Send.to`, kept as one envelope until delivered.
+
+    `own_echo` is derived, once per envelope rather than once per recipient:
+    1 or 2 for an `Echo1` or `Echo2` whose share its sender signed, 0 for
+    any other body.  `Node.handle` reads it to route the share.  Equality,
+    hashing, `repr` and `encode_envelope` ignore it, and
+    `dataclasses.replace` derives it afresh.
+    """
 
     sender: int
     recipient: Optional[int]
     addr: InstanceAddr
     body: Body
+    own_echo: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Raise ValueError unless `body` is a message kind that `addr`'s protocol carries."""
+        """Raise ValueError unless `body` is a message kind that `addr`'s
+        protocol carries; then set `own_echo`."""
         body, proto = self.body, self.addr.proto
         if not isinstance(body, GBC_BODIES if proto is Proto.GBC else AABA_BODIES):
             raise ValueError(f"body {type(body).__name__} inconsistent with {proto}")
+        echo = _ECHO_ROUNDS.get(type(body), 0)
+        object.__setattr__(self, "own_echo", echo if echo and body.partial.signer == self.sender else 0)
 
 
 # --- canonical envelope encoding -------------------------------------------

@@ -39,7 +39,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .acsq import AcsqInstance
-from .core_types import Block, Echo1, Echo2, Envelope, Send, Transaction
+from .core_types import Block, Envelope, Send, Transaction
 from .crypto import KeyRegistry
 from .sorter import SortCursor, chain_digest, partial_sort
 
@@ -85,6 +85,14 @@ class Node:
         return self._wrap(self._drive())
 
     def handle(self, env: Envelope) -> List[Envelope]:
+        """Take one delivery of `env`; return the envelopes the node sends.
+
+        An echo share from its own signer to a live broadcast, which
+        `env.own_echo` says once per envelope, goes straight to that
+        broadcast's `on_echo1` or `on_echo2`.  Every other envelope, relayed
+        shares included, goes through `AcsqInstance.handle`, which routes
+        and tests it.
+        """
         k = env.addr.acsq_id
         inst = self.instances.get(k)
         if inst is None:  # a live instance has passed these tests
@@ -100,14 +108,14 @@ class Node:
                 return []
             inst = self._instance(k)
         before = inst.progress
-        body = env.body
-        cls = type(body)
-        # an echo share from its own signer to a live broadcast skips the
-        # instance's router, which routes and tests every other envelope
-        g = inst.gbc.get(env.addr.index) if cls is Echo1 or cls is Echo2 else None
-        if g is not None and body.partial.signer == env.sender:
-            sub = g.on_echo1(body.partial) if cls is Echo1 else g.on_echo2(body.partial)
-            sends = inst._absorb(env.addr.index, sub) if sub else []
+        echo = env.own_echo
+        g = inst.gbc.get(env.addr.index) if echo else None
+        if g is not None:
+            partial = env.body.partial
+            sub = g.on_echo1(partial) if echo == 1 else g.on_echo2(partial)
+            if not sub:  # a broadcast moves no instance `progress`
+                return []
+            sends = inst._absorb(env.addr.index, sub)
         else:
             sends = inst.handle(env)
         if inst.progress != before:

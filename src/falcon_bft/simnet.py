@@ -64,7 +64,7 @@ class InvalidConfig(Exception):
 
 
 class QuiesceError(RuntimeError):
-    """A run went past `Simulation.MAX_EVENTS` deliveries; the message is
+    """A run went past `Simulation.max_events()` deliveries; the message is
     one line: each correct node's instance and the undecided AABA indices."""
 
 
@@ -340,27 +340,39 @@ class EventLog:
     `records` holds a `send` record for each delivery a message is due
     for, most of a log, but `to_lines` writes none of them: the run's
     `sends` summary records count them per sender, protocol and body.
+    `append` also puts every other record on a written list, which
+    `to_lines` and the index build read instead of `records` while
+    `records` is still the list `append` fills.
 
-    `of_kind` reads a by-kind index, built in one pass over `records` and
-    again whenever `records` is another list or another length, so `append`
-    does no indexing work.  It holds every kind but `send`:
-    `of_kind("send")` scans `records`.
+    A caller may replace `records` with another list, and `to_lines` and
+    `of_kind` then scan that list; no caller edits `records` in place.
+
+    `of_kind` reads a by-kind index, built in one pass and again whenever
+    `records` is another list or another length, so `append` does no
+    indexing work.  It holds every kind but `send`: `of_kind("send")`
+    scans `records`.
     """
 
     def __init__(self):
         self.records: List[dict] = []
         self.time = 0
-        self._lines = 0  # records appended that `to_lines` writes
+        self._filled = self.records  # the list `append` started on
+        self._written: List[dict] = []  # the records appended that `to_lines` writes
         # (records, its length, kind -> records) as of the last index build
         self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.records, 0, {})
 
     def append(self, record: dict) -> None:
         """Add `record` to `records`; unless it is a `send` record, also
-        number it `i`, its line in `to_lines`."""
+        number it `i`, its line in `to_lines`, and add it to the written list."""
         if record["kind"] != "send":
-            record["i"] = self._lines
-            self._lines += 1
+            record["i"] = len(self._written)
+            self._written.append(record)
         self.records.append(record)
+
+    def _source(self) -> List[dict]:
+        """The written list while `records` is the list `append` fills, else
+        `records`, whose `send` records each reader skips."""
+        return self._written if self.records is self._filled else self.records
 
     def logger(self, node_id: int) -> Callable:
         """Node `node_id`'s record function; it holds the log and nothing else."""
@@ -392,7 +404,7 @@ class EventLog:
         out = io.BytesIO()
         write = out.write
         plain = set()  # str values that JSON writes unescaped
-        for r in self.records:
+        for r in self._source():
             kind = r["kind"]
             if kind == "send":
                 continue
@@ -421,7 +433,7 @@ class EventLog:
         indexed, count, by_kind = self._index
         if indexed is not records or count != len(records):
             by_kind = {}
-            for rec in records:
+            for rec in self._source():
                 same = by_kind.get(rec["kind"])
                 if same is not None:
                     same.append(rec)
@@ -432,7 +444,10 @@ class EventLog:
 
 
 class Simulation:
+    # the delivery cap's floor and its deliveries per n**3 per instance run;
+    # a healthy instance's two echo rounds make about 2 * n**3 deliveries
     MAX_EVENTS = 2_000_000
+    EVENTS_PER_CUBE = 4
 
     def __init__(self, config: SimConfig):
         config.validate()
@@ -559,7 +574,7 @@ class Simulation:
             # which happens inside that node's `handle`, or right after an
             # injection (one batch per test; the next may already be due).
             recheck = True
-            processed, max_events = 0, self.MAX_EVENTS
+            processed, max_events = 0, self.max_events()
             while queue:
                 t = min(queue)
                 log.time = t
@@ -588,6 +603,13 @@ class Simulation:
                     gc.unfreeze()
                 gc.enable()
 
+    def max_events(self) -> int:
+        """The most deliveries a run makes before it raises `QuiesceError`:
+        `EVENTS_PER_CUBE` * n**3 per instance run, the measured ones and
+        their successor, and never below `MAX_EVENTS`."""
+        n, instances = self.config.params.n, self.config.num_instances + 1
+        return max(self.MAX_EVENTS, self.EVENTS_PER_CUBE * n ** 3 * instances)
+
     def _quiesce_error(self) -> QuiesceError:
         ks, pending = [], {}  # pending: instance -> indices whose AABA has no output
         for i in self._correct:
@@ -600,7 +622,7 @@ class Simulation:
         stuck = " ".join("k=%d:%s" % (k, sorted(js)) for k, js in sorted(pending.items()))
         return QuiesceError(
             "simulation failed to quiesce within %d deliveries at t=%d: correct nodes' k %s; "
-            "pending AABA indices %s" % (self.MAX_EVENTS, self.log.time, " ".join(ks), stuck or "none")
+            "pending AABA indices %s" % (self.max_events(), self.log.time, " ".join(ks), stuck or "none")
         )
 
 

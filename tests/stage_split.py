@@ -2,6 +2,12 @@
 serialise seconds, each stage the best of K runs, with the cycle collector's
 seconds inside each, then the observe stage split into its parts.
 
+Every time printed is rescaled for host drift the way the benchmark does
+it: the benchmark's `reference_seconds()` kernel is timed right before each
+run, and that run's seconds are scaled by `REFERENCE_S` over it, so they
+read as seconds on a host where the kernel takes `REFERENCE_S`.  The
+`ref_s` column is the raw kernel time, the median over a config's runs.
+
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
 simulate is `schedule(config).run()`; observe is `observe_invariants`,
@@ -26,6 +32,7 @@ pytest does not collect it.
 import argparse
 import dataclasses
 import gc
+import statistics
 import sys
 import time
 
@@ -33,7 +40,7 @@ from falcon_bft import metrics
 from falcon_bft.core_types import SystemParams
 from falcon_bft.observer import ALL_CHECKS, check_liveness
 from falcon_bft.simnet import schedule
-from support import load_bench_module
+from support import BENCH_DIR, load_bench_module
 
 
 def configs():
@@ -89,20 +96,32 @@ def split(config, clock):
     return (steps[0], observe, steps[-1], *steps[1:-1])
 
 
+def rescaled(parts, scale):
+    """`split`'s parts with their seconds multiplied by `scale`."""
+    return [(seconds * scale, gc_seconds * scale, young) for seconds, gc_seconds, young in parts]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3, metavar="K")
     args = parser.parse_args()
+    sys.path.append(str(BENCH_DIR))  # the benchmark's modules import each other by name
+    bench_run = load_bench_module("run")
     clock = CollectorClock()
     gc.callbacks.append(clock)
     splits = {}
-    print("config          simulate_s      gc  observe_s      gc  serialise_s      gc  serialise/simulate")
+    print(f"seconds rescaled to a reference of {bench_run.REFERENCE_S} s")
+    print("config          simulate_s      gc  observe_s      gc  serialise_s      gc  "
+          "serialise/simulate   ref_s")
     for name, config in configs():
-        runs = [split(config, clock) for _ in range(args.repeats)]
+        refs, runs = [], []
+        for _ in range(args.repeats):
+            refs.append(bench_run.reference_seconds())
+            runs.append(rescaled(split(config, clock), bench_run.REFERENCE_S / refs[-1]))
         splits[name] = parts = [min(stage) for stage in zip(*runs)]
         (sim, sim_gc, _), (obs, obs_gc, _), (ser, ser_gc, _) = parts[:3]
         print(f"{name:15s} {sim:10.3f} {sim_gc:7.3f} {obs:10.3f} {obs_gc:7.3f} "
-              f"{ser:12.3f} {ser_gc:7.3f} {ser / sim:19.1%}")
+              f"{ser:12.3f} {ser_gc:7.3f} {ser / sim:19.1%} {statistics.median(refs):7.3f}")
     print()
     print("observe part                   " + "".join(f"{name:>26s}" for name in splits))
     print(" " * 31 + "        seconds     gc young" * len(splits))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,10 +35,13 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def load_bench_module(name: str):
-    """The benchmark's module `name`, loaded from its file: `bench/` is no package."""
+    """The benchmark's module `name`, loaded from its file: `bench/` is no
+    package.  It is registered in `sys.modules` while it runs, as an import
+    would, so that its dataclasses can resolve their annotations."""
     path = BENCH_DIR / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

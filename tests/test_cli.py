@@ -194,6 +194,7 @@ def test_unreadable_scenario_exits_two_with_one_line(tmp_path, capsys, data):
 
 def test_run_that_does_not_quiesce_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Simulation, "MAX_EVENTS", 100)
+    monkeypatch.setattr(Simulation, "EVENTS_PER_CUBE", 0)
     scenario = write(tmp_path, FAVORABLE, "fav.ini")
     out_dir = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out_dir)]) == 2

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import random
+from dataclasses import replace
 from typing import get_args
 
 import pytest
@@ -107,6 +109,28 @@ def test_envelope_body_addr_consistency():
         Envelope(1, 2, aaba, Propose(Block(2, 1, ())))
     with pytest.raises(ValueError):  # a broadcast is checked like a unicast
         Envelope(1, None, gbc, Sho2(0))
+
+
+def test_own_echo_is_derived_and_ignored_by_equality_hash_repr_and_encoding():
+    """`own_echo` says whether an echo envelope's sender signed its share;
+    an envelope forced to the other value is still the same envelope, and
+    `dataclasses.replace` derives it afresh."""
+    gbc = InstanceAddr(1, Proto.GBC, 2)
+    ps = make_registry(4).partial_sign(3, tagged_digest(b"m", 1))
+    own1, own2 = Envelope(3, None, gbc, Echo1(ps)), Envelope(3, 1, gbc, Echo2(ps))
+    relayed = Envelope(4, 1, gbc, Echo2(ps))
+    propose = Envelope(2, 1, gbc, Propose(Block(2, 1, ())))
+    assert [env.own_echo for env in (own1, own2, relayed, propose)] == [1, 2, 0, 0]
+    for env in (own1, own2, relayed, propose):
+        forced = copy.copy(env)
+        object.__setattr__(forced, "own_echo", 2 - env.own_echo)
+        assert forced == env and hash(forced) == hash(env)
+        assert repr(forced) == repr(env) and "own_echo" not in repr(env)
+        assert encode_envelope(forced) == encode_envelope(env)
+    assert replace(own1, sender=4).own_echo == 0
+    assert replace(relayed, sender=3).own_echo == 2
+    assert replace(own2, body=Echo1(ps)).own_echo == 1
+    assert replace(own1, body=Propose(Block(2, 1, ()))).own_echo == 0
 
 
 def _random_envelope(rng: random.Random, registry, params) -> Envelope:

@@ -178,6 +178,7 @@ def test_run_leaves_the_collector_as_it_found_it(monkeypatch, collector, enabled
     schedule(config_for(1)).run()
     assert gc.isenabled() is enabled
     monkeypatch.setattr(Simulation, "MAX_EVENTS", 10)
+    monkeypatch.setattr(Simulation, "EVENTS_PER_CUBE", 0)
     with pytest.raises(QuiesceError):
         schedule(config_for(1)).run()
     assert gc.isenabled() is enabled
@@ -308,6 +309,30 @@ def test_echo_shortcut_logs_what_the_instance_router_logs(monkeypatch, case):
     want = run_simulation(config).log
     assert got.to_lines() == want.to_lines()
     assert got.records == want.records
+
+
+def _own_echo_rule(env):
+    """`Envelope.own_echo` as its definition gives it: an `Echo1` or `Echo2`
+    whose share its sender signed has its round, anything else 0."""
+    rounds = {Echo1: 1, Echo2: 2}
+    body = env.body
+    return rounds[type(body)] if type(body) in rounds and body.partial.signer == env.sender else 0
+
+
+@pytest.mark.parametrize("case", SCENARIOS + ["favorable_n16", "byzantine_n16"] + list(ROUTING_SLICES))
+def test_every_handled_envelope_carries_its_own_echo_value(monkeypatch, case):
+    config = ROUTING_SLICES[case]() if case in ROUTING_SLICES else config_for(case)
+    handle = Node.handle
+    seen = Counter()
+
+    def checked(self, env):
+        assert env.own_echo == _own_echo_rule(env), env
+        seen[env.own_echo] += 1
+        return handle(self, env)
+
+    monkeypatch.setattr(Node, "handle", checked)
+    run_simulation(config)
+    assert seen[0] and seen[1] and seen[2]
 
 
 @pytest.mark.parametrize("relayed, tag", [(Echo1, 1), (Echo2, 2)])

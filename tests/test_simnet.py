@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -34,6 +35,7 @@ from falcon_bft.simnet import (
     Simulation,
     _twin,
     run_simulation,
+    schedule,
 )
 
 from support import load_bench_module
@@ -320,6 +322,7 @@ def test_config_validation():
 
 def test_run_past_max_events_names_each_node_and_pending_index(monkeypatch):
     monkeypatch.setattr(Simulation, "MAX_EVENTS", 800)
+    monkeypatch.setattr(Simulation, "EVENTS_PER_CUBE", 0)
     config = load_scenario(SCENARIOS / "wrong_bit_one_path.ini")
     with pytest.raises(QuiesceError) as caught:
         run_simulation(config)
@@ -328,6 +331,15 @@ def test_run_past_max_events_names_each_node_and_pending_index(monkeypatch):
         "simulation failed to quiesce within 800 deliveries at t=27: "
         "correct nodes' k 1:3 2:3 3:3; pending AABA indices k=3:[1]"
     )
+
+
+def test_delivery_cap_follows_the_config_and_keeps_its_floor():
+    """A favorable run makes about 2 * n**3 echo deliveries per instance run,
+    which at n=64 with 5 instances, 6 run, is past the 2 000 000 floor; no
+    config gets a cap below the floor."""
+    assert schedule(favorable(n=64, f=21, instances=5)).max_events() > 2 * 64 ** 3 * 6
+    assert schedule(favorable(n=31, f=10, instances=5)).max_events() == 2_000_000
+    assert schedule(favorable()).max_events() == Simulation.MAX_EVENTS == 2_000_000
 
 
 def test_eventual_delivery_queue_drains():
@@ -389,6 +401,46 @@ def test_of_kind_matches_a_scan_after_appends_and_replacement():
     log.records = [r for r in log.records if r["kind"] != "commit"]
     assert log.of_kind("commit") == []
     assert log.of_kind("send") == scan("send")
+
+
+READER_CASES = ("appended", "edited_copy", "shorter_list")
+
+
+def _log_for(case):
+    """A run's log whose records reach its readers as `case` says: through
+    `append` alone, then `records` replaced by an edited copy, or by a
+    shorter list."""
+    log = run_simulation(favorable()).log
+    log.append({"kind": "commit", "t": 99, "node": 1})
+    log.append({"kind": "send", "t": 99, "node": 1, "to": 2})
+    log.append({"kind": "late_kind", "t": 99, "node": 1})
+    commit = next(r for r in log.records if r["kind"] == "commit")
+    if case == "edited_copy":
+        log.records = [dict(r, kind="late_kind") if r is commit else r for r in log.records]
+    elif case == "shorter_list":
+        log.records = [r for r in log.records if r["kind"] != "commit"]
+    return log
+
+
+def _reads_its_records(log):
+    """Whether `to_lines` writes the encoder's line of each record but the
+    `send` ones of the current `records`, and `of_kind` gives a scan's list."""
+    want = b"".join(json.dumps(r, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+                    for r in log.records if r["kind"] != "send")
+    kinds = {r["kind"] for r in log.records} | {"commit", "no_such_kind"}
+    return log.to_lines() == want and all(
+        log.of_kind(kind) == [r for r in log.records if r["kind"] == kind] for kind in kinds)
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_to_lines_and_of_kind_read_the_current_records(case):
+    assert _reads_its_records(_log_for(case))
+
+
+def test_readers_that_always_read_the_written_list_miss_a_replaced_records(monkeypatch):
+    """The test above fails for a log whose readers ignore a replaced `records`."""
+    monkeypatch.setattr(EventLog, "_source", lambda self: self._written)
+    assert [_reads_its_records(_log_for(case)) for case in READER_CASES] == [True, False, False]
 
 
 def test_observe_stage_indexes_no_send_records():
