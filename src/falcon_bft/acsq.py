@@ -33,7 +33,6 @@ from .core_types import (
     Amp,
     Assist,
     Block,
-    Echo1,
     Envelope,
     GradedDelivery,
     InstanceAddr,
@@ -152,20 +151,21 @@ class AcsqInstance:
         if addr.proto is not _GBC:
             return self._handle_aaba(env)
         body = env.body
-        cls = type(body)
-        # a share counts only from its own signer: relayed from another
-        # broadcast, it would take the signer's one place in the pool
-        if cls is not Propose and body.partial.signer != env.sender:
+        echo = env.own_echo
+        # a share counts only from its own signer (`own_echo` is 0 for any
+        # other): relayed from another broadcast, it would take the signer's
+        # one place in the pool
+        if not echo and type(body) is not Propose:
             self.log("drop", k=self.k, j=j, reason="bad_signer")
             return []
         if g is None:
             g = self.gbc_for(j)
-        if cls is Propose:
-            sub = g.on_propose(env.sender, body.block)
-        elif cls is Echo1:
+        if echo == 1:
             sub = g.on_echo1(body.partial)
-        else:  # Echo2, the one other body an Envelope admits on a GBC address
+        elif echo:
             sub = g.on_echo2(body.partial)
+        else:
+            sub = g.on_propose(env.sender, body.block)
         return self._absorb(j, sub) if sub else []
 
     def _handle_aaba(self, env: Envelope) -> List[Send]:

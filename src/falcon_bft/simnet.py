@@ -282,12 +282,12 @@ def _getter(keys: List[str]) -> Callable[[dict], tuple]:
 @functools.lru_cache(maxsize=1024)
 def _shape_line(shape: tuple) -> Optional[Tuple[Callable, Callable, Tuple[int, ...], str]]:
     """The line template of a record shape, or None if a key is not a str
-    or a value is not an int, str, bool, None or list.
+    or a value is not an int, str, bool or list.
 
     A shape is (kind, *keys, *value types), keys and types in the record's
     order.  The template is (str values getter, slot values getter, places
     of the bool and list slots, line): the line has the keys sorted, `kind`'s
-    value, `null` for each None and a slot for each other value, in order.
+    value and a slot for each other value, in order.
     """
     width = len(shape) // 2
     kind, keys = shape[0], shape[1:width + 1]
@@ -298,8 +298,6 @@ def _shape_line(shape: tuple) -> Optional[Tuple[Callable, Callable, Tuple[int, .
         head = _json_text(key) + ":"
         if key == "kind":
             parts.append(head + _json_text(kind))
-        elif tp is type(None):
-            parts.append(head + "null")
         elif tp in (int, str, bool, list):
             if tp is str:
                 strs.append(key)
@@ -337,42 +335,32 @@ class EventLog:
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
 
-    `records` holds a `send` record for each delivery a message is due
-    for, most of a log, but `to_lines` writes none of them: the run's
-    `sends` summary records count them per sender, protocol and body.
-    `append` also puts every other record on a written list, which
-    `to_lines` and the index build read instead of `records` while
-    `records` is still the list `append` fills.
+    `records` holds every record, and a `send` record for each delivery a
+    message is due for is most of it.  `written` holds every other
+    record: the records `to_lines` writes and `of_kind` finds, so a test
+    that plants edited records assigns them to `written`.  The run's
+    `sends` summary records count the send records per sender, protocol
+    and body.
 
-    A caller may replace `records` with another list, and `to_lines` and
-    `of_kind` then scan that list; no caller edits `records` in place.
-
-    `of_kind` reads a by-kind index, built in one pass and again whenever
-    `records` is another list or another length, so `append` does no
-    indexing work.  It holds every kind but `send`: `of_kind("send")`
-    scans `records`.
+    `of_kind` reads a by-kind index of `written`, built in one pass and
+    again whenever `written` is another list or another length, so
+    `append` does no indexing work.
     """
 
     def __init__(self):
         self.records: List[dict] = []
+        self.written: List[dict] = []
         self.time = 0
-        self._filled = self.records  # the list `append` started on
-        self._written: List[dict] = []  # the records appended that `to_lines` writes
-        # (records, its length, kind -> records) as of the last index build
-        self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.records, 0, {})
+        # (written, its length, kind -> records) as of the last index build
+        self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.written, 0, {})
 
     def append(self, record: dict) -> None:
         """Add `record` to `records`; unless it is a `send` record, also
-        number it `i`, its line in `to_lines`, and add it to the written list."""
+        number it `i`, its line in `to_lines`, and add it to `written`."""
         if record["kind"] != "send":
-            record["i"] = len(self._written)
-            self._written.append(record)
+            record["i"] = len(self.written)
+            self.written.append(record)
         self.records.append(record)
-
-    def _source(self) -> List[dict]:
-        """The written list while `records` is the list `append` fills, else
-        `records`, whose `send` records each reader skips."""
-        return self._written if self.records is self._filled else self.records
 
     def logger(self, node_id: int) -> Callable:
         """Node `node_id`'s record function; it holds the log and nothing else."""
@@ -383,9 +371,9 @@ class EventLog:
         return log
 
     def to_lines(self) -> bytes:
-        """Each record but the `send` records as one line of compact JSON with
-        sorted keys: the bytes `json.dumps(rec, sort_keys=True,
-        separators=(",", ":"))` gives.
+        """Each record of `written` as one line of compact JSON with sorted
+        keys: the bytes `json.dumps(rec, sort_keys=True, separators=(",",
+        ":"))` gives.
 
         No line goes through the JSON encoder if a template can write it.  A
         record is written from the template of its shape, its kind, keys and
@@ -394,8 +382,8 @@ class EventLog:
         JSON writes unescaped; a bool is written `true` or `false`, a list of
         only exact ints or only such strs as its JSON text.
 
-        Any record a template cannot write byte for byte, with a float or
-        dict value, another list (nested, mixed or holding a bool), a str
+        Any record a template cannot write byte for byte, with a None, float
+        or dict value, another list (nested, mixed or holding a bool), a str
         that JSON escapes or a key that is not a str, goes through the
         encoder instead.  The lines stream into one buffer: a list of every
         line would set a run's peak memory.
@@ -404,10 +392,8 @@ class EventLog:
         out = io.BytesIO()
         write = out.write
         plain = set()  # str values that JSON writes unescaped
-        for r in self._source():
+        for r in self.written:
             kind = r["kind"]
-            if kind == "send":
-                continue
             if type(kind) is str:
                 line = _shape_line((kind, *r, *map(type, r.values())))
                 if line is not None:
@@ -426,20 +412,18 @@ class EventLog:
         return out.getvalue()
 
     def of_kind(self, kind: str) -> List[dict]:
-        """A new list of the records of `kind`, in log order."""
-        records = self.records
-        if kind == "send":
-            return [rec for rec in records if rec["kind"] == "send"]
+        """A new list of the written records of `kind`, in log order."""
+        written = self.written
         indexed, count, by_kind = self._index
-        if indexed is not records or count != len(records):
+        if indexed is not written or count != len(written):
             by_kind = {}
-            for rec in self._source():
+            for rec in written:
                 same = by_kind.get(rec["kind"])
                 if same is not None:
                     same.append(rec)
-                elif rec["kind"] != "send":
+                else:
                     by_kind[rec["kind"]] = [rec]
-            self._index = (records, len(records), by_kind)
+            self._index = (written, len(written), by_kind)
         return list(by_kind.get(kind, ()))
 
 

@@ -10,7 +10,7 @@ cross-node safety is byte-equality of slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from .core_types import Block
@@ -27,7 +27,7 @@ class SortCursor:
     """Cross-instance gate: instance k sorts only while done_id == k - 1."""
 
     done_id: int = 0
-    idx: Dict[int, int] = field(default_factory=dict)
+    pos: int = 0  # how many of instance done_id + 1's indices are sorted
 
 
 def partial_sort(
@@ -45,15 +45,15 @@ def partial_sort(
     """
     if cursor.done_id != k - 1:
         return []
-    idx = cursor.idx.get(k, 0)
+    pos = cursor.pos
     committed = []
-    while idx < n and (idx + 1 in included or idx + 1 in excluded):
-        j = idx + 1
-        if j in included:
-            chain.append(included[j])
-            committed.append(included[j])
-        idx = j
-    cursor.idx[k] = idx
-    if idx == n:
-        cursor.done_id = k
+    while pos < n and (pos + 1 in included or pos + 1 in excluded):
+        pos += 1
+        if pos in included:
+            chain.append(included[pos])
+            committed.append(included[pos])
+    if pos == n:
+        cursor.done_id, cursor.pos = k, 0
+    else:
+        cursor.pos = pos
     return committed

@@ -10,17 +10,6 @@ With `--compare FILE` it prints the name of every config whose digest
 differs from FILE's, or that only one side has, instead of the digests,
 and exits 1 if there is any.
 
-A change of the log format is checked the same way, with the parent's
-digests taken with `--from-send-lines`, which converts each log from the
-format that wrote one `send` line per delivery to today's: it drops the
-send lines, renumbers `i`, and appends a `sends` record of node 0 at the
-run's last tick for each (sender, proto, body), in that order, with the
-number of send lines it had.  Run it with a `src/` from before that change
-(commit bb4e99c or older) on PYTHONPATH:
-
-    PYTHONPATH=../parent/src python tests/digest_sweep.py --from-send-lines > parent.json
-    PYTHONPATH=src python tests/digest_sweep.py --compare parent.json
-
 The sweep covers the shipped scenarios, both n=16 benchmark workloads at
 seeds 1-3, favorable n=31 (f=10) at seed 1 in lockstep and random mode
 (the favorable-n16 workload's other settings; the widest fan-out per
@@ -35,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from falcon_bft.core_types import SystemParams
@@ -67,36 +55,15 @@ def configs():
         yield f"late_proof_config({i})", late_proof_config(i)
 
 
-def from_send_lines(result) -> bytes:
-    """The run's log, written with send lines, in today's format."""
-    records, sends = [], Counter()
-    for line in result.log.to_lines().splitlines():
-        rec = json.loads(line)
-        if rec["kind"] == "send":
-            sends[rec["node"], rec["proto"], rec["body"]] += 1
-            continue
-        assert rec["kind"] != "sends", "the log is in today's format already"
-        rec["i"] = len(records)
-        records.append(rec)
-    for (sender, proto, body), count in sorted(sends.items()):
-        records.append({"kind": "sends", "t": result.log.time, "node": 0, "sender": sender,
-                        "proto": proto, "body": body, "count": count, "i": len(records)})
-    return b"".join(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-                    for rec in records)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", metavar="FILE", help="a saved output to diff against")
-    parser.add_argument("--from-send-lines", action="store_true",
-                        help="convert each log from the format with send lines first")
     args = parser.parse_args()
     if args.compare is not None:  # read before the sweep, so a bad FILE fails at once
         with open(args.compare) as fh:
             saved = json.load(fh)
-    write = from_send_lines if args.from_send_lines else lambda result: result.log.to_lines()
     digests = {
-        name: hashlib.sha256(write(run_simulation(config))).hexdigest()
+        name: hashlib.sha256(run_simulation(config).log.to_lines()).hexdigest()
         for name, config in configs()
     }
     if args.compare is None:

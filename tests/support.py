@@ -273,18 +273,50 @@ def _q_check_any(self, digest, proof) -> bool:
 
 def _sort_every_instance(self: Node) -> None:
     """Partial sorting without the cross-instance gate: every live instance
-    writes to the chain as soon as its own low indices are decided."""
+    writes to the chain as soon as its own low indices are decided.  The
+    cursor holds the sorted position of the gated instance only, so each
+    instance's own position is kept here, per node, and swapped in around
+    its `partial_sort` call: every instance resumes where it stopped."""
     cursor = self.cursor
+    positions = vars(self).setdefault("_ungated_pos", {})
     for k in sorted(self.instances):
         inst = self.instances[k]
         if not self._sortable(inst):
             continue
-        saved, cursor.done_id = cursor.done_id, k - 1
+        saved = cursor.done_id, cursor.pos
+        cursor.done_id, cursor.pos = k - 1, positions.get(k, 0)
         done = node_module.partial_sort(cursor, k, self.params.n, inst.M_acs, inst.S_ex,
                                         self.chain)
-        cursor.done_id = max(saved, k) if cursor.done_id == k else saved
+        finished = cursor.done_id == k
+        positions[k] = self.params.n if finished else cursor.pos
+        cursor.done_id, cursor.pos = (max(saved[0], k) if finished else saved[0]), saved[1]
         if done:
             self._commit(k, done)
+
+
+def unsorted_prefixes(log) -> List[Tuple[int, int]]:
+    """The (node, instance) pairs whose commits in `log` are not, in order,
+    the included indices of that instance's decided prefix at the end of
+    the run (the indices up to its first undecided one).  Empty for a run
+    in which every instance sorted what it decided, gated or not."""
+    decided: Dict[Tuple[int, int], Dict[int, str]] = {}
+    for rec in log.of_kind("decide"):
+        decided.setdefault((rec["node"], rec["k"]), {})[rec["j"]] = rec["outcome"]
+    committed: Dict[Tuple[int, int], List[int]] = {}
+    for rec in log.of_kind("commit"):
+        committed.setdefault((rec["node"], rec["k"]), []).append(rec["j"])
+    bad = []
+    for key in sorted(set(decided) | set(committed)):
+        outcomes = decided.get(key, {})
+        prefix = []
+        j = 1
+        while j in outcomes:
+            if outcomes[j] == "include":
+                prefix.append(j)
+            j += 1
+        if committed.get(key, []) != prefix:
+            bad.append(key)
+    return bad
 
 
 def break_echo2_gate(monkeypatch) -> None:

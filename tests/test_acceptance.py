@@ -37,6 +37,7 @@ from support import (
     break_sort_gate,
     load_bench_module,
     make_registry,
+    unsorted_prefixes,
 )
 
 fuzz_config = load_bench_module("workloads").fuzz_config
@@ -379,6 +380,7 @@ def test_criterion_9_mutation_sanity(monkeypatch):
         ),
     )
     mutated = run_mutated(monkeypatch, break_sort_gate, sort_cfg)
+    assert unsorted_prefixes(mutated.log) == []
     found = {v["check"] for v in observe_invariants(mutated)}
     assert "chain_safety" in found
     assert observe_invariants(run_simulation(sort_cfg)) == []

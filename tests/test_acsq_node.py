@@ -178,8 +178,8 @@ def test_trigger_fires_at_lagging_node_via_passive_instance():
     activate_t = {
         r["k"]: r["t"] for r in res.log.of_kind("activate") if r["node"] == 2
     }
-    for rec in res.log.of_kind("send"):
-        if rec["node"] == 2 and rec["body"] in ("Echo1", "Echo2"):
+    for rec in res.log.records:
+        if rec["kind"] == "send" and rec["node"] == 2 and rec["body"] in ("Echo1", "Echo2"):
             assert rec["t"] >= activate_t[rec["k"]]
 
 
@@ -240,7 +240,7 @@ def test_traffic_below_pruning_horizon_dropped():
     node = res.nodes[1]
     assert node.pruned_below > 1  # five instances ran, early ones pruned
     stale = next(
-        e for e in res.log.of_kind("send") if e["k"] == 1 and e["body"] == "Echo1"
+        e for e in res.log.records if e["kind"] == "send" and e["k"] == 1 and e["body"] == "Echo1"
     )
     from falcon_bft.core_types import Echo1, Envelope, InstanceAddr, Proto
 

@@ -102,10 +102,10 @@ def test_csv_outputs_are_schema_stable():
 
 
 def _on_a_new_log(res):
-    """(decompose_latency, tx_records) over a new log of the same records,
+    """(decompose_latency, tx_records) over a new log of the same written records,
     whose by-kind index is built from nothing."""
     log = EventLog()
-    log.records = list(res.log.records)
+    log.written = list(res.log.written)
     fresh = RunResult(res.config, log, res.nodes)
     return decompose_latency(fresh), tx_records(fresh)
 
@@ -123,16 +123,16 @@ def test_post_run_tables_follow_every_change_to_the_log():
     decompose_latency(res).clear()
     tx_records(res).clear()
     assert (decompose_latency(res), tx_records(res)) == (stages, txs)
-    # a new records list without one of node 1's commits
-    commit = next(r for r in log.records if r["kind"] == "commit" and r["node"] == 1)
-    log.records = [r for r in log.records if r is not commit]
+    # a new written list without one of node 1's commits
+    commit = next(r for r in log.written if r["kind"] == "commit" and r["node"] == 1)
+    log.written = [r for r in log.written if r is not commit]
     dropped = (decompose_latency(res), tx_records(res))
     assert dropped != (stages, txs) and dropped == _on_a_new_log(res)
     # a new list of the same length, with node 2 activating instance 1 a tick earlier
     activate = next(
-        r for r in log.records if r["kind"] == "activate" and (r["node"], r["k"]) == (2, 1)
+        r for r in log.written if r["kind"] == "activate" and (r["node"], r["k"]) == (2, 1)
     )
-    log.records = [dict(r, t=r["t"] - 1) if r is activate else r for r in log.records]
+    log.written = [dict(r, t=r["t"] - 1) if r is activate else r for r in log.written]
     shifted = (decompose_latency(res), tx_records(res))
     assert shifted != dropped and shifted == _on_a_new_log(res)
     # the commit appended back

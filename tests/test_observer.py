@@ -22,7 +22,13 @@ from falcon_bft.observer import (
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
-from support import break_echo2_gate, break_q_check, break_sort_gate, load_bench_module
+from support import (
+    break_echo2_gate,
+    break_q_check,
+    break_sort_gate,
+    load_bench_module,
+    unsorted_prefixes,
+)
 
 
 def favorable(seed=1, **kwargs):
@@ -65,9 +71,9 @@ def test_node_contradicting_itself_breaks_gbc_consistency():
 
 def test_missing_return_detected():
     res = run_simulation(favorable())
-    res.log.records = [
+    res.log.written = [
         r
-        for r in res.log.records
+        for r in res.log.written
         if not (r["kind"] == "instance_return" and r["node"] == 3 and r["k"] == 2)
     ]
     assert any(v["check"] == "totality" for v in check_totality(res))
@@ -76,8 +82,8 @@ def test_missing_return_detected():
 def test_dropped_commit_breaks_liveness():
     res = run_simulation(favorable(num_instances=4))
     assert check_liveness(res, min_checked=1) == []
-    res.log.records = [
-        r for r in res.log.records if not (r["kind"] == "commit" and r["node"] == 2)
+    res.log.written = [
+        r for r in res.log.written if not (r["kind"] == "commit" and r["node"] == 2)
     ]
     found = check_liveness(res)
     assert found and all(v["check"] == "liveness" for v in found)
@@ -119,6 +125,8 @@ def test_sort_gate_mutation_breaks_chain_safety(monkeypatch):
     with monkeypatch.context() as patch:
         break_sort_gate(patch)
         res = run_simulation(cfg)
+    # the mutant still sorts each instance's own decided prefix, in order
+    assert unsorted_prefixes(res.log) == []
     assert any(v["check"] == "chain_safety" for v in observe_invariants(res))
     # identical scenario with the gate intact is clean
     clean = run_simulation(cfg)
@@ -158,7 +166,7 @@ def _corrupt(res, seed):
     correct = res.config.correct_nodes()
     last_k = res.config.num_instances
     held = sorted(
-        {(r["node"], r["k"], r["j"]) for r in res.log.records
+        {(r["node"], r["k"], r["j"]) for r in res.log.written
          if r["kind"] in ("gbc_deliver", "da_adopt")}
     )
     forged = {key: "%064x" % rng.getrandbits(256) for key in held if rng.random() < 0.04}
@@ -170,7 +178,7 @@ def _corrupt(res, seed):
     outputs = res.log.of_kind("aaba_output")
     zeroed = rng.choice(outputs) if outputs and rng.random() < 0.5 else None
     out = []
-    for rec in res.log.records:
+    for rec in res.log.written:
         kind = rec["kind"]
         if kind in ("gbc_deliver", "da_adopt"):
             rec["digest"] = forged.get((rec["node"], rec["k"], rec["j"]), rec["digest"])
@@ -198,7 +206,7 @@ def _corrupt(res, seed):
     if len(commits) > 1 and rng.random() < 0.5:
         a, b = sorted(rng.sample(commits, 2))
         out[a], out[b] = out[b], out[a]
-    res.log.records = out
+    res.log.written = out
     for kind in ("late_grade2_after_exclusion", "trigger", "agreement_enter"):
         if rng.random() < 0.5:
             res.log.append({"kind": kind, "t": rng.randrange(1, 50), "node": rng.choice(correct),
@@ -271,13 +279,13 @@ def test_correlation_checks_match_a_brute_force_reference_on_corrupted_runs(monk
     backwards in the log."""
     res = _corrupt(run_simulation(list(_corpus_configs())[seed]), seed)
     rng = random.Random(seed)
-    last = max(rec["t"] for rec in res.log.records)
+    last = max(rec["t"] for rec in res.log.written)
     moved = [
         dict(rec, t=rng.randrange(last + 1))
         if rec["kind"] in ("gbc_deliver", "body_received") and rng.random() < 0.2 else rec
-        for rec in res.log.records
+        for rec in res.log.written
     ]
-    res.log.records = moved
+    res.log.written = moved
     got = check_delivery_correlation(res) + check_receipt_correlation(res)
     monkeypatch.setattr(observer, "_check_correlation", _correlation_reference)
     assert got == check_delivery_correlation(res) + check_receipt_correlation(res)

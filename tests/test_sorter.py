@@ -13,8 +13,8 @@ def test_commits_across_excluded_index():
     b1, b3 = blk(1), blk(3)
     committed = partial_sort(cursor, 1, 3, {1: b1, 3: b3}, {2}, chain)
     assert [b.creator for b in committed] == [1, 3]
-    assert cursor.idx[1] == 3
     assert cursor.done_id == 1
+    assert cursor.pos == 0  # instance 2 has sorted nothing yet
     assert chain == [b1, b3]
 
 
@@ -22,7 +22,7 @@ def test_prefix_gate_blocks_later_indices():
     chain = []
     cursor = SortCursor()
     assert partial_sort(cursor, 1, 3, {2: blk(2), 3: blk(3)}, set(), chain) == []
-    assert cursor.idx.get(1, 0) == 0
+    assert cursor.pos == 0
     assert len(chain) == 0
 
 
@@ -34,6 +34,7 @@ def test_progressive_commit_resumes():
     assert [b.creator for b in partial_sort(cursor, 1, 3, included, excluded, chain)] == [1]
     included[3] = blk(3)
     assert partial_sort(cursor, 1, 3, included, excluded, chain) == []  # index 2 undecided
+    assert cursor.pos == 1
     excluded.add(2)
     assert [b.creator for b in partial_sort(cursor, 1, 3, included, excluded, chain)] == [3]
     assert cursor.done_id == 1
