@@ -72,19 +72,17 @@ class AcsqInstance:
         self.trigger_active = False
         self.agreement_started = False
         self.returned = False
-        # +1 each time M_acs or S_ex grows: the number of decided indices
-        self.progress = 0
 
         self.gbc: Dict[int, GbcInstance] = {}
         self.aaba: Dict[int, AabaInstance] = {}
         self.M2: Dict[int, GradedDelivery] = {}
-        self.M_acs: Dict[int, Block] = {}
-        self.S_ex: Set[int] = set()
+        # each decided index -> its block if included, None if excluded
+        self.decided: Dict[int, Optional[Block]] = {}
         self.known_blocks: Dict[bytes, Block] = {}
         self.assist_sent: Set[Tuple[int, int]] = set()  # (index, peer)
         self.queries_taken: Set[Tuple[int, int]] = set()  # (index, peer)
         self.pending_queries: Dict[bytes, List[int]] = {}  # digest -> requesters
-        self.pending_includes: Set[int] = set()  # 1-outputs not yet in M_acs
+        self.pending_includes: Set[int] = set()  # 1-outputs not yet in `decided`
         self.queried: Set[bytes] = set()
 
     # -- sub-instance access ------------------------------------------------------
@@ -227,14 +225,13 @@ class AcsqInstance:
         kind = "gbc_deliver" if via == "gbc" else "da_adopt"
         self.log(kind, k=self.k, j=j, grade=2, digest=gd.block.digest.hex())
         out = self._note_body(gd.block, via=via)
-        if j in self.S_ex:
+        if j not in self.decided:
+            self.decided[j] = gd.block
+            self.log("decide", k=self.k, j=j, outcome="include", source=via)
+        elif self.decided[j] is None:
             # excluded by an earlier 0-output; the decision stands (the observer
             # surfaces this, it cannot arise from correct-node schedules)
             self.log("late_grade2_after_exclusion", k=self.k, j=j)
-        elif j not in self.M_acs:
-            self.M_acs[j] = gd.block
-            self.progress += 1
-            self.log("decide", k=self.k, j=j, outcome="include", source=via)
         self.pending_includes.discard(j)
         if j in self.aaba:
             self.aaba[j].halt()
@@ -266,20 +263,20 @@ class AcsqInstance:
     def _check_stage(self) -> List[Send]:
         """Return once every index is decided, else enter agreement on the
         trigger plus a grade-2 quorum.  Activation, the trigger and every
-        growth of M2, M_acs or S_ex call this."""
+        growth of M2 or `decided` call this."""
         if self.returned or not self.active:
             return []
-        # M_acs and S_ex never share an index; before agreement S_ex is empty
-        # and M_acs holds exactly M2's indices
-        if len(self.M_acs) + len(self.S_ex) == self.params.n:
-            # no progress of its own: the decision that completed the set
-            # was counted, or the driver itself is activating the instance
+        n = self.params.n
+        if len(self.decided) == n:
+            # no decision of its own: the one that completed the map moved
+            # the driver gate, or the driver itself is activating the instance
             self.returned = True
+            excluded = sorted(j for j, block in self.decided.items() if block is None)
             self.log(
                 "instance_return",
                 k=self.k,
-                acs_size=len(self.M_acs),
-                excluded=sorted(self.S_ex),
+                acs_size=n - len(excluded),
+                excluded=excluded,
             )
             return []
         if self.trigger_active and not self.agreement_started and len(self.M2) >= self.params.quorum:
@@ -309,12 +306,11 @@ class AcsqInstance:
 
     def _on_aaba_output(self, j: int, bit: int, source: str) -> List[Send]:
         self.log("aaba_output", k=self.k, j=j, bit=bit, source=source)
-        if j in self.M_acs or j in self.S_ex:
+        if j in self.decided:
             return []
         out: List[Send] = []
         if bit == 0:
-            self.S_ex.add(j)
-            self.progress += 1
+            self.decided[j] = None
             self.log("decide", k=self.k, j=j, outcome="exclude", source="aaba")
         else:
             self.pending_includes.add(j)
@@ -339,8 +335,7 @@ class AcsqInstance:
             block = self.known_blocks.get(digest)
             if block is not None:
                 self.pending_includes.discard(j)
-                self.M_acs[j] = block
-                self.progress += 1
+                self.decided[j] = block
                 self.log("decide", k=self.k, j=j, outcome="include", source="aaba")
                 out.extend(self._check_stage())
             elif digest not in self.queried:

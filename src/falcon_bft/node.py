@@ -10,14 +10,13 @@ the run can activate are dropped.  A live instance has passed those tests
 and the pruning test (`k` only grows), so only a new instance is tested.
 
 The driver (`_drive`, with sorting and pruning) runs only on progress:
-after an envelope decided an index of the handled instance, growing its
-`M_acs` or `S_ex`.  A return follows a decision.  A grade-2 delivery that
-decides nothing comes after the instance entered agreement, so it is past
-its quorum and its predecessor's trigger has fired.  Nothing else the
-driver reads changes outside the driver, so a run without a decision
-would do nothing.  `AcsqInstance.progress` goes up by one at each of the
-three places where `M_acs` or `S_ex` grows, so `handle` compares one int
-before and after the envelope.
+after an envelope decided an index of the handled instance, so `handle`
+compares the size of that instance's `decided` map, which only grows,
+before and after the envelope.  A return follows a decision.  A grade-2
+delivery that decides nothing comes after the instance entered agreement,
+so it is past its quorum and its predecessor's trigger has fired.
+Nothing else the driver reads changes outside the driver, so a run
+without a decision would do nothing.
 
 One instance past the configured window is still activated so the last
 measured instance has a successor to fire its trigger from; that extra
@@ -107,18 +106,18 @@ class Node:
                 self.log("drop", k=k, reason="pruned_instance")
                 return []
             inst = self._instance(k)
-        before = inst.progress
+        before = len(inst.decided)
         echo = env.own_echo
         g = inst.gbc.get(env.addr.index) if echo else None
         if g is not None:
             partial = env.body.partial
             sub = g.on_echo1(partial) if echo == 1 else g.on_echo2(partial)
-            if not sub:  # a broadcast moves no instance `progress`
+            if not sub:  # a broadcast decides no index
                 return []
             sends = inst._absorb(env.addr.index, sub)
         else:
             sends = inst.handle(env)
-        if inst.progress != before:
+        if len(inst.decided) != before:
             sends.extend(self._drive())
         return self._wrap(sends) if sends else []
 
@@ -219,7 +218,7 @@ class Node:
             inst = self.instances.get(k)
             if inst is None or not self._sortable(inst):
                 break
-            done = partial_sort(self.cursor, k, self.params.n, inst.M_acs, inst.S_ex, self.chain)
+            done = partial_sort(self.cursor, k, self.params.n, inst.decided, self.chain)
             if done:
                 self._commit(k, done)
             if self.cursor.done_id < k:

@@ -79,6 +79,8 @@ def _fields(where: str, items: Iterable[Tuple[str, str]]) -> Dict[str, object]:
         if key not in table:
             raise ScenarioError(f"unknown {where} key {key!r}")
         field, parse = table[key]
+        if field in out:  # configparser catches this within a section only
+            raise ScenarioError(f"repeated {where} key {key!r}")
         out[field] = parse(raw)
     return out
 
@@ -96,13 +98,13 @@ def parse_rule(raw: str) -> DelayRule:
 
 
 def parse_fault(node: str, raw: str) -> FaultSpec:
-    kind, _, arg = raw.partition(":")
+    kind, colon, arg = raw.partition(":")
     try:
         node_id = int(node)
     except ValueError as exc:
         raise ScenarioError(f"bad fault node {node!r}") from exc
     at_time = 0
-    if arg:
+    if colon:  # `crash:` with no tick is an error, not tick 0
         if kind != "crash":
             raise ScenarioError(f"fault {kind!r} takes no argument")
         try:

@@ -258,7 +258,7 @@ class IntegralSortNode(Node):
     index is decided, so each block waits for the slowest agreement."""
 
     def _sortable(self, inst: AcsqInstance) -> bool:
-        return len(inst.M_acs) + len(inst.S_ex) == self.params.n
+        return len(inst.decided) == self.params.n
 
 
 _VARIANT_NODE_CLASSES = {"falcon": Node, "integral_sort": IntegralSortNode}

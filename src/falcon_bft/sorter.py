@@ -11,7 +11,7 @@ cross-node safety is byte-equality of slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Optional
 
 from .core_types import Block
 from .crypto import sha256
@@ -34,24 +34,24 @@ def partial_sort(
     cursor: SortCursor,
     k: int,
     n: int,
-    included: Dict[int, Block],
-    excluded: Set[int],
+    decided: Dict[int, Optional[Block]],
     chain: List[Block],
 ) -> List[Block]:
     """Advance the sort cursor for instance k; returns blocks committed now.
 
-    `included` and `excluded` are the instance's decisions over indices 1..n,
-    disjoint, read and never written.
+    `decided` maps each of the instance's decided indices in 1..n to its
+    block if included, or to None if excluded; it is read and never written.
     """
     if cursor.done_id != k - 1:
         return []
     pos = cursor.pos
     committed = []
-    while pos < n and (pos + 1 in included or pos + 1 in excluded):
+    while pos < n and pos + 1 in decided:
         pos += 1
-        if pos in included:
-            chain.append(included[pos])
-            committed.append(included[pos])
+        block = decided[pos]
+        if block is not None:
+            chain.append(block)
+            committed.append(block)
     if pos == n:
         cursor.done_id, cursor.pos = k, 0
     else:

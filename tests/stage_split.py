@@ -1,12 +1,14 @@
 """Print how one `falcon-sim run` pipeline splits into simulate, observe and
-serialise seconds, each stage the best of K runs, with the cycle collector's
-seconds inside each, then the observe stage split into its parts.
+serialise seconds, each stage the median of K runs with their min-max
+range, with the cycle collector's seconds inside each, then the observe
+stage split into its parts.
 
 Every time printed is rescaled for host drift the way the benchmark does
-it: the benchmark's `reference_seconds()` kernel is timed right before each
-run, and that run's seconds are scaled by `REFERENCE_S` over it, so they
-read as seconds on a host where the kernel takes `REFERENCE_S`.  The
-`ref_s` column is the raw kernel time, the median over a config's runs.
+it: the benchmark's `reference_seconds()` kernel is timed before each run
+and once after the last, so each run lies between two timings, and that
+run's seconds are scaled by `REFERENCE_S` over their mean; they read as
+seconds on a host where the kernel takes `REFERENCE_S`.  The `ref_s`
+column is the raw kernel time, the median over a config's timings.
 
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
@@ -18,13 +20,14 @@ favorable lockstep n=31 (f=10) with the favorable-n16 workload's other
 settings: 5 instances, 8 txs per batch.  Each run starts after a full
 collection, as each benchmark pass does.  A stage's `gc` column is the
 collector time, timed from `gc.callbacks`, of the run that gave that
-stage's best time.  The last column is serialise as a share of simulate.
+stage's median (the lower one for even K).  The last column is serialise
+as a share of simulate, from the two medians.
 
 The second table splits observe into the same calls made one at a time,
 in the same order: `index` is the first `EventLog.of_kind` call, which
 builds the log's by-kind index, then each of `observer.ALL_CHECKS`, then
 `check_liveness`, `decompose_latency` and `tx_records`.  Each part is the
-best of K runs, with the collector time and the number of young (gen0)
+median of K runs, with the collector time and the number of young (gen0)
 collections of the run that gave it.  The file has no `test_` prefix, so
 pytest does not collect it.
 """
@@ -101,6 +104,13 @@ def rescaled(parts, scale):
     return [(seconds * scale, gc_seconds * scale, young) for seconds, gc_seconds, young in parts]
 
 
+def median_run(stage):
+    """Of one stage's K (seconds, gc, young) parts: the one with the median
+    seconds (the lower one for even K), and the (min, max) seconds."""
+    ranked = sorted(stage)
+    return ranked[(len(ranked) - 1) // 2], (ranked[0][0], ranked[-1][0])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3, metavar="K")
@@ -111,17 +121,22 @@ def main() -> int:
     gc.callbacks.append(clock)
     splits = {}
     print(f"seconds rescaled to a reference of {bench_run.REFERENCE_S} s")
-    print("config          simulate_s      gc  observe_s      gc  serialise_s      gc  "
-          "serialise/simulate   ref_s")
+    print(f"{'config':15s}" + "".join(f"{stage + '_s':>12s} {'min-max':>11s}      gc"
+                                      for stage in ("simulate", "observe", "serialise"))
+          + "  serialise/simulate   ref_s")
     for name, config in configs():
-        refs, runs = [], []
+        refs, raw = [bench_run.reference_seconds()], []
         for _ in range(args.repeats):
+            raw.append(split(config, clock))
             refs.append(bench_run.reference_seconds())
-            runs.append(rescaled(split(config, clock), bench_run.REFERENCE_S / refs[-1]))
-        splits[name] = parts = [min(stage) for stage in zip(*runs)]
-        (sim, sim_gc, _), (obs, obs_gc, _), (ser, ser_gc, _) = parts[:3]
-        print(f"{name:15s} {sim:10.3f} {sim_gc:7.3f} {obs:10.3f} {obs_gc:7.3f} "
-              f"{ser:12.3f} {ser_gc:7.3f} {ser / sim:19.1%} {statistics.median(refs):7.3f}")
+        runs = [rescaled(parts, 2 * bench_run.REFERENCE_S / (before + after))
+                for parts, before, after in zip(raw, refs, refs[1:])]
+        medians = [median_run(stage) for stage in zip(*runs)]
+        splits[name] = [part for part, _ in medians]
+        cells = "".join(f"{seconds:12.3f} {low:5.3f}-{high:5.3f} {gc_seconds:7.3f}"
+                        for (seconds, gc_seconds, _), (low, high) in medians[:3])
+        simulate, serialise = splits[name][0][0], splits[name][2][0]
+        print(f"{name:15s}{cells} {serialise / simulate:19.1%} {statistics.median(refs):7.3f}")
     print()
     print("observe part                   " + "".join(f"{name:>26s}" for name in splits))
     print(" " * 31 + "        seconds     gc young" * len(splits))

@@ -285,8 +285,7 @@ def _sort_every_instance(self: Node) -> None:
             continue
         saved = cursor.done_id, cursor.pos
         cursor.done_id, cursor.pos = k - 1, positions.get(k, 0)
-        done = node_module.partial_sort(cursor, k, self.params.n, inst.M_acs, inst.S_ex,
-                                        self.chain)
+        done = node_module.partial_sort(cursor, k, self.params.n, inst.decided, self.chain)
         finished = cursor.done_id == k
         positions[k] = self.params.n if finished else cursor.pos
         cursor.done_id, cursor.pos = (max(saved[0], k) if finished else saved[0]), saved[1]

@@ -2,6 +2,7 @@
 through full simulated runs."""
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,41 @@ def test_late_proof_runs_are_clean():
     # certificate, and must include j once the certificate arrives
     failing = [i for i in range(60) if clean(run_simulation(late_proof_config(i)))]
     assert failing == []
+
+
+# the shipped scenarios, the fuzz gate's first runs, and slices of the two
+# generators that reach AABA excludes (echo2_hold) and AABA includes
+# (late_proof; run 48 excludes too)
+RETURN_RUNS = {
+    **{p.name: partial(load_scenario, p) for p in SCENARIOS.glob("*.ini")},
+    **{
+        f"{gen.__name__}({i})": partial(gen, i)
+        for gen, indices in (
+            (load_bench_module("workloads").fuzz_config, range(24)),
+            (echo2_hold_config, range(0, 60, 4)),
+            (late_proof_config, range(0, 60, 4)),
+        )
+        for i in indices
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETURN_RUNS))
+def test_instance_return_matches_its_decides(case):
+    """Each correct node's `instance_return` agrees with its own `decide`
+    records for the instance: `acs_size` counts the includes and `excluded`
+    lists the excludes, sorted."""
+    res = run_simulation(RETURN_RUNS[case]())
+    correct = set(res.config.correct_nodes())
+    decides = {}
+    for rec in res.log.of_kind("decide"):
+        decides.setdefault((rec["node"], rec["k"]), []).append(rec)
+    returns = [rec for rec in res.log.of_kind("instance_return") if rec["node"] in correct]
+    assert returns
+    for rec in returns:
+        own = decides[rec["node"], rec["k"]]
+        assert rec["acs_size"] == sum(d["outcome"] == "include" for d in own)
+        assert rec["excluded"] == sorted(d["j"] for d in own if d["outcome"] == "exclude")
 
 
 def test_skewed_own_broadcast_gets_excluded_but_run_stays_live():

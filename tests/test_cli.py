@@ -87,6 +87,19 @@ def test_mistyped_rule_nonzero_exit_no_outputs(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "section",
+    ["[adversary]\nrule1 = to=2 to=3 delay=5\n", "[faults]\n4 = crash:\n"],
+    ids=["repeated_rule_token", "empty_crash_tick"],
+)
+def test_silent_input_nonzero_exit_no_outputs(tmp_path, section):
+    # a repeated token would keep only its last value; `crash:` would crash at 0
+    scenario = write(tmp_path, FAVORABLE + "\n" + section, "silent.ini")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_out_of_range_rule_nonzero_exit_no_outputs(tmp_path):
     # index 5 names no broadcast of a 4-node run; the rule could never match
     text = FAVORABLE + "\n[adversary]\nrule1 = index=5 delay=5\n"

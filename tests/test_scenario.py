@@ -116,7 +116,14 @@ def test_rules_keep_file_order(tmp_path):
     assert [rule.body for rule in config.rules] == ["Echo1", "Echo2"]
 
 
-@pytest.mark.parametrize("text", ["n = 4\n", "[system]\nn\n", "[system]\nn = 4\nn = 5\n"])
+@pytest.mark.parametrize("text", [
+    "n = 4\n", "[system]\nn\n", "[system]\nn = 4\nn = 5\n",
+    # these loaded silently: the last of a repeated rule token won (a 0-delay
+    # rule shields every later rule), and `crash:` crashed at tick 0
+    "[adversary]\nrule1 = to=2 to=3 delay=5\n",
+    "[adversary]\nrule1 = body=Echo1 delay=5 delay=0\n",
+    "[faults]\n4 = crash:\n",
+])
 def test_unparseable_scenario_message_is_one_line(tmp_path, text):
     with pytest.raises(ScenarioError) as info:
         load_scenario(write(tmp_path, text))

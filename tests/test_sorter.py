@@ -8,20 +8,26 @@ def blk(creator, instance=1, payload=None):
 
 
 def test_commits_across_excluded_index():
-    chain = []
-    cursor = SortCursor()
-    b1, b3 = blk(1), blk(3)
-    committed = partial_sort(cursor, 1, 3, {1: b1, 3: b3}, {2}, chain)
-    assert [b.creator for b in committed] == [1, 3]
-    assert cursor.done_id == 1
-    assert cursor.pos == 0  # instance 2 has sorted nothing yet
-    assert chain == [b1, b3]
+    # an instance's decisions over indices 1..3 (None: excluded) -> the
+    # creators of the blocks it commits: a middle, the last, every index out
+    for decided, creators in (
+        ({1: blk(1), 2: None, 3: blk(3)}, [1, 3]),
+        ({1: blk(1), 2: blk(2), 3: None}, [1, 2]),
+        ({1: None, 2: None, 3: None}, []),
+    ):
+        chain = []
+        cursor = SortCursor()
+        committed = partial_sort(cursor, 1, 3, decided, chain)
+        assert [b.creator for b in committed] == creators
+        assert cursor.done_id == 1
+        assert cursor.pos == 0  # instance 2 has sorted nothing yet
+        assert chain == [decided[j] for j in creators]
 
 
 def test_prefix_gate_blocks_later_indices():
     chain = []
     cursor = SortCursor()
-    assert partial_sort(cursor, 1, 3, {2: blk(2), 3: blk(3)}, set(), chain) == []
+    assert partial_sort(cursor, 1, 3, {2: blk(2), 3: blk(3)}, chain) == []
     assert cursor.pos == 0
     assert len(chain) == 0
 
@@ -29,14 +35,13 @@ def test_prefix_gate_blocks_later_indices():
 def test_progressive_commit_resumes():
     chain = []
     cursor = SortCursor()
-    included = {1: blk(1)}
-    excluded = set()
-    assert [b.creator for b in partial_sort(cursor, 1, 3, included, excluded, chain)] == [1]
-    included[3] = blk(3)
-    assert partial_sort(cursor, 1, 3, included, excluded, chain) == []  # index 2 undecided
+    decided = {1: blk(1)}
+    assert [b.creator for b in partial_sort(cursor, 1, 3, decided, chain)] == [1]
+    decided[3] = blk(3)
+    assert partial_sort(cursor, 1, 3, decided, chain) == []  # index 2 undecided
     assert cursor.pos == 1
-    excluded.add(2)
-    assert [b.creator for b in partial_sort(cursor, 1, 3, included, excluded, chain)] == [3]
+    decided[2] = None  # excluded
+    assert [b.creator for b in partial_sort(cursor, 1, 3, decided, chain)] == [3]
     assert cursor.done_id == 1
 
 
@@ -44,9 +49,9 @@ def test_instance_gate_defers_successor():
     chain = []
     cursor = SortCursor()
     second = {1: blk(1, 2), 2: blk(2, 2)}
-    assert partial_sort(cursor, 2, 2, second, set(), chain) == []  # instance 1 not done
-    assert len(partial_sort(cursor, 1, 2, {1: blk(1, 1), 2: blk(2, 1)}, set(), chain)) == 2
-    assert len(partial_sort(cursor, 2, 2, second, set(), chain)) == 2
+    assert partial_sort(cursor, 2, 2, second, chain) == []  # instance 1 not done
+    assert len(partial_sort(cursor, 1, 2, {1: blk(1, 1), 2: blk(2, 1)}, chain)) == 2
+    assert len(partial_sort(cursor, 2, 2, second, chain)) == 2
     assert [b.instance for b in chain] == [1, 1, 2, 2]
 
 
@@ -56,7 +61,7 @@ def test_duplicate_txs_kept_in_slots():
     shared = Transaction(b"shared")
     b1 = Block(1, 1, (shared,))
     b2 = Block(2, 1, (shared, Transaction(b"own")))
-    partial_sort(cursor, 1, 2, {1: b1, 2: b2}, set(), chain)
+    partial_sort(cursor, 1, 2, {1: b1, 2: b2}, chain)
     assert chain == [b1, b2]  # both blocks occupy slots
 
 
