@@ -214,7 +214,7 @@ class AcsqInstance:
 
     def _on_deliver(self, j: int, gd: GradedDelivery) -> List[Send]:
         if gd.grade == 1:  # a broadcast delivers grade 1 once
-            self.log("gbc_deliver", k=self.k, j=j, grade=1, digest=gd.block.digest.hex())
+            self.log("gbc_deliver", k=self.k, j=j, grade=1, digest=gd.block.digest_hex)
             return self._advance_includes() if j in self.pending_includes else []
         return self._adopt_grade2(j, gd, via="gbc")
 
@@ -223,7 +223,7 @@ class AcsqInstance:
             return []
         self.M2[j] = gd
         kind = "gbc_deliver" if via == "gbc" else "da_adopt"
-        self.log(kind, k=self.k, j=j, grade=2, digest=gd.block.digest.hex())
+        self.log(kind, k=self.k, j=j, grade=2, digest=gd.block.digest_hex)
         out = self._note_body(gd.block, via=via)
         if j not in self.decided:
             self.decided[j] = gd.block
@@ -246,12 +246,12 @@ class AcsqInstance:
                 "body_received",
                 k=self.k,
                 j=block.creator,
-                digest=block.digest.hex(),
+                digest=block.digest_hex,
                 via=via,
             )
             # serve held-back queries now that we can
             for requester in self.pending_queries.pop(block.digest, []):
-                self.log("query_resp_sent", k=self.k, to=requester, digest=block.digest.hex())
+                self.log("query_resp_sent", k=self.k, to=requester, digest=block.digest_hex)
                 out.append(
                     Send(self.aaba_addr(block.creator), QueryResp(block), to=requester)
                 )
@@ -360,7 +360,7 @@ class AcsqInstance:
         self.queries_taken.add((j, sender))
         block = self.known_blocks.get(digest)
         if block is not None:
-            self.log("query_resp_sent", k=self.k, to=sender, digest=digest.hex())
+            self.log("query_resp_sent", k=self.k, to=sender, digest=block.digest_hex)
             return [Send(self.aaba_addr(block.creator), QueryResp(block), to=sender)]
         # a peer may name one digest under several indices: one answer is enough
         waiting = self.pending_queries.setdefault(digest, [])

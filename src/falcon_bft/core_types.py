@@ -59,15 +59,27 @@ class Transaction:
 
 @dataclass(frozen=True)
 class Block:
-    """Unit proposed by a node in one ACSQ instance."""
+    """Unit proposed by a node in one ACSQ instance.
+
+    `digest_hex` and `txids_hex`, the hex of the digest and of each
+    transaction's txid, are what the event log writes of a block; they are
+    derived once per block, not once per node that logs it.  Equality,
+    hashing, `repr` and `encode_block` ignore them, and
+    `dataclasses.replace` derives them afresh.
+    """
 
     creator: int
     instance: int
     txs: Tuple[Transaction, ...]
     digest: bytes = field(init=False)
+    digest_hex: str = field(init=False, repr=False, compare=False)
+    txids_hex: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "digest", sha256(encode_block(self)))
+        digest = sha256(encode_block(self))
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "digest_hex", digest.hex())
+        object.__setattr__(self, "txids_hex", tuple(tx.txid.hex() for tx in self.txs))
 
 
 def encode_block(block: Block) -> bytes:

@@ -18,7 +18,14 @@ the one verification would compute, and every share gets the same verdict
 as without the memo.  Only `partial_sign` fills the memo, never a
 presented share, so forged shares cannot grow it.  The last share accepted,
 if its fields are `bytes`, is accepted again at once: a broadcast hands all
-its receivers that one object.  `cert_tags` holds gbc's per-run grade tags.
+its receivers that one object.
+
+The registry also holds gbc's two per-run tables, since every node of a
+run shares it: `cert_tags`, each block's grade tags, and `deliveries`,
+the last graded delivery built over each tagged digest with the signer
+set of its certificate.  A certificate is a pure function of the tagged
+digest and its signers, so a node whose quorum has the same signers
+takes the stored delivery instead of combining its own.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 DIGEST_LEN = 32
 # SHA-256's block size and HMAC's key pads, as byte translation tables
@@ -105,6 +112,8 @@ class KeyRegistry:
         self._signed: Dict[bytes, Dict[int, bytes]] = {}
         self._accepted: Optional[PartialSig] = None
         self.cert_tags: Dict[bytes, Tuple[bytes, bytes]] = {}
+        # tagged -> (signer set, gbc's GradedDelivery whose certificate they sign)
+        self.deliveries: Dict[bytes, Tuple[FrozenSet[int], object]] = {}
 
     def _mac(self, signer: int, tagged: bytes) -> bytes:
         """HMAC-SHA256 of `tagged` under the signer's key: `hmac.digest`'s bytes."""

@@ -9,7 +9,9 @@ equivocating broadcaster; a body recovered by assistance or query never
 reaches the broadcast.  The tag-2 echo is gated on the node's own grade-1
 delivery; that ordering is what makes grade-2 delivery imply that f+1
 correct nodes already delivered at grade 1.  A block's grade tags are
-hashed once per run and shared through `KeyRegistry.cert_tags`.
+hashed once per run and shared through `KeyRegistry.cert_tags`, and a
+delivery is shared through `KeyRegistry.deliveries` by every node whose
+quorum has the same tagged digest and signer set.
 """
 
 from __future__ import annotations
@@ -186,22 +188,38 @@ class GbcInstance:
 
     def _try_deliveries(self) -> List[object]:
         out: List[object] = []
-        block = self.received_block
-        if block is None:
+        if self.received_block is None:
             return out
         t1, t2 = self.tags
         quorum = self.params.quorum
         if self.delivered1 is None:
             pool = self.pool1.get(t1)
             if pool is not None and len(pool) >= quorum:
-                sig = self.registry.combine(pool.values(), quorum)
-                self.delivered1 = GradedDelivery(block, 1, sig)
+                self.delivered1 = self._delivery(1, t1, pool)
                 out.append(self.delivered1)
                 out.extend(self._maybe_echo2())
         if self.delivered2 is None and self.delivered1 is not None:
             pool = self.pool2.get(t2)
             if pool is not None and len(pool) >= quorum:
-                sig = self.registry.combine(pool.values(), quorum)
-                self.delivered2 = GradedDelivery(block, 2, sig)
+                self.delivered2 = self._delivery(2, t2, pool)
                 out.append(self.delivered2)
         return out
+
+    def _delivery(self, grade: int, tagged: bytes, pool: Dict[int, PartialSig]) -> GradedDelivery:
+        """The grade-`grade` delivery of a quorum pool over `tagged`.
+
+        A pool holds one verified share per signer, and a share's MAC is a
+        pure function of its signer's key and `tagged`, which fixes this
+        broadcast, the block digest and the grade.  So a delivery another
+        node built over `tagged` from the same signers is the one this pool
+        combines to, and the registry's table hands it over; otherwise this
+        pool's delivery is built and takes the table's place for `tagged`.
+        """
+        table = self.registry.deliveries
+        stored = table.get(tagged)
+        if stored is not None and pool.keys() == stored[0]:
+            return stored[1]
+        sig = self.registry.combine(pool.values(), self.params.quorum)
+        gd = GradedDelivery(self.received_block, grade, sig)
+        table[tagged] = (frozenset(pool), gd)
+        return gd

@@ -172,7 +172,7 @@ class Node:
         """The block this node proposes in instance k; None proposes nothing."""
         txs = tuple(islice(self.buffer.values(), BLOCK_CAP))
         block = Block(self.node_id, k, txs)
-        self.log("propose", k=k, digest=block.digest.hex(), txs=len(txs))
+        self.log("propose", k=k, digest=block.digest_hex, txs=len(txs))
         return block
 
     @staticmethod
@@ -203,8 +203,8 @@ class Node:
                 k=k,
                 j=block.creator,
                 slot=base + i + 1,
-                digest=block.digest.hex(),
-                txids=[tx.txid.hex() for tx in block.txs],
+                digest=block.digest_hex,
+                txids=list(block.txids_hex),
             )
 
     def _sortable(self, inst: AcsqInstance) -> bool:

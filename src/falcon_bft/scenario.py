@@ -22,7 +22,8 @@ Example::
 
 [adversary] rules are tried in the order the file lists them, whatever
 their keys are named; the first rule that matches a message sets its extra
-delay.  Unknown sections or keys are rejected before anything runs.
+delay.  Unknown sections or keys, `[DEFAULT]` among them, and empty rules
+are rejected before anything runs.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def parse_rule(raw: str) -> DelayRule:
         if "=" not in token:
             raise ScenarioError(f"bad rule token {token!r}")
         tokens.append(token.split("=", 1))
+    if not tokens:  # it would match every message and shield every later rule
+        raise ScenarioError("empty rule")
     try:
         return DelayRule(**_fields("rule", tokens))
     except ValueError as exc:
@@ -115,7 +118,9 @@ def parse_fault(node: str, raw: str) -> FaultSpec:
 
 
 def load_scenario(path: str | Path) -> SimConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header parses to "", so [DEFAULT] is a section like any other and
+    # is rejected, rather than its keys merged into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
     except UnicodeDecodeError as exc:

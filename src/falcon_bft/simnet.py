@@ -205,7 +205,7 @@ class EquivocatingNode(Node):
 
     def _own_block(self, k: int) -> Block:
         block = super()._own_block(k)
-        self.log("equivocate", k=k, a=block.digest.hex(), b=_twin(block).digest.hex())
+        self.log("equivocate", k=k, a=block.digest_hex, b=_twin(block).digest_hex)
         return block
 
     def _wrap(self, sends: List[Send]) -> List[Envelope]:
@@ -621,7 +621,7 @@ class RunResult:
 
     def chains(self) -> Dict[int, List[str]]:
         return {
-            i: [b.digest.hex() for b in self.nodes[i].chain]
+            i: [b.digest_hex for b in self.nodes[i].chain]
             for i in sorted(self.nodes)
         }
 

@@ -16,8 +16,9 @@ simulate is `schedule(config).run()`; observe is `observe_invariants`,
 `check_liveness`, `metrics.decompose_latency` and `metrics.tx_records`;
 serialise is `EventLog.to_lines()`: the benchmark pipeline's stages, in its
 order.  The configs are both n=16 benchmark workloads at seed 1 and
-favorable lockstep n=31 (f=10) with the favorable-n16 workload's other
-settings: 5 instances, 8 txs per batch.  Each run starts after a full
+favorable lockstep n=31 (f=10) and n=64 (f=21) with the favorable-n16
+workload's other settings: 5 instances, 8 txs per batch.  The n=64 runs
+peak at about 1 GB of resident memory.  Each run starts after a full
 collection, as each benchmark pass does.  A stage's `gc` column is the
 collector time, timed from `gc.callbacks`, of the run that gave that
 stage's median (the lower one for even K).  The last column is serialise
@@ -53,6 +54,7 @@ def configs():
     yield "favorable-n16", favorable
     yield "byzantine-n16", workloads.byzantine_n16(1)[0]
     yield "favorable-n31", dataclasses.replace(favorable, params=SystemParams(31, 10))
+    yield "favorable-n64", dataclasses.replace(favorable, params=SystemParams(64, 21))
 
 
 class CollectorClock:

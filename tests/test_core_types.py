@@ -133,6 +133,27 @@ def test_own_echo_is_derived_and_ignored_by_equality_hash_repr_and_encoding():
     assert replace(own1, body=Propose(Block(2, 1, ()))).own_echo == 0
 
 
+def test_block_log_strings_are_derived_and_ignored_by_equality_hash_repr_and_encoding():
+    """`digest_hex` and `txids_hex` are the hex the event log writes of a
+    block; a block forced to other strings is still the same block, and
+    `dataclasses.replace` derives them afresh."""
+    block = Block(2, 1, (Transaction(b"a"), Transaction(b"b")))
+    assert block.digest_hex == block.digest.hex()
+    assert block.txids_hex == tuple(tx.txid.hex() for tx in block.txs)
+    assert Block(2, 1, ()).txids_hex == ()
+    forced = copy.copy(block)
+    object.__setattr__(forced, "digest_hex", "0" * 64)
+    object.__setattr__(forced, "txids_hex", ())
+    assert forced == block and hash(forced) == hash(block)
+    assert repr(forced) == repr(block) and "_hex" not in repr(block)
+    assert encode_block(forced) == encode_block(block)
+    moved = replace(forced, txs=(Transaction(b"c"),))
+    assert moved.digest_hex == moved.digest.hex() != block.digest_hex
+    assert moved.txids_hex == (sha256(b"c").hex(),)
+    again = replace(forced)
+    assert (again.digest_hex, again.txids_hex) == (block.digest_hex, block.txids_hex)
+
+
 def _random_envelope(rng: random.Random, registry, params) -> Envelope:
     k = rng.randint(1, 5)
     j = rng.randint(1, params.n)

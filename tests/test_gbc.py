@@ -256,3 +256,40 @@ def test_late_echoes_dropped_unverified(monkeypatch):
     assert g.on_echo1(echo1_for(registry, 4, block)) == []
     assert g.on_echo2(echo2_for(registry, 4, block)) == []
     assert (g.pool1, g.pool2) == pools
+
+
+def deliver_both(registry, node_id, block, signers):
+    """A fresh instance at `node_id` given `block` and both grades' echoes
+    from `signers`, in that order: its grade-1 and grade-2 deliveries."""
+    g = GbcInstance(ADDR, node_id, PARAMS, registry)
+    g.on_propose(1, block)
+    for signer in signers:
+        g.on_echo1(echo1_for(registry, signer, block))
+    for signer in signers:
+        g.on_echo2(echo2_for(registry, signer, block))
+    assert g.delivered1.block == g.received_block == block
+    return g.delivered1, g.delivered2
+
+
+def test_deliveries_shared_only_for_one_tagged_digest_and_signer_set():
+    """Nodes of one registry share a delivery exactly where they would
+    build equal ones: same broadcast, block digest, grade and signers."""
+    registry = make_registry(4)
+    block = make_block()
+    first = deliver_both(registry, 1, block, (1, 2, 3))
+    same = deliver_both(registry, 2, block, (3, 1, 2))
+    assert same[0] is first[0] and same[1] is first[1]
+    other = deliver_both(registry, 3, block, (2, 3, 4))
+    again = deliver_both(registry, 4, block, (1, 2, 3))
+    twin = deliver_both(registry, 2, make_block(payload=b"twin"), (1, 2, 3))
+    signers_of = ((first, [1, 2, 3]), (other, [2, 3, 4]), (again, [1, 2, 3]), (twin, [1, 2, 3]))
+    for grade in (1, 2):
+        for gd, signers in signers_of:
+            assert gd[grade - 1].grade == grade
+            assert [signer for signer, _ in gd[grade - 1].proof.parts] == signers
+        assert other[grade - 1] is not first[grade - 1]
+        assert again[grade - 1] == first[grade - 1]
+        assert twin[grade - 1].block != block
+    assert first[0].proof.tagged != first[1].proof.tagged
+    for gd in first + same + other + again + twin:
+        assert verify_delivery(gd, ADDR, PARAMS, registry)

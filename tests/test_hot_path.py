@@ -7,7 +7,8 @@ counting alone, which is what lets `Simulation.run` pause the cycle
 collector, and a favorable lockstep run
 verifies exactly the echo shares its deliveries need, computing no MAC
 beyond the ones its shares were signed with, comparing each echo
-envelope's MAC at most once and hashing each block's grade tags once.  Work is pinned as call
+envelope's MAC at most once, hashing each block's grade tags once and
+combining each grade's certificate once.  Work is pinned as call
 counts, which repeat exactly where wall-clock time does not.
 """
 
@@ -211,6 +212,7 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     count(KeyRegistry, "verify_partial", "verify_partial")
     count(KeyRegistry, "partial_sign", "partial_sign")
     count(KeyRegistry, "_mac", "hmac")
+    count(KeyRegistry, "combine", "combine")
     count(crypto.hmac, "compare_digest", "compare_digest")
     count(node, "partial_sort", "partial_sort")
     count(crypto, "tagged_digest", "tagged_digest")
@@ -235,6 +237,9 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     # was signed in the run, so the only MACs computed are the signatures
     assert calls["partial_sign"] == 2 * n * n * (instances + 1)
     assert calls["hmac"] == calls["partial_sign"]
+    # lockstep hands every node the same quorum, so each grade's certificate
+    # of each GBC is combined once per run and its delivery shared
+    assert calls["combine"] == 2 * n * (instances + 1)
 
 
 # -- the echo-share shortcut against the instance router -------------------------------

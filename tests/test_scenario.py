@@ -123,6 +123,13 @@ def test_rules_keep_file_order(tmp_path):
     "[adversary]\nrule1 = to=2 to=3 delay=5\n",
     "[adversary]\nrule1 = body=Echo1 delay=5 delay=0\n",
     "[faults]\n4 = crash:\n",
+    # these loaded silently too: [DEFAULT]'s keys joined every section, and
+    # an empty rule matched every message, shielding every later rule
+    "[DEFAULT]\nseed = 9\n[system]\nn = 4\n",
+    "[DEFAULT]\nrule9 = body=Echo1 delay=4\n[adversary]\nrule1 = to=2 delay=1\n",
+    "[DEFAULT]\n",
+    "[adversary]\nrule1 =\n",
+    "[adversary]\nrule1 = to=2 delay=1\nrule2 =\n",
 ])
 def test_unparseable_scenario_message_is_one_line(tmp_path, text):
     with pytest.raises(ScenarioError) as info:
