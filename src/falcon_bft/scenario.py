@@ -22,13 +22,15 @@ Example::
 
 [adversary] rules are tried in the order the file lists them, whatever
 their keys are named; the first rule that matches a message sets its extra
-delay.  Unknown sections or keys, `[DEFAULT]` among them, and empty rules
-are rejected before anything runs.
+delay.  Unknown sections or keys, `[DEFAULT]` among them, empty rules and
+integers that are not plain decimal digits, `[+-]?[0-9]+`, are rejected
+before anything runs.
 """
 
 from __future__ import annotations
 
 import configparser
+import re
 from pathlib import Path
 from typing import Dict, Iterable, Tuple
 
@@ -42,32 +44,40 @@ class ScenarioError(Exception):
     pass
 
 
+def _int(raw: str) -> int:
+    """`raw` as an int if it is a plain decimal, `[+-]?[0-9]+`, else ValueError:
+    `int` alone also takes `_` separators and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", raw) is None:
+        raise ValueError(f"not a decimal integer: {raw!r}")
+    return int(raw)
+
+
 # Every settable key, by where it appears: key -> (field, parser).  [system]
 # and [network] keys set `SimConfig` fields, except n and f, which set
 # `SystemParams`; the tokens of an [adversary] rule set `DelayRule` fields.
 # A key a file leaves unset takes its field's default.
 _KEYS = {
     "system": {
-        "n": ("n", int),
-        "f": ("f", int),
-        "seed": ("seed", int),
-        "instances": ("num_instances", int),
-        "tx_load": ("tx_load", int),
+        "n": ("n", _int),
+        "f": ("f", _int),
+        "seed": ("seed", _int),
+        "instances": ("num_instances", _int),
+        "tx_load": ("tx_load", _int),
         "variant": ("variant", str),
     },
     "network": {
         "mode": ("mode", str),
-        "delay_min": ("delay_min", int),
-        "delay_max": ("delay_max", int),
+        "delay_min": ("delay_min", _int),
+        "delay_max": ("delay_max", _int),
     },
     "rule": {
-        "from": ("sender", int),
-        "to": ("recipient", int),
+        "from": ("sender", _int),
+        "to": ("recipient", _int),
         "body": ("body", str),
-        "acsq": ("acsq_id", int),
+        "acsq": ("acsq_id", _int),
         "proto": ("proto", str),
-        "index": ("index", int),
-        "delay": ("delay", int),
+        "index": ("index", _int),
+        "delay": ("delay", _int),
     },
 }
 
@@ -103,7 +113,7 @@ def parse_rule(raw: str) -> DelayRule:
 def parse_fault(node: str, raw: str) -> FaultSpec:
     kind, colon, arg = raw.partition(":")
     try:
-        node_id = int(node)
+        node_id = _int(node)
     except ValueError as exc:
         raise ScenarioError(f"bad fault node {node!r}") from exc
     at_time = 0
@@ -111,7 +121,7 @@ def parse_fault(node: str, raw: str) -> FaultSpec:
         if kind != "crash":
             raise ScenarioError(f"fault {kind!r} takes no argument")
         try:
-            at_time = int(arg)
+            at_time = _int(arg)
         except ValueError as exc:
             raise ScenarioError(f"bad crash time {arg!r}") from exc
     return FaultSpec(node=node_id, kind=kind, at_time=at_time)

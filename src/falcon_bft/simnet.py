@@ -2,9 +2,10 @@
 
 Time is an integer tick count, kept by the run's `EventLog` so that one
 clock stamps every record.  At send time a message gets one in-memory
-`send` record per recipient and, for each tick it is due at, one entry in
-that tick's FIFO queue: the envelope and its recipients due then, in id
-order, so a broadcast stays one envelope.  The run delivers the smallest
+`send` record, whose `to` is its recipient or None for a broadcast, listed
+once per delivery, and, for each tick it is due at, one entry in that
+tick's FIFO queue: the envelope and its recipients due then, in id order,
+so a broadcast stays one envelope.  The run delivers the smallest
 pending tick's queue front to back.  Every delay is at least one tick, so
 a tick's queue is complete before it is delivered: equal-time deliveries
 replay in send order, and a (config, seed) pair maps to exactly one event
@@ -335,12 +336,14 @@ class EventLog:
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
 
-    `records` holds every record, and a `send` record for each delivery a
-    message is due for is most of it.  `written` holds every other
-    record: the records `to_lines` writes and `of_kind` finds, so a test
-    that plants edited records assigns them to `written`.  The run's
-    `sends` summary records count the send records per sender, protocol
-    and body.
+    `records` holds every record, and `send` records are most of it: one
+    record per envelope, its `to` the recipient or None for a broadcast,
+    listed once per delivery, so a broadcast's entries are one dict.
+    Nothing writes to a send record once it is built.  `written` holds
+    every other record: the records `to_lines` writes and `of_kind`
+    finds, so a test that plants edited records assigns them to
+    `written`.  The run's `sends` summary records count the send entries
+    per sender, protocol and body.
 
     `of_kind` reads a by-kind index of `written`, built in one pass and
     again whenever `written` is another list or another length, so
@@ -502,13 +505,10 @@ class Simulation:
             recipients = self._ids if env.recipient is None else (env.recipient,)
             proto, body = addr.proto._name_, type(env.body).__name__
             sends[env.sender, proto, body] += len(recipients)
-            # each recipient's record is a copy of this one: copying beats building
-            send = {"kind": "send", "t": now, "node": env.sender, "to": 0, "k": addr.acsq_id,
-                    "proto": proto, "j": addr.index, "body": body}
-            for to in recipients:
-                rec = send.copy()
-                rec["to"] = to
-                append(rec)
+            send = {"kind": "send", "t": now, "node": env.sender, "to": env.recipient,
+                    "k": addr.acsq_id, "proto": proto, "j": addr.index, "body": body}
+            for _ in recipients:
+                append(send)
             for t, group in self._delivery_groups(env, recipients):
                 if t in queue:
                     queue[t].append((env, group))

@@ -9,6 +9,9 @@ and once after the last, so each run lies between two timings, and that
 run's seconds are scaled by `REFERENCE_S` over their mean; they read as
 seconds on a host where the kernel takes `REFERENCE_S`.  The `ref_s`
 column is the raw kernel time, the median over a config's timings.
+The `peak_mb` column is the process's peak resident memory (`ru_maxrss`,
+as the benchmark reads it) after a config's runs; the configs run in
+ascending size, so that high-water mark is each config's own peak.
 
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
@@ -17,12 +20,12 @@ simulate is `schedule(config).run()`; observe is `observe_invariants`,
 serialise is `EventLog.to_lines()`: the benchmark pipeline's stages, in its
 order.  The configs are both n=16 benchmark workloads at seed 1 and
 favorable lockstep n=31 (f=10) and n=64 (f=21) with the favorable-n16
-workload's other settings: 5 instances, 8 txs per batch.  The n=64 runs
-peak at about 1 GB of resident memory.  Each run starts after a full
-collection, as each benchmark pass does.  A stage's `gc` column is the
-collector time, timed from `gc.callbacks`, of the run that gave that
-stage's median (the lower one for even K).  The last column is serialise
-as a share of simulate, from the two medians.
+workload's other settings: 5 instances, 8 txs per batch.  Each run
+starts after a full collection, as each benchmark pass does.  A stage's
+`gc` column is the collector time, timed from `gc.callbacks`, of the run
+that gave that stage's median (the lower one for even K).  The
+serialise/simulate column is serialise as a share of simulate, from the
+two medians.
 
 The second table splits observe into the same calls made one at a time,
 in the same order: `index` is the first `EventLog.of_kind` call, which
@@ -36,6 +39,7 @@ pytest does not collect it.
 import argparse
 import dataclasses
 import gc
+import resource
 import statistics
 import sys
 import time
@@ -125,7 +129,7 @@ def main() -> int:
     print(f"seconds rescaled to a reference of {bench_run.REFERENCE_S} s")
     print(f"{'config':15s}" + "".join(f"{stage + '_s':>12s} {'min-max':>11s}      gc"
                                       for stage in ("simulate", "observe", "serialise"))
-          + "  serialise/simulate   ref_s")
+          + "  serialise/simulate   ref_s  peak_mb")
     for name, config in configs():
         refs, raw = [bench_run.reference_seconds()], []
         for _ in range(args.repeats):
@@ -138,7 +142,9 @@ def main() -> int:
         cells = "".join(f"{seconds:12.3f} {low:5.3f}-{high:5.3f} {gc_seconds:7.3f}"
                         for (seconds, gc_seconds, _), (low, high) in medians[:3])
         simulate, serialise = splits[name][0][0], splits[name][2][0]
-        print(f"{name:15s}{cells} {serialise / simulate:19.1%} {statistics.median(refs):7.3f}")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{name:15s}{cells} {serialise / simulate:19.1%} {statistics.median(refs):7.3f}"
+              f" {peak_mb:8.1f}")
     print()
     print("observe part                   " + "".join(f"{name:>26s}" for name in splits))
     print(" " * 31 + "        seconds     gc young" * len(splits))

@@ -94,13 +94,15 @@ def test_mistyped_rule_nonzero_exit_no_outputs(tmp_path):
         "[faults]\n4 = crash:\n",
         "[DEFAULT]\nvariant = integral_sort\n",
         "[adversary]\nrule1 =\n",
+        "[faults]\n4 = crash:1_0\n",
     ],
-    ids=["repeated_rule_token", "empty_crash_tick", "default_section", "empty_rule"],
+    ids=["repeated_rule_token", "empty_crash_tick", "default_section", "empty_rule",
+         "underscore_digits"],
 )
 def test_silent_input_nonzero_exit_no_outputs(tmp_path, section):
     # a repeated token would keep only its last value; `crash:` would crash
     # at 0; [DEFAULT]'s variant would join [system]; an empty rule would
-    # delay nothing and shield every later rule
+    # delay nothing and shield every later rule; `1_0` would crash at 10
     scenario = write(tmp_path, FAVORABLE + "\n" + section, "silent.ini")
     out_dir = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out_dir)]) == 2

@@ -7,9 +7,10 @@ counting alone, which is what lets `Simulation.run` pause the cycle
 collector, and a favorable lockstep run
 verifies exactly the echo shares its deliveries need, computing no MAC
 beyond the ones its shares were signed with, comparing each echo
-envelope's MAC at most once, hashing each block's grade tags once and
-combining each grade's certificate once.  Work is pinned as call
-counts, which repeat exactly where wall-clock time does not.
+envelope's MAC at most once, hashing each block's grade tags once,
+combining each grade's certificate once and building one send record per
+envelope.  Work is pinned as call and object counts, which repeat exactly
+where wall-clock time does not.
 """
 
 import functools
@@ -221,7 +222,13 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     config = SimConfig(
         params=SystemParams(n, f), seed=1, mode="lockstep", num_instances=instances, tx_load=8
     )
-    run_simulation(config)
+    log = run_simulation(config).log
+    # one send record per envelope, listed once per recipient: each instance
+    # run (one past the window) makes n proposals and 2 * n * n echoes, all
+    # broadcasts
+    sends = [r for r in log.records if r["kind"] == "send"]
+    assert len({id(r) for r in sends}) == (n + 2 * n * n) * (instances + 1)
+    assert len(sends) == n * (n + 2 * n * n) * (instances + 1)
     # every node verifies a quorum of echo shares per grade in each GBC of
     # each activated instance (one past the window), and no late share
     quorum = config.params.quorum

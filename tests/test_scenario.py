@@ -31,7 +31,7 @@ rule2 = to=2 acsq=1 proto=gbc index=1 delay=5
 
 def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -130,6 +130,12 @@ def test_rules_keep_file_order(tmp_path):
     "[DEFAULT]\n",
     "[adversary]\nrule1 =\n",
     "[adversary]\nrule1 = to=2 delay=1\nrule2 =\n",
+    # these loaded silently as well: `int` reads `_` separators and
+    # non-ASCII digits, so 1_0 was 10 and a fullwidth 4 was 4
+    "[system]\nseed = 1_0\n",
+    "[adversary]\nrule1 = body=Echo1 delay=1_0\n",
+    "[faults]\n4 = crash:1_0\n",
+    "[system]\nn = \uff14\n",
 ])
 def test_unparseable_scenario_message_is_one_line(tmp_path, text):
     with pytest.raises(ScenarioError) as info:

@@ -91,8 +91,11 @@ def test_crashed_node_is_silent_and_unreachable(at_time):
     assert bool(sent_at) == (at_time > 0)  # a late crash cuts off a live node
     after = [r for r in log.records if r["node"] == 4 and r["t"] >= at_time]
     assert after and all(r["kind"] == "drop" and r["reason"] == "crashed" for r in after)
-    # lockstep: an envelope sent at tick t is delivered at t + 1
-    delivered = [r for r in send_records(log) if r["to"] == 4 and r["t"] + 1 >= at_time]
+    # lockstep: an envelope sent at tick t is delivered at t + 1; each
+    # envelope sent to node 4 or broadcast has one send record and reaches
+    # node 4 once
+    delivered = {id(r) for r in send_records(log)
+                 if r["to"] in (4, None) and r["t"] + 1 >= at_time}
     assert len(after) == len(delivered)
     late_txids = {r["txid"] for r in log.of_kind("inject") if r["t"] >= at_time}
     assert late_txids and late_txids.isdisjoint(txid.hex() for txid in res.nodes[4].buffer)
@@ -467,12 +470,22 @@ BENCH_CONTRACT_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(BENCH_CONTRACT_CONFIGS))
 def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
-    """What the benchmark reads off a run: each send record goes through
-    `EventLog.append` as looked up on the class, the send records less the
+    """What the benchmark reads off a run: each send entry goes through
+    `EventLog.append` as looked up on the class, the send entries less the
     `crashed` drops are the `Node.handle` calls, and the written `sends`
-    summary records count the send records per (sender, proto, body)."""
+    summary records count the send entries per (sender, proto, body).  Each
+    dispatched envelope has one send record, its `to` the envelope's
+    recipient, listed once per recipient."""
     calls = Counter()
     handle, append = Node.__dict__["handle"], EventLog.__dict__["append"]
+    dispatch = Simulation.__dict__["_dispatch"]
+    dispatched = []  # (envelope, the send entries its dispatch added)
+
+    def recording_dispatch(sim, envelopes):
+        for env in envelopes:
+            start = len(sim.log.records)
+            dispatch(sim, [env])
+            dispatched.append((env, sim.log.records[start:]))
 
     def counting_handle(node, env):
         calls["handle"] += 1
@@ -484,8 +497,18 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
 
     monkeypatch.setattr(Node, "handle", counting_handle)
     monkeypatch.setattr(EventLog, "append", counting_append)
-    log = run_simulation(BENCH_CONTRACT_CONFIGS[name]()).log
+    monkeypatch.setattr(Simulation, "_dispatch", recording_dispatch)
+    sim = Simulation(BENCH_CONTRACT_CONFIGS[name]())
+    n = sim.config.params.n
+    log = sim.run().log
     sends = send_records(log)
+    assert sum(len(entries) for _, entries in dispatched) == len(sends)
+    for env, entries in dispatched:
+        assert len(entries) == (n if env.recipient is None else 1)
+        assert all(rec is entries[0] for rec in entries)
+        assert entries[0]["to"] == env.recipient and entries[0]["node"] == env.sender
+    if name == "byzantine-n16":  # the equivocator's Propose goes out as unicasts
+        assert any(env.recipient is not None for env, _ in dispatched)
     crashed = [r for r in log.of_kind("drop") if r["reason"] == "crashed"]
     assert calls["append"] == len(sends) > 0
     assert calls["handle"] == len(sends) - len(crashed)
