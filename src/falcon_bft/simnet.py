@@ -32,15 +32,13 @@ node, while a faulty node keeps its fault plugin.
 
 from __future__ import annotations
 
-import functools
 import gc
 import io
 import json
-import operator
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .acsq import AcsqInstance
@@ -267,71 +265,8 @@ _VARIANT_NODE_CLASSES = {"falcon": Node, "integral_sort": IntegralSortNode}
 
 # -- the simulation ------------------------------------------------------------------
 
-def _json_text(s: str) -> str:
-    """`s` as a JSON string, its `%` doubled to stand in a line template."""
-    return encode_basestring_ascii(s).replace("%", "%%")
-
-
-def _getter(keys: List[str]) -> Callable[[dict], tuple]:
-    """A function from a record to the tuple of its values at `keys`."""
-    if len(keys) == 1:
-        key = keys[0]
-        return lambda rec: (rec[key],)
-    return operator.itemgetter(*keys) if keys else lambda rec: ()
-
-
-@functools.lru_cache(maxsize=1024)
-def _shape_line(shape: tuple) -> Optional[Tuple[Callable, Callable, Tuple[int, ...], str]]:
-    """The line template of a record shape, or None if a key is not a str
-    or a value is not an int, str, bool or list.
-
-    A shape is (kind, *keys, *value types), keys and types in the record's
-    order.  The template is (str values getter, slot values getter, places
-    of the bool and list slots, line): the line has the keys sorted, `kind`'s
-    value and a slot for each other value, in order.
-    """
-    width = len(shape) // 2
-    kind, keys = shape[0], shape[1:width + 1]
-    if any(type(key) is not str for key in keys):
-        return None
-    parts, strs, slots, texts = [], [], [], []
-    for key, tp in sorted(zip(keys, shape[width + 1:])):
-        head = _json_text(key) + ":"
-        if key == "kind":
-            parts.append(head + _json_text(kind))
-        elif tp in (int, str, bool, list):
-            if tp is str:
-                strs.append(key)
-            elif tp is not int:
-                texts.append(len(slots))
-            slots.append(key)
-            parts.append(head + ("%d" if tp is int else '"%s"' if tp is str else "%s"))
-        else:
-            return None
-    return _getter(strs), _getter(slots), tuple(texts), "{" + ",".join(parts) + "}\n"
-
-
-def _all_plain(strs: Iterable[str], plain: set) -> bool:
-    """Whether JSON writes each of `strs` unescaped; `plain` caches such strs."""
-    if not plain.issuperset(strs):
-        plain.update(s for s in strs if encode_basestring_ascii(s) == f'"{s}"')
-    return plain.issuperset(strs)
-
-
-def _json_value(value, plain: set) -> Optional[str]:
-    """A bool's JSON text, or a list's if it holds only exact ints or only plain strs."""
-    if type(value) is bool:
-        return "true" if value else "false"
-    types = set(map(type, value))
-    if types <= {int}:
-        return "[%s]" % ",".join(map(str, value))
-    if types == {str} and _all_plain(value, plain):
-        return '["%s"]' % '","'.join(value)
-    return None
-
-
 class EventLog:
-    """Append-only, totally ordered run record; exportable as canonical lines.
+    """Append-only, totally ordered run record, written as `json.dumps` lines.
 
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
@@ -374,44 +309,18 @@ class EventLog:
         return log
 
     def to_lines(self) -> bytes:
-        """Each record of `written` as one line of compact JSON with sorted
-        keys: the bytes `json.dumps(rec, sort_keys=True, separators=(",",
-        ":"))` gives.
-
-        No line goes through the JSON encoder if a template can write it.  A
-        record is written from the template of its shape, its kind, keys and
-        value types, which `_shape_line` builds once per shape and caches.
-        Its values fill the slots in order, once each str is known to be one
-        JSON writes unescaped; a bool is written `true` or `false`, a list of
-        only exact ints or only such strs as its JSON text.
-
-        Any record a template cannot write byte for byte, with a None, float
-        or dict value, another list (nested, mixed or holding a bool), a str
-        that JSON escapes or a key that is not a str, goes through the
-        encoder instead.  The lines stream into one buffer: a list of every
-        line would set a run's peak memory.
+        """Each record of `written` as the line `json.dumps(rec, sort_keys=True,
+        separators=(",", ":"))` gives, from one C encoder like that call's, but
+        without its circular-reference check, as no record holds itself.  The
+        lines stream into one buffer: a list of them would set a run's peak memory.
         """
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                indent=None, key_separator=":", item_separator=",",
+                                sort_keys=True, skipkeys=False, allow_nan=True)
         out = io.BytesIO()
         write = out.write
-        plain = set()  # str values that JSON writes unescaped
         for r in self.written:
-            kind = r["kind"]
-            if type(kind) is str:
-                line = _shape_line((kind, *r, *map(type, r.values())))
-                if line is not None:
-                    strs, slots, texts, template = line
-                    if _all_plain(strs(r), plain):
-                        values = slots(r)
-                        if texts:
-                            values = list(values)
-                            for at in texts:
-                                values[at] = _json_value(values[at], plain)
-                            values = None if None in values else tuple(values)
-                        if values is not None:
-                            write((template % values).encode())
-                            continue
-            write((encode(r) + "\n").encode())
+            write(("".join(encode(r, 0)) + "\n").encode())
         return out.getvalue()
 
     def of_kind(self, kind: str) -> List[dict]:

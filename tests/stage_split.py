@@ -11,7 +11,9 @@ seconds on a host where the kernel takes `REFERENCE_S`.  The `ref_s`
 column is the raw kernel time, the median over a config's timings.
 The `peak_mb` column is the process's peak resident memory (`ru_maxrss`,
 as the benchmark reads it) after a config's runs; the configs run in
-ascending size, so that high-water mark is each config's own peak.
+ascending size, so that high-water mark is each config's own peak.  The
+`lines` column is the number of lines the run's log writes, and `us/line`
+the serialise median over it, in microseconds.
 
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
@@ -89,8 +91,9 @@ def observe_parts(result):
 
 
 def split(config, clock):
-    """((seconds, collector seconds, young collections) of simulate, observe,
-    serialise, then of each observe part) of one pipeline run."""
+    """The number of written lines, then ((seconds, collector seconds, young
+    collections) of simulate, observe, serialise, then of each observe
+    part) of one pipeline run."""
     gc.collect()
     marks = [(time.perf_counter(), clock.seconds, clock.young)]
     result = schedule(config).run()
@@ -102,7 +105,7 @@ def split(config, clock):
     marks.append((time.perf_counter(), clock.seconds, clock.young))
     steps = [tuple(b - a for a, b in zip(m0, m1)) for m0, m1 in zip(marks, marks[1:])]
     observe = tuple(map(sum, zip(*steps[1:-1])))
-    return (steps[0], observe, steps[-1], *steps[1:-1])
+    return len(result.log.written), (steps[0], observe, steps[-1], *steps[1:-1])
 
 
 def rescaled(parts, scale):
@@ -129,11 +132,12 @@ def main() -> int:
     print(f"seconds rescaled to a reference of {bench_run.REFERENCE_S} s")
     print(f"{'config':15s}" + "".join(f"{stage + '_s':>12s} {'min-max':>11s}      gc"
                                       for stage in ("simulate", "observe", "serialise"))
-          + "  serialise/simulate   ref_s  peak_mb")
+          + "  serialise/simulate   ref_s  peak_mb    lines  us/line")
     for name, config in configs():
         refs, raw = [bench_run.reference_seconds()], []
         for _ in range(args.repeats):
-            raw.append(split(config, clock))
+            lines, parts = split(config, clock)
+            raw.append(parts)
             refs.append(bench_run.reference_seconds())
         runs = [rescaled(parts, 2 * bench_run.REFERENCE_S / (before + after))
                 for parts, before, after in zip(raw, refs, refs[1:])]
@@ -144,7 +148,7 @@ def main() -> int:
         simulate, serialise = splits[name][0][0], splits[name][2][0]
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{name:15s}{cells} {serialise / simulate:19.1%} {statistics.median(refs):7.3f}"
-              f" {peak_mb:8.1f}")
+              f" {peak_mb:8.1f} {lines:8d} {serialise / lines * 1e6:8.2f}")
     print()
     print("observe part                   " + "".join(f"{name:>26s}" for name in splits))
     print(" " * 31 + "        seconds     gc young" * len(splits))

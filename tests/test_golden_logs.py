@@ -12,16 +12,15 @@ mid-run as well as from the start.  The other files `falcon-sim run`
 writes for each scenario (`metrics.csv`, `txs.csv`, `chains.txt` and
 `report.txt`) are pinned the same way.
 
-`to_lines` writes no `send` record, and no line through the JSON encoder
-that a template can write: each record comes from a template cached per
-record shape, which also writes bool values and lists of only exact ints
-or only plain strs.  Every line of every run here must equal
-the encoder's line of its record, in log order with the `send` records
-left out, and carry its line number as `i`; so must the lines of a
-hand-built log of records that templates write only in part or not at all:
-escaped strings, bool, float, None, list and dict values, lists of escaped
-strs, bools, nested or mixed items; its `send` records, odd ones included,
-write no line.
+`to_lines` writes no `send` record, and every other record through one
+JSON encoder.  Every line of every run here must equal `json.dumps` of its
+record, in log order with the `send` records left out, and carry its line
+number as `i`; so must the lines of a hand-built log of escaped strings,
+bool, float, None, list and dict values, and lists of escaped strs, bools,
+nested or mixed items; its `send` records, odd ones included, write no
+line.  A record `json.dumps` cannot write (a `bytes` or `set` value, str
+and int keys side by side, or a tuple key) makes `to_lines` raise what
+`json.dumps` raises.
 """
 
 import hashlib
@@ -253,9 +252,8 @@ def test_to_lines_matches_json_encoder_on_any_record():
         log.append(_send(body=text))
     for value in (True, False, 1.5, None, 2**70, -3, [1, [2, "x"]], {"b": {"c": [None]}, "a": 1}):
         log.append({"kind": "note", "t": 1, "node": 1, "value": value})
-    # one list shape, written from the template or not by what its items are:
-    # plain strs, strs JSON escapes, exact ints, bools, nothing, nested and
-    # mixed items
+    # lists of plain strs, strs JSON escapes, exact ints, bools, nothing,
+    # nested and mixed items
     lists = (
         ["ab", "c d", "100%", "f(x)"], ["ok", 'say "hi"'], list(texts), [1, -2, 2**70], [True],
         [1, True], [False, 0], [], [[]], [[1], [2]], [1, "a"], ["a", 1], [1.5], [None], ["ab"],
@@ -278,6 +276,21 @@ def test_to_lines_matches_json_encoder_on_any_record():
     assert got.pop() == b""
     assert got == _written(log.records)
     assert [json.loads(line)["i"] for line in got] == list(range(len(got)))
+
+
+@pytest.mark.parametrize(
+    "fields", [{"value": b"raw"}, {"value": {1, 2}}, {"a": 1, 2: "b"}, {(1, 2): 3}],
+    ids=["bytes", "set", "str-and-int-keys", "tuple-key"])
+def test_to_lines_raises_what_json_dumps_raises(fields):
+    record = {"kind": "note", "t": 1, "node": 1, **fields}
+    log = EventLog()
+    log.append(record)
+    with pytest.raises(Exception) as want:
+        json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert want.type is TypeError
+    with pytest.raises(want.type) as got:
+        log.to_lines()
+    assert str(got.value) == str(want.value)
 
 
 def test_send_records_write_no_line():
