@@ -5,6 +5,7 @@ each instance starts, with the agreement machinery never waking up.
 """
 
 from falcon_bft import SimConfig, SystemParams, observe_invariants, run_simulation
+from falcon_bft.sorter import chain_digest
 
 cfg = SimConfig(params=SystemParams(4, 1), seed=1, num_instances=4, tx_load=6)
 result = run_simulation(cfg)
@@ -29,6 +30,6 @@ print()
 print("agreement activations:", len(result.log.of_kind("aaba_input")))
 print("trigger firings:      ", len(result.log.of_kind("trigger")))
 print("violations:           ", len(observe_invariants(result)))
-for snap in result.snapshots():
-    print(f"node {snap['node']}: chain length {snap['chain_len']}, "
-          f"digest {snap['chain_digest'][:16]}...")
+for i, node in sorted(result.nodes.items()):
+    print(f"node {i}: chain length {len(node.chain)}, "
+          f"digest {chain_digest(node.chain).hex()[:16]}...")

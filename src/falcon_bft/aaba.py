@@ -83,7 +83,6 @@ class AabaInstance:
         self.sho1_pool: Dict[int, Set[int]] = {0: set(), 1: set()}
         self.sho2_votes: Dict[int, int] = {}  # sender -> bit, first per sender
         self.S: Set[int] = set()
-        self.acted_on_sho2 = False
         self.stop_pool: Set[int] = set()
         self.stop_sent = False
         self.output: Optional[int] = None
@@ -209,13 +208,13 @@ class AabaInstance:
         return self._eval_sho2()
 
     def _eval_sho2(self) -> List[object]:
-        """Accepted sho2 votes are re-counted whenever S grows."""
-        if self.acted_on_sho2:
+        """Accepted sho2 votes are re-counted whenever S grows, until a quorum
+        of them gives the inner ABA its input (its round leaves 0)."""
+        if self.inner.round:
             return []
         accepted = [b for b in self.sho2_votes.values() if b in self.S]
         if len(accepted) < self.params.quorum:
             return []
-        self.acted_on_sho2 = True
         out: List[object] = []
         if all(b == 0 for b in accepted):
             out.extend(self._produce_output(0, "shortcut"))

@@ -1,6 +1,6 @@
 """Command-line harness: run scenario files, emit metrics and invariant reports.
 
-    falcon-sim run <scenario> [--seed N] [--out DIR] [--mode MODE]
+    falcon-sim run <scenario> [--seed N] [--out DIR]
     falcon-sim check <scenario-dir>
 
 Exit code 0 means the run (or every run in the directory) finished with an
@@ -19,22 +19,21 @@ from pathlib import Path
 from . import metrics
 from .observer import check_liveness, observe_invariants
 from .scenario import ScenarioError, load_scenario
-from .simnet import MODES, InvalidConfig, QuiesceError, schedule
+from .simnet import InvalidConfig, QuiesceError, schedule
+from .sorter import chain_digest
 
 
-def _write_outputs(out_dir: Path, result, violations) -> None:
+def _write_outputs(out_dir: Path, run, violations) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "events.log").write_bytes(result.log.to_lines())
-    stage_rows = metrics.decompose_latency(result)
+    (out_dir / "events.log").write_bytes(run.log.to_lines())
+    stage_rows = metrics.decompose_latency(run)
     (out_dir / "metrics.csv").write_text(metrics.stages_csv(stage_rows))
-    txs = metrics.tx_records(result)
+    txs = metrics.tx_records(run)
     (out_dir / "txs.csv").write_text(metrics.txs_csv(txs, stage_rows))
-    chain_lines = []
-    for snap in result.snapshots():
-        chain_lines.append(
-            f"node={snap['node']} chain_len={snap['chain_len']} "
-            f"digest={snap['chain_digest']}"
-        )
+    chain_lines = [
+        f"node={i} chain_len={len(node.chain)} digest={chain_digest(node.chain).hex()}"
+        for i, node in sorted(run.nodes.items())
+    ]
     (out_dir / "chains.txt").write_text("\n".join(chain_lines) + "\n")
     report = [f"violations={len(violations)}"]
     for v in violations:
@@ -52,28 +51,26 @@ def run_one(path: Path, args, nested: bool = False) -> int:
         config = load_scenario(path)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        if args.mode is not None:
-            config = dataclasses.replace(config, mode=args.mode)
         simulation = schedule(config)
     except (ScenarioError, InvalidConfig, OSError) as exc:
         print(f"{path}: scenario error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = simulation.run()
+        simulation.run()
     except QuiesceError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return 2
-    violations = observe_invariants(result) + check_liveness(result)
+    violations = observe_invariants(simulation) + check_liveness(simulation)
     if args.out:
         out_dir = Path(args.out) / path.stem if nested else Path(args.out)
     else:
         out_dir = path.with_suffix(".out")
     try:
-        _write_outputs(out_dir, result, violations)
+        _write_outputs(out_dir, simulation, violations)
     except OSError as exc:
         print(f"{path}: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    commits = len(result.log.of_kind("commit"))
+    commits = len(simulation.log.of_kind("commit"))
     status = "PASS" if not violations else "FAIL"
     print(
         f"{status} {path.name}: seed={config.seed} mode={config.mode} "
@@ -106,7 +103,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)  # options of both commands
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None)
-    common.add_argument("--mode", choices=MODES, default=None)
 
     run_p = sub.add_parser("run", parents=[common], help="run one scenario file")
     run_p.add_argument("scenario")

@@ -56,9 +56,11 @@ def verify_delivery(
 class GbcInstance:
     """Per-node state machine for one graded-broadcast instance.
 
-    `silenced` covers both the pre-activation passive mode and the post-trigger
-    mute: no new partial signatures are emitted, but pools still accumulate and
-    deliveries still complete.
+    `silenced` covers both the pre-activation passive mode and the mute that
+    starts when the instance enters agreement (its trigger has fired and it
+    holds a grade-2 quorum; `AcsqInstance._enter_agreement`): no new partial
+    signatures are emitted, but pools still accumulate and deliveries still
+    complete.
     """
 
     def __init__(

@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .simnet import RunResult
+from .simnet import Simulation
 
 
 class InsufficientData(Exception):
@@ -57,7 +57,7 @@ class BlockStages:
         return self.broadcast + self.agreement + self.sorting
 
 
-def decompose_latency(result: RunResult) -> List[BlockStages]:
+def decompose_latency(result: Simulation) -> List[BlockStages]:
     """Per-node, per-committed-block stage durations, in (node, k, j) order,
     computed afresh from the log's by-kind index on each call."""
     correct = set(result.config.correct_nodes())
@@ -109,7 +109,7 @@ class TxRecord:
         return self.commit - self.submit
 
 
-def tx_records(result: RunResult) -> List[TxRecord]:
+def tx_records(result: Simulation) -> List[TxRecord]:
     """First commit of each injected tx at each correct node; `txs_csv`
     joins each to its block's `decompose_latency` row by (node, k, j)."""
     correct = set(result.config.correct_nodes())

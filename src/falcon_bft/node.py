@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
 from .crypto import KeyRegistry
-from .sorter import SortCursor, chain_digest, partial_sort
+from .sorter import SortCursor, partial_sort
 
 if TYPE_CHECKING:
     from .simnet import EventLog, SimConfig
@@ -120,15 +120,6 @@ class Node:
         if len(inst.decided) != before:
             sends.extend(self._drive())
         return self._wrap(sends) if sends else []
-
-    def snapshot(self) -> dict:
-        return {
-            "node": self.node_id,
-            "k": self.k,
-            "chain_digest": chain_digest(self.chain).hex(),
-            "chain_len": len(self.chain),
-            "buffer_size": len(self.buffer),
-        }
 
     # -- driver ---------------------------------------------------------------------
 

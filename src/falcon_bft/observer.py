@@ -1,4 +1,5 @@
-"""Cross-node invariant checks over a completed run's event log.
+"""Cross-node invariant checks over a finished run: the `Simulation` that
+`run()` returned, its event log and its nodes' chains and buffers.
 
 Every check returns violations as data (list of dicts); an empty report is
 a pass.  Each violation has one shape, built by `_violation`: `check` (the
@@ -20,7 +21,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Callable, Dict, List, Set, Tuple
 
-from .simnet import RunResult
+from .simnet import Simulation
 
 
 def _violation(check: str, detail: str, **where) -> dict:
@@ -28,7 +29,7 @@ def _violation(check: str, detail: str, **where) -> dict:
     return {"check": check, **where, "detail": detail}
 
 
-def _at_correct(result: RunResult, kind: str) -> List[dict]:
+def _at_correct(result: Simulation, kind: str) -> List[dict]:
     """The records of `kind` that correct nodes wrote, in log order."""
     correct = set(result.config.correct_nodes())
     return [rec for rec in result.log.of_kind(kind) if rec["node"] in correct]
@@ -38,20 +39,20 @@ def _order(rec: dict) -> Tuple[int, int]:
     return (rec["t"], rec["i"])
 
 
-def check_chain_safety(result: RunResult) -> List[dict]:
+def check_chain_safety(result: Simulation) -> List[dict]:
     """No two correct nodes disagree on any filled slot."""
     out = []
-    chains = result.chains()
+    nodes = result.nodes
     for a, b in combinations(result.config.correct_nodes(), 2):
-        for slot, (da, db) in enumerate(zip(chains[a], chains[b]), 1):
-            if da != db:
-                detail = f"{da[:12]} != {db[:12]}"
+        for slot, (ba, bb) in enumerate(zip(nodes[a].chain, nodes[b].chain), 1):
+            if ba.digest != bb.digest:
+                detail = f"{ba.digest_hex[:12]} != {bb.digest_hex[:12]}"
                 out.append(_violation("chain_safety", detail, nodes=[a, b], slot=slot))
                 break
     return out
 
 
-def check_acs_agreement(result: RunResult) -> List[dict]:
+def check_acs_agreement(result: Simulation) -> List[dict]:
     """Returned correct nodes agree on each instance's included blocks and exclusions."""
     out = []
     returned: Dict[int, Set[int]] = {}
@@ -72,7 +73,7 @@ def check_acs_agreement(result: RunResult) -> List[dict]:
     return out
 
 
-def check_acs_blocks_match(result: RunResult) -> List[dict]:
+def check_acs_blocks_match(result: Simulation) -> List[dict]:
     """Every digest a correct node delivered or adopted for an (instance, index)
     is the same, across nodes and within each node."""
     seen: Dict[Tuple[int, int], Set[str]] = {}
@@ -90,7 +91,7 @@ def check_acs_blocks_match(result: RunResult) -> List[dict]:
     ]
 
 
-def check_validity(result: RunResult) -> List[dict]:
+def check_validity(result: Simulation) -> List[dict]:
     """Every returned instance carries at least a quorum of included blocks."""
     quorum = result.config.params.quorum
     return [
@@ -102,7 +103,7 @@ def check_validity(result: RunResult) -> List[dict]:
     ]
 
 
-def check_totality(result: RunResult) -> List[dict]:
+def check_totality(result: Simulation) -> List[dict]:
     """All correct nodes return every instance in the measured window."""
     returned = {(rec["node"], rec["k"]) for rec in result.log.of_kind("instance_return")}
     correct = result.config.correct_nodes()
@@ -114,7 +115,7 @@ def check_totality(result: RunResult) -> List[dict]:
     ]
 
 
-def check_optimistic_validity(result: RunResult) -> List[dict]:
+def check_optimistic_validity(result: Simulation) -> List[dict]:
     """Fault-free lockstep runs decide all n blocks without any agreement stage."""
     config = result.config
     if config.faults or config.mode != "lockstep" or config.rules:
@@ -143,7 +144,7 @@ def check_optimistic_validity(result: RunResult) -> List[dict]:
 
 
 def _check_correlation(
-    result: RunResult,
+    result: Simulation,
     check: str,
     prior: List[dict],
     records: List[dict],
@@ -175,7 +176,7 @@ def _check_correlation(
     return out
 
 
-def check_delivery_correlation(result: RunResult) -> List[dict]:
+def check_delivery_correlation(result: Simulation) -> List[dict]:
     """A grade-2 delivery needs f+1 strictly earlier correct grade-1 deliveries."""
     delivered = _at_correct(result, "gbc_deliver")
     return _check_correlation(
@@ -188,7 +189,7 @@ def check_delivery_correlation(result: RunResult) -> List[dict]:
     )
 
 
-def check_receipt_correlation(result: RunResult) -> List[dict]:
+def check_receipt_correlation(result: Simulation) -> List[dict]:
     """A grade-1 delivery needs f+1 correct nodes already holding the body."""
     return _check_correlation(
         result,
@@ -200,7 +201,7 @@ def check_receipt_correlation(result: RunResult) -> List[dict]:
     )
 
 
-def check_aaba(result: RunResult) -> List[dict]:
+def check_aaba(result: Simulation) -> List[dict]:
     """Agreement, 1-validity and biased-validity of every agreement instance."""
     out = []
     outputs: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -228,7 +229,7 @@ def check_aaba(result: RunResult) -> List[dict]:
     return out
 
 
-def check_decide_once(result: RunResult) -> List[dict]:
+def check_decide_once(result: Simulation) -> List[dict]:
     counts = Counter((rec["node"], rec["k"], rec["j"]) for rec in result.log.of_kind("decide"))
     return [
         _violation("decide_once", f"{count} decisions", node=node, k=k, j=j)
@@ -237,7 +238,7 @@ def check_decide_once(result: RunResult) -> List[dict]:
     ]
 
 
-def check_commit_order(result: RunResult) -> List[dict]:
+def check_commit_order(result: Simulation) -> List[dict]:
     """Commits at a correct node walk instances in order, creators ascending."""
     out = []
     per_node: Dict[int, List[Tuple[int, int]]] = {}
@@ -250,7 +251,7 @@ def check_commit_order(result: RunResult) -> List[dict]:
     return out
 
 
-def check_conflict_markers(result: RunResult) -> List[dict]:
+def check_conflict_markers(result: Simulation) -> List[dict]:
     """Surface events the state machines flagged as impossible-for-correct-nodes."""
     return [
         _violation(
@@ -262,6 +263,25 @@ def check_conflict_markers(result: RunResult) -> List[dict]:
         )
         for rec in _at_correct(result, "late_grade2_after_exclusion")
     ]
+
+
+def check_tx_conservation(result: Simulation) -> List[dict]:
+    """No correct node loses a tx: every injected tx is in the node's commit
+    records or still in its buffer.  This covers every tx but sets no
+    deadline; `check_liveness` bounds only the txs whose deadline falls
+    inside the run."""
+    committed: Dict[int, Set[str]] = {node: set() for node in result.config.correct_nodes()}
+    for rec in _at_correct(result, "commit"):
+        committed[rec["node"]].update(rec["txids"])
+    out = []
+    for rec in result.log.of_kind("inject"):
+        txid = rec["txid"]
+        key = bytes.fromhex(txid)
+        for node, txids in committed.items():
+            if txid not in txids and key not in result.nodes[node].buffer:
+                detail = f"batch {rec['batch']} neither committed nor buffered"
+                out.append(_violation("tx_conservation", detail, node=node, txid=txid[:12]))
+    return out
 
 
 ALL_CHECKS = (
@@ -277,10 +297,11 @@ ALL_CHECKS = (
     check_decide_once,
     check_commit_order,
     check_conflict_markers,
+    check_tx_conservation,
 )
 
 
-def observe_invariants(result: RunResult) -> List[dict]:
+def observe_invariants(result: Simulation) -> List[dict]:
     """Run every invariant check; an empty list means the run is clean."""
     out: List[dict] = []
     for check in ALL_CHECKS:
@@ -288,7 +309,7 @@ def observe_invariants(result: RunResult) -> List[dict]:
     return out
 
 
-def check_liveness(result: RunResult, min_checked: int = 0) -> List[dict]:
+def check_liveness(result: Simulation, min_checked: int = 0) -> List[dict]:
     """Every tx in all correct buffers before instance k commits by k + 2.
 
     The deadline instance for a tx is derived from the proposal log: the

@@ -448,11 +448,13 @@ class Simulation:
 
     # -- run -----------------------------------------------------------------------------
 
-    def run(self) -> "RunResult":
+    def run(self) -> "Simulation":
         """Deliver until no message is pending, then log the `sends` summary
-        records in (sender, proto, body) order.  An enabled cycle collector is
-        paused meanwhile: reference counting alone frees a finished run (pinned
-        in tests/test_hot_path.py), so a collection in it frees nothing.  Then
+        records in (sender, proto, body) order; return this simulation, the
+        finished run, whose `config`, `log` and `nodes` the observer and
+        metrics read.  An enabled cycle collector is paused meanwhile:
+        reference counting alone frees a finished run (pinned in
+        tests/test_hot_path.py), so a collection in it frees nothing.  Then
         freeze() and unfreeze() move the survivors, in O(1), to the oldest
         generation, which no young collection walks; not while the caller
         holds frozen objects, since unfreeze() would thaw those too."""
@@ -488,7 +490,7 @@ class Simulation:
             summary = log.logger(0)
             for (sender, proto, body), count in sorted(self._sends.items()):
                 summary("sends", sender=sender, proto=proto, body=body, count=count)
-            return RunResult(self.config, self.log, self.nodes)
+            return self
         finally:
             if enabled:
                 if not gc.get_freeze_count():
@@ -519,26 +521,11 @@ class Simulation:
         )
 
 
-@dataclass
-class RunResult:
-    config: SimConfig
-    log: EventLog
-    nodes: Dict[int, Node]
-
-    def snapshots(self) -> List[dict]:
-        return [self.nodes[i].snapshot() for i in sorted(self.nodes)]
-
-    def chains(self) -> Dict[int, List[str]]:
-        return {
-            i: [b.digest_hex for b in self.nodes[i].chain]
-            for i in sorted(self.nodes)
-        }
-
-
 def schedule(config: SimConfig) -> Simulation:
     """Build a ready-to-run simulation; raises InvalidConfig on bad input."""
     return Simulation(config)
 
 
-def run_simulation(config: SimConfig) -> RunResult:
+def run_simulation(config: SimConfig) -> Simulation:
+    """Build and run a simulation; return the finished run."""
     return schedule(config).run()

@@ -1,7 +1,10 @@
-"""Print the sha256 of every sweep config's event log, as one JSON object.
+"""Print one sha256 per sweep config over its run's outputs, as one JSON object.
 
-A pure refactor must leave every event log byte-identical.  Run this at
-the parent commit and at the change, each in its own process, and compare:
+Each digest covers the config's event log, its two CSVs, every line of its
+`observe_invariants` + `check_liveness` report (with `str`, as `report.txt`
+writes it) and each node's `chain_digest`, in node id order.  A pure
+refactor must leave all of them byte-identical.  Run this at the parent
+commit and at the change, each in its own process, and compare:
 
     PYTHONPATH=src python tests/digest_sweep.py > parent.json     # at the parent
     PYTHONPATH=src python tests/digest_sweep.py --compare parent.json
@@ -27,8 +30,11 @@ import sys
 from pathlib import Path
 
 from falcon_bft.core_types import SystemParams
+from falcon_bft.metrics import decompose_latency, stages_csv, tx_records, txs_csv
+from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
+from falcon_bft.sorter import chain_digest
 from support import crash_fuzz_config, echo2_hold_config, late_proof_config, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,6 +61,20 @@ def configs():
         yield f"late_proof_config({i})", late_proof_config(i)
 
 
+def digest(config) -> str:
+    """sha256 over one run's log, CSVs, report lines and chain digests."""
+    run = run_simulation(config)
+    h = hashlib.sha256(run.log.to_lines())
+    stage_rows = decompose_latency(run)
+    h.update(stages_csv(stage_rows).encode())
+    h.update(txs_csv(tx_records(run), stage_rows).encode())
+    for v in observe_invariants(run) + check_liveness(run):
+        h.update(b"%s\n" % str(v).encode())
+    for i in sorted(run.nodes):
+        h.update(b"%s\n" % chain_digest(run.nodes[i].chain).hex().encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", metavar="FILE", help="a saved output to diff against")
@@ -62,10 +82,7 @@ def main() -> int:
     if args.compare is not None:  # read before the sweep, so a bad FILE fails at once
         with open(args.compare) as fh:
             saved = json.load(fh)
-    digests = {
-        name: hashlib.sha256(run_simulation(config).log.to_lines()).hexdigest()
-        for name, config in configs()
-    }
+    digests = {name: digest(config) for name, config in configs()}
     if args.compare is None:
         json.dump(digests, sys.stdout, indent=1)
         print()

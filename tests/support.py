@@ -293,6 +293,18 @@ def _sort_every_instance(self: Node) -> None:
             self._commit(k, done)
 
 
+_drive = Node._drive
+
+
+def _drop_buffer_after_exclusion(self: Node) -> List[Send]:
+    """The driver, then an emptied buffer while any live instance has
+    excluded an index: the txs no committed block carries yet are lost."""
+    out = _drive(self)
+    if any(None in inst.decided.values() for inst in self.instances.values()):
+        self.buffer.clear()
+    return out
+
+
 def unsorted_prefixes(log) -> List[Tuple[int, int]]:
     """The (node, instance) pairs whose commits in `log` are not, in order,
     the included indices of that instance's decided prefix at the end of
@@ -328,3 +340,7 @@ def break_q_check(monkeypatch) -> None:
 
 def break_sort_gate(monkeypatch) -> None:
     monkeypatch.setattr(Node, "_run_sorts", _sort_every_instance)
+
+
+def drop_buffer_on_exclusion(monkeypatch) -> None:
+    monkeypatch.setattr(Node, "_drive", _drop_buffer_after_exclusion)

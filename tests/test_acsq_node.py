@@ -239,7 +239,7 @@ def test_committed_txs_leave_buffer_and_later_proposals():
             when = committed_at.get((prop["node"], txid))
             if when is not None:
                 assert prop["t"] <= when
-    assert all(s["buffer_size"] == 0 for s in res.snapshots())
+    assert all(not node.buffer for node in res.nodes.values())
 
 
 def test_late_grade1_never_rewrites_agreement_input():

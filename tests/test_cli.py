@@ -166,6 +166,16 @@ def test_missing_scenario_nonzero(tmp_path):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
 
 
+def test_mode_is_not_an_option(tmp_path, capsys):
+    """A scenario's `[network] mode` sets the mode; the CLI has no override."""
+    scenario = write(tmp_path, FAVORABLE, "fav.ini")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(scenario), "--mode", "random"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode random" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fav.ini"]
+
+
 def test_seed_override_changes_nothing_in_lockstep(tmp_path):
     scenario = write(tmp_path, FAVORABLE, "fav.ini")
     a, b = tmp_path / "a", tmp_path / "b"
@@ -238,7 +248,7 @@ def test_mutated_scenarios_that_load_run_to_an_exit_code(tmp_path, capsys, name)
     4 s: 16 to 50 of each shipped scenario's 300 mutants load, 309 in all,
     and running every one takes about 11 s (each returned 0)."""
     path = tmp_path / name
-    args = argparse.Namespace(seed=None, mode=None, out=str(tmp_path / "out"))
+    args = argparse.Namespace(seed=None, out=str(tmp_path / "out"))
     ran = 0
     for data in scenario_mutants(SCENARIOS / name):
         path.write_bytes(data)

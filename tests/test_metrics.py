@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from falcon_bft.core_types import SystemParams
@@ -9,7 +11,7 @@ from falcon_bft.metrics import (
     tx_records,
     txs_csv,
 )
-from falcon_bft.simnet import DelayRule, EventLog, RunResult, SimConfig, run_simulation
+from falcon_bft.simnet import DelayRule, EventLog, SimConfig, run_simulation
 
 
 def run(seed=1, instances=2, tx_load=4, **kwargs):
@@ -106,7 +108,8 @@ def _on_a_new_log(res):
     whose by-kind index is built from nothing."""
     log = EventLog()
     log.written = list(res.log.written)
-    fresh = RunResult(res.config, log, res.nodes)
+    fresh = copy.copy(res)
+    fresh.log = log
     return decompose_latency(fresh), tx_records(fresh)
 
 

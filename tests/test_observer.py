@@ -26,6 +26,7 @@ from support import (
     break_echo2_gate,
     break_q_check,
     break_sort_gate,
+    drop_buffer_on_exclusion,
     load_bench_module,
     unsorted_prefixes,
 )
@@ -89,6 +90,17 @@ def test_dropped_commit_breaks_liveness():
     assert found and all(v["check"] == "liveness" for v in found)
 
 
+def test_buffer_dropped_on_exclusion_breaks_tx_conservation(monkeypatch):
+    cfg = favorable(num_instances=4, faults=(FaultSpec(4, "crash", at_time=0),))
+    assert observe_invariants(run_simulation(cfg)) == []
+    drop_buffer_on_exclusion(monkeypatch)
+    res = run_simulation(cfg)
+    # the liveness bound covers some of this run's txs and misses the loss
+    assert check_liveness(res, min_checked=1) == []
+    found = observe_invariants(res)
+    assert found and all(v["check"] == "tx_conservation" for v in found)
+
+
 def test_echo2_gate_mutation_breaks_delivery_correlation(monkeypatch):
     cfg = favorable(
         num_instances=1,
@@ -142,11 +154,12 @@ CHECK_NAMES = {
     "chain_safety", "acs_agreement", "gbc_consistency", "validity", "totality",
     "optimistic_validity", "trigger_inert", "delivery_correlation",
     "receipt_correlation", "aaba_agreement", "aaba_1_validity", "aaba_biased_validity",
-    "decide_once", "commit_order", "exclusion_conflict", "liveness", "liveness_coverage",
+    "decide_once", "commit_order", "exclusion_conflict", "tx_conservation", "liveness",
+    "liveness_coverage",
 }
 
 # sha256 of the corpus report below, recorded in a separate process
-CORPUS_PIN = "255dfda38761b97f9ce6ded4b1945d5e1daa679e1a4cf9ba709a91ca6e5a8411"
+CORPUS_PIN = "a74a7b8948795e87fa28d26270e53c48e20f3ab39f52d6d5182a0daf9575fbb4"
 
 
 def _corpus_configs():

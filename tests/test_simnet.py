@@ -520,7 +520,6 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
     )
 
 
-def test_snapshot_shape():
-    res = run_simulation(favorable())
-    snap = res.snapshots()[0]
-    assert set(snap) == {"node", "k", "chain_digest", "chain_len", "buffer_size"}
+def test_run_returns_the_simulation():
+    sim = schedule(favorable())
+    assert sim.run() is sim
