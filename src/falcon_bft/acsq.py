@@ -298,7 +298,10 @@ class AcsqInstance:
     def honest_input(self, j: int) -> List[Send]:
         """Honest input rule: grade-1 delivery turns into a certified one-input."""
         m1 = self.delivered1(j)
-        value = Amp(0) if m1 is None else Amp(1, m1.block.digest, m1.proof)
+        return self.give_input(j, Amp(0) if m1 is None else Amp(1, m1.block.digest, m1.proof))
+
+    def give_input(self, j: int, value: Amp) -> List[Send]:
+        """Give index j's agreement its input `value`, and log it."""
         self.log("aaba_input", k=self.k, j=j, bit=value.bit, q_valid=value.bit == 1)
         return self._absorb(j, self.aaba_for(j).give_input(value))
 

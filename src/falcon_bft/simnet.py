@@ -233,8 +233,7 @@ class WrongBitNode(Node):
     @staticmethod
     def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
         if inst.delivered1(j) is not None:
-            inst.log("aaba_input", k=inst.k, j=j, bit=0, q_valid=False)
-            return inst._absorb(j, inst.aaba_for(j).give_input(Amp(0)))
+            return inst.give_input(j, Amp(0))
         junk = sha256(b"forged:%d:%d:%d" % (inst.node_id, inst.k, j))
         proof = ThresholdSig(tagged=junk, parts=((inst.node_id, junk),))
         inst.log("aaba_input", k=inst.k, j=j, bit=1, q_valid=False)

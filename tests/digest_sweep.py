@@ -3,8 +3,12 @@
 Each digest covers the config's event log, its two CSVs, every line of its
 `observe_invariants` + `check_liveness` report (with `str`, as `report.txt`
 writes it) and each node's `chain_digest`, in node id order.  A pure
-refactor must leave all of them byte-identical.  Run this at the parent
-commit and at the change, each in its own process, and compare:
+refactor must leave all of them byte-identical.
+`tests/test_golden_logs.py::test_sweep_digests_match_pin` checks that in
+every test run: it hashes the `name digest` lines of every config, in
+config order, into one pin.  When the pin moves, this script names the
+configs that moved.  Run it at the parent commit and at the change, each in
+its own process, and compare:
 
     PYTHONPATH=src python tests/digest_sweep.py > parent.json     # at the parent
     PYTHONPATH=src python tests/digest_sweep.py --compare parent.json
@@ -16,10 +20,11 @@ and exits 1 if there is any.
 The sweep covers the shipped scenarios, both n=16 benchmark workloads at
 seeds 1-3, favorable n=31 (f=10) at seed 1 in lockstep and random mode
 (the favorable-n16 workload's other settings; the widest fan-out per
-broadcast), `fuzz_config(0..499)`, `crash_fuzz_config(0..299)`, and two
-generators that reach the agreement paths: `echo2_hold_config(0..299)` and
-`late_proof_config(0..199)`.  The file has no `test_` prefix, so pytest
-does not collect it.
+broadcast), `fuzz_config(0..499)`, `crash_fuzz_config(0..299)`, two
+generators that reach the agreement paths, `echo2_hold_config(0..299)` and
+`late_proof_config(0..199)`, and criterion 6's two runs under Falcon and
+under the integral-sorting foil (`delayed_index_configs`).  The file has no
+`test_` prefix, so pytest does not collect it.
 """
 
 import argparse
@@ -35,7 +40,13 @@ from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
 from falcon_bft.sorter import chain_digest
-from support import crash_fuzz_config, echo2_hold_config, late_proof_config, load_bench_module
+from support import (
+    crash_fuzz_config,
+    delayed_index_configs,
+    echo2_hold_config,
+    late_proof_config,
+    load_bench_module,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -59,6 +70,9 @@ def configs():
         yield f"echo2_hold_config({i})", echo2_hold_config(i)
     for i in range(200):
         yield f"late_proof_config({i})", late_proof_config(i)
+    for variant in ("falcon", "integral_sort"):
+        for i, config in enumerate(delayed_index_configs(variant)):
+            yield f"delayed_index_configs({variant})[{i}]", config
 
 
 def digest(config) -> str:

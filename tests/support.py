@@ -1,18 +1,22 @@
-"""Shared test harnesses: tiny message buses for driving protocol clusters
-outside the full node stack, certificate builders, and gate mutants that
-the detector-sanity tests install with pytest's monkeypatch."""
+"""Shared test harnesses: a worker pool for runs that take a while, an AABA
+cluster and tiny message buses for driving it outside the full node stack,
+certificate builders, and gate mutants that the detector-sanity tests
+install with pytest's monkeypatch."""
 
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing
+import os
 import random
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from unittest import mock
 
 from falcon_bft import node as node_module
-from falcon_bft.aaba import AabaInstance
+from falcon_bft.aaba import AabaInstance, Output
 from falcon_bft.core_types import (
     Block,
     Echo2,
@@ -44,6 +48,19 @@ def load_bench_module(name: str):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def in_workers(fn: Callable, items: Iterable) -> List:
+    """`[fn(item) for item in items]`, worked out by min(4, CPUs) spawned
+    worker processes.  `fn` and each item must pickle.  The workers run
+    under a PYTHONHASHSEED other than this process's, so a result that
+    depends on `str` hash order differs from the same call made here."""
+    own_seed = os.environ.get("PYTHONHASHSEED", "random")
+    worker_seed = str((int(own_seed) + 1) % 2**32) if own_seed.isdigit() else "1"
+    spawn = multiprocessing.get_context("spawn")
+    with mock.patch.dict(os.environ, PYTHONHASHSEED=worker_seed), \
+            spawn.Pool(min(4, os.cpu_count() or 1)) as pool:
+        return pool.map(fn, items)
 
 
 def crash_fuzz_config(i: int) -> SimConfig:
@@ -161,7 +178,51 @@ def grade1_cert(
     return registry.combine(partials, params.quorum)
 
 
-class LockstepBus:
+class AabaCluster:
+    """n AABA instances at `addr`, one per node, and the first `Output` each
+    emits, from `handle` or from `give_input`, in `outputs`.  `handlers`
+    hand a bus each node's `handle`."""
+
+    def __init__(self, n: int = 4, f: int = 1, addr: InstanceAddr = InstanceAddr(1, Proto.AABA, 1)):
+        self.params = SystemParams(n, f)
+        self.registry = make_registry(n)
+        self.nodes = {i: AabaInstance(addr, self.params, self.registry) for i in range(1, n + 1)}
+        self.outputs: Dict[int, Output] = {}
+        self.handlers = {i: lambda sender, body, i=i: self.handle(i, sender, body) for i in self.nodes}
+
+    def handle(self, i: int, sender: int, body: object) -> List[object]:
+        return self._record(i, self.nodes[i].handle(sender, body))
+
+    def give_input(self, i: int, value: object) -> List[object]:
+        return self._record(i, self.nodes[i].give_input(value))
+
+    def _record(self, i: int, emissions: List[object]) -> List[object]:
+        for item in emissions:
+            if isinstance(item, Output):
+                self.outputs.setdefault(i, item)
+        return emissions
+
+
+class _Bus:
+    """What both buses share: a send fans out to its recipients, and a
+    delivered message's emissions go back on the bus."""
+
+    def __init__(self, n: int, handlers: Dict[int, Callable]):
+        self.n = n
+        self.handlers = handlers
+
+    def post(self, sender: int, emissions: List[object]) -> None:
+        for item in emissions:
+            if isinstance(item, Send):
+                for r in range(1, self.n + 1) if item.to is None else (item.to,):
+                    self._put(sender, r, item.body)
+
+    def _deliver(self, sender: int, recipient: int, body: object) -> None:
+        if recipient in self.handlers:
+            self.post(recipient, self.handlers[recipient](sender, body))
+
+
+class LockstepBus(_Bus):
     """Hop-synchronous delivery: sent during hop h, delivered at hop h+1.
 
     handlers: node -> handle(sender, body) -> emissions.  delay_fn can push
@@ -174,28 +235,21 @@ class LockstepBus:
         handlers: Dict[int, Callable],
         delay_fn: Optional[Callable] = None,
     ):
-        self.n = n
-        self.handlers = handlers
+        super().__init__(n, handlers)
         self.delay_fn = delay_fn or (lambda sender, recipient, body: 0)
         self.hop = 0
         self.queue: Dict[int, List[Tuple[int, int, object]]] = {}
 
-    def post(self, sender: int, emissions: List[object]) -> None:
-        for item in emissions:
-            if not isinstance(item, Send):
-                continue
-            targets = range(1, self.n + 1) if item.to is None else [item.to]
-            for r in targets:
-                when = self.hop + 1 + self.delay_fn(sender, r, item.body)
-                self.queue.setdefault(when, []).append((sender, r, item.body))
+    def _put(self, sender: int, recipient: int, body: object) -> None:
+        when = self.hop + 1 + self.delay_fn(sender, recipient, body)
+        self.queue.setdefault(when, []).append((sender, recipient, body))
 
     def step(self) -> bool:
         if not self.queue:
             return False
         self.hop = min(self.queue)
-        for sender, recipient, body in self.queue.pop(self.hop):
-            if recipient in self.handlers:
-                self.post(recipient, self.handlers[recipient](sender, body))
+        for message in self.queue.pop(self.hop):
+            self._deliver(*message)
         return True
 
     def run(self, max_hops: int = 200) -> int:
@@ -205,31 +259,22 @@ class LockstepBus:
         return self.hop
 
 
-class ShuffleBus:
+class ShuffleBus(_Bus):
     """Adversarial reordering: every step delivers one randomly chosen
     in-flight message (seeded, hence reproducible)."""
 
     def __init__(self, n: int, handlers: Dict[int, Callable], seed: int):
-        self.n = n
-        self.handlers = handlers
+        super().__init__(n, handlers)
         self.rng = random.Random(seed)
         self.pool: List[Tuple[int, int, object]] = []
 
-    def post(self, sender: int, emissions: List[object]) -> None:
-        for item in emissions:
-            if not isinstance(item, Send):
-                continue
-            targets = range(1, self.n + 1) if item.to is None else [item.to]
-            for r in targets:
-                self.pool.append((sender, r, item.body))
+    def _put(self, sender: int, recipient: int, body: object) -> None:
+        self.pool.append((sender, recipient, body))
 
     def run(self, max_steps: int = 100_000) -> int:
         steps = 0
         while self.pool and steps < max_steps:
-            idx = self.rng.randrange(len(self.pool))
-            sender, recipient, body = self.pool.pop(idx)
-            if recipient in self.handlers:
-                self.post(recipient, self.handlers[recipient](sender, body))
+            self._deliver(*self.pool.pop(self.rng.randrange(len(self.pool))))
             steps += 1
         assert not self.pool, f"bus still busy after {max_steps} deliveries"
         return steps

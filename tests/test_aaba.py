@@ -1,6 +1,6 @@
 import pytest
 
-from falcon_bft.aaba import AabaInstance, DoubleInput, InvalidOneInput, Output
+from falcon_bft.aaba import DoubleInput, InvalidOneInput
 from falcon_bft.core_types import (
     Amp,
     InstanceAddr,
@@ -9,82 +9,51 @@ from falcon_bft.core_types import (
     Sho1,
     Sho2,
     Stop,
-    SystemParams,
 )
 from falcon_bft.crypto import ThresholdSig, sha256
 
-from support import LockstepBus, ShuffleBus, grade1_cert, make_registry
+from support import AabaCluster, LockstepBus, ShuffleBus, grade1_cert
 
 K, J = 1, 2
 ADDR = InstanceAddr(K, Proto.AABA, J)
-PARAMS = SystemParams(4, 1)
 
 
-def make_cluster(n=4, f=1, registry=None):
-    params = SystemParams(n, f)
-    registry = registry or make_registry(n)
-    nodes = {
-        i: AabaInstance(ADDR, params, registry) for i in range(1, n + 1)
-    }
-    outputs = {}
-
-    def handler(i):
-        def handle(sender, body):
-            emissions = nodes[i].handle(sender, body)
-            for item in emissions:
-                if isinstance(item, Output):
-                    outputs[i] = item
-            return emissions
-
-        return handle
-
-    handlers = {i: handler(i) for i in nodes}
-    return params, registry, nodes, handlers, outputs
-
-
-def one_input(registry, params, digest=None):
+def one_input(cluster, digest=None):
     digest = digest or sha256(b"block")
-    return Amp(1, digest, grade1_cert(registry, params, K, J, digest))
-
-
-def drain_outputs(emissions, outputs, i):
-    for item in emissions:
-        if isinstance(item, Output):
-            outputs[i] = item
+    return Amp(1, digest, grade1_cert(cluster.registry, cluster.params, K, J, digest))
 
 
 def test_zero_input_broadcasts_amp():
-    _, registry, nodes, _, _ = make_cluster()
-    out = nodes[1].give_input(Amp(0))
+    out = AabaCluster(addr=ADDR).nodes[1].give_input(Amp(0))
     amps = [s for s in out if isinstance(s, Send) and isinstance(s.body, Amp)]
     assert len(amps) == 1 and amps[0].body.bit == 0
 
 
 def test_one_input_requires_certificate():
-    _, registry, nodes, _, _ = make_cluster()
+    cluster = AabaCluster(addr=ADDR)
+    nodes = cluster.nodes
     with pytest.raises(InvalidOneInput):
         nodes[1].give_input(Amp(1, sha256(b"x"), None))
     junk = ThresholdSig(tagged=sha256(b"junk"), parts=((1, b"junk"),))
     with pytest.raises(InvalidOneInput):
         nodes[2].give_input(Amp(1, sha256(b"x"), junk))
-    params = SystemParams(4, 1)
-    out = nodes[3].give_input(one_input(registry, params))
+    out = nodes[3].give_input(one_input(cluster))
     amps = [s for s in out if isinstance(s, Send) and isinstance(s.body, Amp)]
     assert amps and amps[0].body.bit == 1
 
 
 def test_double_input_rejected():
-    _, registry, nodes, _, _ = make_cluster()
-    nodes[1].give_input(Amp(0))
+    node = AabaCluster(addr=ADDR).nodes[1]
+    node.give_input(Amp(0))
     with pytest.raises(DoubleInput):
-        nodes[1].give_input(Amp(0))
+        node.give_input(Amp(0))
 
 
 def test_single_valid_amp_one_triggers_sho1_one():
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    cluster = AabaCluster(addr=ADDR)
+    node = cluster.nodes[1]
     node.give_input(Amp(0))
-    value = one_input(registry, params)
+    value = one_input(cluster)
     out = node.handle(2, Amp(1, value.digest, value.proof))
     sho1s = [s for s in out if isinstance(s, Send) and isinstance(s.body, Sho1)]
     assert len(sho1s) == 1 and sho1s[0].body.bit == 1
@@ -92,8 +61,7 @@ def test_single_valid_amp_one_triggers_sho1_one():
 
 
 def test_quorum_of_zero_amps_triggers_sho1_zero():
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    node = AabaCluster(addr=ADDR).nodes[1]
     node.give_input(Amp(0))
     out = []
     for sender in (1, 2, 3):
@@ -103,8 +71,7 @@ def test_quorum_of_zero_amps_triggers_sho1_zero():
 
 
 def test_forged_amp_one_ignored():
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    node = AabaCluster(addr=ADDR).nodes[1]
     node.give_input(Amp(0))
     junk = ThresholdSig(tagged=sha256(b"forged"), parts=((4, b"x"),))
     out = node.handle(4, Amp(1, sha256(b"fake"), junk))
@@ -114,13 +81,13 @@ def test_forged_amp_one_ignored():
 
 def test_sho1_relay_even_after_other_bit():
     # a node that voted sho1(0) still relays sho1(1) at f+1 support
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    cluster = AabaCluster(addr=ADDR)
+    node = cluster.nodes[1]
     node.give_input(Amp(0))
     for sender in (1, 2, 3):
         node.handle(sender, Amp(0))
     assert node.sho1_sent == {0}
-    value = one_input(registry, params)
+    value = one_input(cluster)
     out = node.handle(2, Sho1(1, value.digest, value.proof))
     assert not any(isinstance(s, Send) and isinstance(s.body, Sho1) for s in out)
     out = node.handle(3, Sho1(1, value.digest, value.proof))
@@ -130,8 +97,7 @@ def test_sho1_relay_even_after_other_bit():
 
 
 def test_sho1_quorum_grows_s_and_votes_sho2():
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    node = AabaCluster(addr=ADDR).nodes[1]
     node.give_input(Amp(0))
     out = []
     for sender in (1, 2, 3):
@@ -142,8 +108,7 @@ def test_sho1_quorum_grows_s_and_votes_sho2():
 
 
 def test_sho2_bits_outside_s_wait_for_s_growth():
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    node = AabaCluster(addr=ADDR).nodes[1]
     node.give_input(Amp(0))
     # three sho2(0) votes buffered while S is empty
     for sender in (1, 2, 3):
@@ -159,8 +124,7 @@ def test_sho2_bits_outside_s_wait_for_s_growth():
 
 
 def test_stop_thresholds():
-    params, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    node = AabaCluster(addr=ADDR).nodes[1]
     node.give_input(Amp(0))
     assert node.handle(2, Stop()) == []  # f stops: nothing
     out = node.handle(3, Stop())  # f+1: relay + output 0
@@ -170,70 +134,49 @@ def test_stop_thresholds():
     assert node.inner.halted
 
 
-def test_all_zero_shortcut_exactly_three_hops():
-    params, registry, nodes, handlers, outputs = make_cluster()
-    bus = LockstepBus(4, handlers)
-    for i in nodes:
-        emissions = nodes[i].give_input(Amp(0))
-        drain_outputs(emissions, outputs, i)
-        bus.post(i, emissions)
-    output_hops = {}
-
-    while bus.queue:
-        bus.step()
-        for i, item in list(outputs.items()):
-            output_hops.setdefault(i, bus.hop)
-    assert set(output_hops) == {1, 2, 3, 4}
-    assert all(h == 3 for h in output_hops.values())
-    assert all(outputs[i].bit == 0 and outputs[i].source == "shortcut" for i in nodes)
-
-
 def test_all_zero_early_stop_halts_inner_aba():
-    params, registry, nodes, handlers, outputs = make_cluster()
-    bus = LockstepBus(4, handlers)
-    for i in nodes:
-        bus.post(i, nodes[i].give_input(Amp(0)))
+    cluster = AabaCluster(addr=ADDR)
+    bus = LockstepBus(4, cluster.handlers)
+    for i in cluster.nodes:
+        bus.post(i, cluster.give_input(i, Amp(0)))
     bus.run()
-    for node in nodes.values():
+    for node in cluster.nodes.values():
         assert node.inner.halted
         assert node.inner.decided is None  # exited before the inner ABA ran
 
 
 def test_biased_validity_lockstep():
-    params, registry, nodes, handlers, outputs = make_cluster()
-    value = one_input(registry, params)
+    cluster = AabaCluster(addr=ADDR)
+    value = one_input(cluster)
     inputs = {1: value, 2: value, 3: Amp(0), 4: Amp(0)}
-    bus = LockstepBus(4, handlers)
-    for i in nodes:
-        emissions = nodes[i].give_input(inputs[i])
-        drain_outputs(emissions, outputs, i)
-        bus.post(i, emissions)
+    bus = LockstepBus(4, cluster.handlers)
+    for i in cluster.nodes:
+        bus.post(i, cluster.give_input(i, inputs[i]))
     bus.run()
-    assert {outputs[i].bit for i in nodes} == {1}
+    assert {cluster.outputs[i].bit for i in cluster.nodes} == {1}
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_agreement_under_adversarial_reordering(seed):
-    params, registry, nodes, handlers, outputs = make_cluster()
-    value = one_input(registry, params)
+    cluster = AabaCluster(addr=ADDR)
+    value = one_input(cluster)
     inputs = {1: value, 2: Amp(0), 3: Amp(0), 4: Amp(0)}
-    bus = ShuffleBus(4, handlers, seed=seed)
-    for i in nodes:
-        emissions = nodes[i].give_input(inputs[i])
-        drain_outputs(emissions, outputs, i)
-        bus.post(i, emissions)
+    bus = ShuffleBus(4, cluster.handlers, seed=seed)
+    for i in cluster.nodes:
+        bus.post(i, cluster.give_input(i, inputs[i]))
     bus.run()
-    got = {outputs[i].bit for i in nodes if i in outputs}
+    outputs = cluster.outputs
+    got = {o.bit for o in outputs.values()}
     assert len(got) == 1, f"disagreement: { {i: o.bit for i, o in outputs.items()} }"
     assert len(outputs) == 4
 
 
 def test_late_engagement_replays_buffered_traffic():
-    params, registry, nodes, handlers, outputs = make_cluster()
-    late = nodes[4]
+    cluster = AabaCluster(addr=ADDR)
+    handlers, late = cluster.handlers, cluster.nodes[4]
     bus = LockstepBus(4, {i: handlers[i] for i in (1, 2, 3)})
     for i in (1, 2, 3):
-        bus.post(i, nodes[i].give_input(Amp(0)))
+        bus.post(i, cluster.give_input(i, Amp(0)))
     # deliver everything among 1..3 while 4 buffers silently
     fed = []
     while bus.queue:
@@ -244,14 +187,12 @@ def test_late_engagement_replays_buffered_traffic():
     for sender, body in fed:
         late.handle(sender, body)
     assert late.output is None and late.buffered
-    emissions = late.give_input(Amp(0))
-    drain_outputs(emissions, outputs, 4)
+    cluster.give_input(4, Amp(0))
     assert late.output == 0  # replay catches it up instantly
 
 
 def test_stop_exit_without_input_possible():
     # delivery-assistance peers may exit an instance they never joined
-    _, registry, nodes, _, _ = make_cluster()
-    node = nodes[1]
+    node = AabaCluster(addr=ADDR).nodes[1]
     node.halt()
     assert node.inner.halted and node.handle(2, Stop()) == []

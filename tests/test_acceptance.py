@@ -1,18 +1,16 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the fuzzing criteria take a couple of minutes.
+lines.  The 500-run fuzz gate of criteria 4 and 5 runs in worker processes
+(`support.in_workers`) and takes a few seconds.
 """
 
 import time
 
 import pytest
 
-from falcon_bft.aaba import AabaInstance, Output
 from falcon_bft.core_types import (
     Amp,
-    InstanceAddr,
-    Proto,
     Send,
     Sho1,
     Sho2,
@@ -30,13 +28,15 @@ from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.simnet import DelayRule, FaultSpec, SimConfig, run_simulation
 
 from support import (
+    AabaCluster,
     LockstepBus,
     ShuffleBus,
     break_echo2_gate,
     break_q_check,
     break_sort_gate,
+    grade1_cert,
+    in_workers,
     load_bench_module,
-    make_registry,
     unsorted_prefixes,
 )
 
@@ -127,59 +127,38 @@ def test_criterion_2_pre_crash_shortcut_and_nine_rounds(n, f, crashed):
 # -- criterion 3 ------------------------------------------------------------------
 
 
-def aaba_cluster(n, f, registry=None, addr=None):
-    params = SystemParams(n, f)
-    registry = registry or make_registry(n)
-    addr = addr or InstanceAddr(1, Proto.AABA, 1)
-    nodes = {i: AabaInstance(addr, params, registry) for i in range(1, n + 1)}
-    outputs = {}
-
-    def handler(i):
-        def handle(sender, body):
-            emissions = nodes[i].handle(sender, body)
-            for item in emissions:
-                if isinstance(item, Output):
-                    outputs.setdefault(i, item)
-            return emissions
-
-        return handle
-
-    return params, registry, nodes, {i: handler(i) for i in nodes}, outputs
-
-
 @pytest.mark.parametrize("n,f", [(4, 1), (7, 2)])
 def test_criterion_3a_all_zero_shortcut_three_rounds(n, f):
-    params, registry, nodes, handlers, outputs = aaba_cluster(n, f)
-    bus = LockstepBus(n, handlers)
-    for i in nodes:
-        bus.post(i, nodes[i].give_input(Amp(0)))
+    cluster = AabaCluster(n, f)
+    bus = LockstepBus(n, cluster.handlers)
+    for i in cluster.nodes:
+        bus.post(i, cluster.give_input(i, Amp(0)))
     hop_of_output = {}
     while bus.queue:
         bus.step()
-        for i in outputs:
+        for i in cluster.outputs:
             hop_of_output.setdefault(i, bus.hop)
-    assert set(hop_of_output) == set(nodes)
+    assert set(hop_of_output) == set(cluster.nodes)
     assert all(h == 3 for h in hop_of_output.values())
-    assert all(o.bit == 0 and o.source == "shortcut" for o in outputs.values())
+    assert all(o.bit == 0 and o.source == "shortcut" for o in cluster.outputs.values())
     report("3a", f"n={n}: all-zero inputs output 0 exactly 3 rounds after start")
 
 
 def test_criterion_3b_biased_validity_200_schedules():
-    from support import grade1_cert
-
     failures = 0
     for seed in range(200):
-        params, registry, nodes, handlers, outputs = aaba_cluster(4, 1)
+        cluster = AabaCluster()
+        outputs = cluster.outputs
         digest = bytes([seed % 256]) * 32
-        cert = grade1_cert(registry, params, 1, 1, digest)
+        cert = grade1_cert(cluster.registry, cluster.params, 1, 1, digest)
         value = Amp(1, digest, cert)
         # f+1 = 2 correct one-inputs; node 4 is the adversary pushing zeros
-        del handlers[4]
-        bus = ShuffleBus(4, handlers, seed=seed)
+        del cluster.handlers[4]
+        bus = ShuffleBus(4, cluster.handlers, seed=seed)
         for i, inp in ((1, value), (2, value), (3, Amp(0))):
-            bus.post(i, nodes[i].give_input(inp))
-        bus.post(4, [Send(nodes[1].addr, Amp(0)), Send(nodes[1].addr, Sho1(0)),
-                     Send(nodes[1].addr, Sho2(0)), Send(nodes[1].addr, Stop())])
+            bus.post(i, cluster.give_input(i, inp))
+        addr = cluster.nodes[1].addr
+        bus.post(4, [Send(addr, Amp(0)), Send(addr, Sho1(0)), Send(addr, Sho2(0)), Send(addr, Stop())])
         bus.run()
         got = {outputs[i].bit for i in (1, 2, 3) if i in outputs}
         if got != {1} or len([i for i in (1, 2, 3) if i in outputs]) != 3:
@@ -189,14 +168,15 @@ def test_criterion_3b_biased_validity_200_schedules():
 
 
 def test_criterion_3c_early_stop_halts_inner_aba():
-    params, registry, nodes, handlers, outputs = aaba_cluster(4, 1)
+    cluster = AabaCluster()
+    nodes, outputs = cluster.nodes, cluster.outputs
 
     def delay_sho2_to_4(sender, recipient, body):
         return 5 if recipient == 4 and isinstance(body, Sho2) else 0
 
-    bus = LockstepBus(4, handlers, delay_fn=delay_sho2_to_4)
+    bus = LockstepBus(4, cluster.handlers, delay_fn=delay_sho2_to_4)
     for i in nodes:
-        bus.post(i, nodes[i].give_input(Amp(0)))
+        bus.post(i, cluster.give_input(i, Amp(0)))
     bus.run()
     # nodes 1..3 shortcut (f+1 correct outputs at line-20 style), node 4 is
     # rescued by the stop exchange without ever reaching its own shortcut
@@ -211,16 +191,17 @@ def test_criterion_3c_early_stop_halts_inner_aba():
 # -- criteria 4 and 5 ---------------------------------------------------------------
 
 
+def fuzz_verdicts(i):
+    """Fuzz run i's safety violations and its liveness violations."""
+    res = run_simulation(fuzz_config(i))
+    return observe_invariants(res), check_liveness(res, min_checked=1)
+
+
 def test_criterion_4_and_5_safety_and_liveness_fuzz():
     runs = 500
-    safety_violations = []
-    liveness_violations = []
-    for i in range(runs):
-        res = run_simulation(fuzz_config(i))
-        safety_violations += [(i, v) for v in observe_invariants(res)]
-        liveness_violations += [
-            (i, v) for v in check_liveness(res, min_checked=1)
-        ]
+    verdicts = in_workers(fuzz_verdicts, range(runs))
+    safety_violations = [(i, v) for i, (safety, _) in enumerate(verdicts) for v in safety]
+    liveness_violations = [(i, v) for i, (_, liveness) in enumerate(verdicts) for v in liveness]
     assert safety_violations == [], safety_violations[:5]
     assert liveness_violations == [], liveness_violations[:5]
     report(4, f"{runs} adversarial runs: zero safety violations")

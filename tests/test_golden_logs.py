@@ -1,16 +1,18 @@
-"""Golden event logs: each shipped scenario, the byzantine-n16 workload at
-seed 1, each pinned run of the benchmark's fuzz shape, with and without a
-crash, and the integral-sorting foil's two pinned runs replay to a pinned
-log digest.
+"""Golden outputs: one pin over the digest sweep, the files `falcon-sim run`
+writes for each shipped scenario, and the event log's line encoding.
 
-The digests are sha256 over `EventLog.to_lines()`, recorded in a separate
-process, so a change to scheduling, message order or log format anywhere
-in the stack shows up here even when every invariant still holds.  The fuzz
-runs add random delays, delay rules and every fault plugin to what the
-scenarios cover, and the crash runs stop a node at ticks from 0 to 63,
-mid-run as well as from the start.  The other files `falcon-sim run`
+`SWEEP_PIN` is sha256 over the `name digest` lines of every config of
+`digest_sweep.configs()`, in config order.  Each digest covers a run's
+event log (`EventLog.to_lines()`), its two CSVs, its report lines and each
+node's chain digest, so a change to scheduling, message order or log format
+anywhere in the stack moves the pin even when every invariant still holds.
+The sweep covers the shipped scenarios, both n=16 benchmark workloads,
+random delays, delay rules, every fault plugin, crashes from tick 0 to 69,
+and both foils.  Its runs go through worker processes under another
+PYTHONHASHSEED, and the scenario runs are done again here, so a result that
+depends on `str` hash order fails too.  The other files `falcon-sim run`
 writes for each scenario (`metrics.csv`, `txs.csv`, `chains.txt` and
-`report.txt`) are pinned the same way.
+`report.txt`) are pinned by their own digests.
 
 `to_lines` writes no `send` record, and every other record through one
 JSON encoder.  Every line of every run here must equal `json.dumps` of its
@@ -29,34 +31,35 @@ from pathlib import Path
 
 import pytest
 
+import digest_sweep
 from falcon_bft.cli import main
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import EventLog, run_simulation
-from support import crash_fuzz_config, delayed_index_configs, load_bench_module
+from support import in_workers, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WORKLOADS = load_bench_module("workloads")
 
-GOLDEN = {
-    "adversarial_skew.ini": "38912ba5f69fb60e8f8f285430f4a7637fdac639731cdf90d9f6bdcd7ba8ed38",
-    "crash_4.ini": "ef9617d8f9d819b60bed5b16eceedfc11966c638112e5741e31d3a4712d579e1",
-    "equivocator_random.ini": "f6a6f1ec4d908fac4c9c7334273162c9bbf02becbd8839ee4b0b3e2500b59704",
-    "favorable_4.ini": "0bc7a3f018288f2efc24aa30ce6d67ddd40581adc92f8d9a03b8563f7ec4adbb",
-    "favorable_7.ini": "e79d2bf9c808c9d20ca14ac6552a195ba2bc8722ddbdb054f8ef5a8e3cc1b3fa",
-    "late_proof_include.ini": "3a95f6609b430939473f838a0814c9f38fd7c5971a4cae8d4a865e89950e8503",
-    "wrong_bit_one_path.ini": "d35dda1c981702ca7e0b3180494eb2d0872a03f596efcf8ea2513eebce3b8bcf",
-    "wrong_bits_adversarial.ini": "ab946e5289ce15730662617e4255ed0f38da9cf04b35a9028c9573854e98a1b4",
-}
+# sha256 over "name digest\n" for every config of the sweep, in config order
+SWEEP_PIN = "8744a4247ef80954a4ac5e69f1ff7c1be919d789e1a4a6aeb4f4e35acd4dd012"
+
+
+def test_sweep_digests_match_pin():
+    names, configs = zip(*digest_sweep.configs())
+    digests = in_workers(digest_sweep.digest, configs)
+    scenarios = len(list(SCENARIOS.glob("*.ini")))
+    assert digests[:scenarios] == [digest_sweep.digest(c) for c in configs[:scenarios]], (
+        "a scenario's digest differs between this process and a worker with "
+        "another PYTHONHASHSEED: some output depends on str hash order")
+    lines = "".join(f"{name} {d}\n" for name, d in zip(names, digests))
+    assert hashlib.sha256(lines.encode()).hexdigest() == SWEEP_PIN, (
+        "the sweep's outputs moved; to name the configs that did, run "
+        "`PYTHONPATH=src python tests/digest_sweep.py > parent.json` at the parent "
+        "commit, then `PYTHONPATH=src python tests/digest_sweep.py --compare parent.json` here")
 
 
 def test_every_scenario_is_pinned():
-    assert sorted(p.name for p in SCENARIOS.glob("*.ini")) == sorted(GOLDEN) == sorted(CSV_GOLDEN)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_scenario_log_digest(name):
-    result = run_simulation(load_scenario(SCENARIOS / name))
-    assert hashlib.sha256(result.log.to_lines()).hexdigest() == GOLDEN[name]
+    assert sorted(p.name for p in SCENARIOS.glob("*.ini")) == sorted(CSV_GOLDEN)
 
 
 # sha256 of every file but the event log that `falcon-sim run` writes for
@@ -124,92 +127,10 @@ def test_scenario_csv_digests(name, tmp_path):
     assert digests == CSV_GOLDEN[name]
 
 
-# fuzz_config(i) for i in 0..23, the benchmark's fuzz-mix pass at seed 0
-FUZZ_GOLDEN = [
-    "c77ac2a23c421a27b5290e03bdab785ae33e602e30fd83c4e1553ff72e5823fc",
-    "887bc503f6cd7184843c91cdbcc2ae84dbbec1895afe914f6eb4dc36112029bc",
-    "f051e01442ac491271db7cbde85ea8d6a91e725982696047e3c4ec528ac88a9a",
-    "bba7b8aecf477255b4ade673df3e29d3c6dcf459f6ac17aaaa9f760ed753e2a1",
-    "caa5c3f10480172736f73836f0027b3a0a581ac7190e28b6aa3354bbaa9084d5",
-    "6f5fc5ca1cc05d698df315f9fc49949355319bd9b5d18ac93aa1b53fc2c561e6",
-    "e344f8a71e6ed2eb3fa85a68291b445d98f4e5dedc1542832c98106496e2d823",
-    "85e07d59e75369ade9412e43069f3a28e3a91af96b23a928ba90ef1335a717ee",
-    "283af640724f4427f33178afac176548a4858e3fdf186e4989f2e553cb177c39",
-    "3e5d33e918179d8037e1a044c4f26ff2edbf98ce34c8cb34719193f9999564d4",
-    "825aecb2479820e6f6bae40a2db8666036b7bd2cd90f538c3dfdd8bda01a45be",
-    "4e5478dc612afb800ab4b2637c662bd1589cc89f61b0f6fbb7104a7cc15da63f",
-    "a2cb58ee27a604aaa188ed107f7453ac423c486a3e3fc12052de7880a89758dd",
-    "d30e4084ec175443199ac4231475e2d65be279fd7728cc23f856e3411dc48c4e",
-    "18db44ba5017301ffe011052c0d3e262118968dead174e903c0939547a1675ff",
-    "f741389ce4a25e7118ed80935ddb85cc6269ca0a69785bff2759c1688c07754e",
-    "a2139ff8640bf904d44a744ec506ce14e4ccd82f61a89af9b9b6b46cec15d5c5",
-    "49f188184b8416aa143f5d29ec9c4efbef52be08d9b5b469b13a493fdde4d1f1",
-    "f0a94e6d26dadcfb95ec4b78091fc1779a7f665d9114f9cc4a0dd370de42d7d0",
-    "c015b30e5e60149a0709083e7beac9f2bebfc5fd38c4183f781d672da2608aed",
-    "1ab43613a226318a710a9d123bbb766ff2d0733b080e96462226597fc757beec",
-    "e05a3fa4fa7723e4a091dcf4021c4b34b6ea2755ce8110ae25095a4df7623541",
-    "90aaf093824733fe039f0fa4e0545d99237bd2e290a941875fa20c3bab48c5ba",
-    "3ecf9db60925506eab17b6b0724a5069034a3b1172a656dda05614eae9aef190",
-]
-
-
-@pytest.mark.parametrize("i", range(len(FUZZ_GOLDEN)))
-def test_fuzz_log_digest(i):
-    result = run_simulation(WORKLOADS.fuzz_config(i))
-    assert hashlib.sha256(result.log.to_lines()).hexdigest() == FUZZ_GOLDEN[i]
-
-
-# node 12 crashes at t=40: the one crash at a tick other than 0 among the
-# scenarios and workloads
-BYZANTINE_N16_GOLDEN = "00a8f4481cb5f563a4f0476a7442812d283bcadf2b06d5033c56307bc4b509dc"
-
-
-def test_byzantine_n16_log_digest():
-    result = run_simulation(WORKLOADS.byzantine_n16(1)[0])
-    assert hashlib.sha256(result.log.to_lines()).hexdigest() == BYZANTINE_N16_GOLDEN
-
-
-# crash_fuzz_config(i) for i in 0..11: the crash falls at tick (7 * i) % 70
-CRASH_GOLDEN = [
-    "7b1bc8d8397d9ac9941a13adb7f85dffe19ef4752663febc1ff9de5d8ae61e55",
-    "845ef448037a4f2fa4b1d325c55b63fee132da2c1de512ec5cfa59374fa7b07f",
-    "5c541c1bdecf3ba4915b8e1ec30313cc77df391bbf7a37c147822d1ebbd722b7",
-    "1241e33af814c4dc293874e2bde901eb93becb52b3866ae21b15f469fd31488a",
-    "38ab5cac7db43abf5a36082c93d9ecc256f29c760df35cdff9cbf0010f3192cf",
-    "27b214c7aef72e582ece56ad459ff52b1bb17ffdf4715b853f569b59a46f3118",
-    "467905dd12bedc205efddef69310d82f20000daa3f36fdc97ea512df59a125a8",
-    "719d79a077e7d0bb2aae808095628265aa7c004a5ec7123681be153441cce816",
-    "f8f3435387dda9760ec62313873fe0af000290608428ce9ffe8adee020f7cb20",
-    "69c0f634052f74ccece4c62a20cb066c10d51478c8e303464fc75b64cab8caf3",
-    "a750bb0bed522cb30906b2adac9f1423a16f6cc0efa99f6b51d562f7cb42ca9f",
-    "2e1c3b9757bace943216ac82ea5eca292ccde3f55d06feb474199a664fc05287",
-]
-
-
-@pytest.mark.parametrize("i", range(len(CRASH_GOLDEN)))
-def test_crash_fuzz_log_digest(i):
-    result = run_simulation(crash_fuzz_config(i))
-    assert hashlib.sha256(result.log.to_lines()).hexdigest() == CRASH_GOLDEN[i]
-
-
-# delayed_index_configs("integral_sort"): the integral-sorting foil on
-# criterion 6's two runs, one instance and three
-FOIL_GOLDEN = [
-    "23dfd5947b838cf15d89139ecb870a69c736529305cef8628a9fadfdb6e72a08",
-    "6f762c9a0d13b09f4a4f551593f965c67763e33b77ca2bc925606b4bc9c4f73c",
-]
-
-
-@pytest.mark.parametrize("i", range(len(FOIL_GOLDEN)))
-def test_integral_sort_log_digest(i):
-    result = run_simulation(delayed_index_configs("integral_sort")[i])
-    assert hashlib.sha256(result.log.to_lines()).hexdigest() == FOIL_GOLDEN[i]
-
-
-# every config the golden digests cover, plus both n=16 benchmark workloads
+# the scenarios, the benchmark's fuzz-mix pass at seed 0 and both n=16 workloads
 LINE_CONFIGS = {
-    **{name: lambda name=name: load_scenario(SCENARIOS / name) for name in GOLDEN},
-    **{f"fuzz_config({i})": lambda i=i: WORKLOADS.fuzz_config(i) for i in range(len(FUZZ_GOLDEN))},
+    **{path.name: lambda path=path: load_scenario(path) for path in SCENARIOS.glob("*.ini")},
+    **{f"fuzz_config({i})": lambda i=i: WORKLOADS.fuzz_config(i) for i in range(24)},
     "favorable-n16": lambda: WORKLOADS.favorable_n16(1)[0],
     "byzantine-n16": lambda: WORKLOADS.byzantine_n16(1)[0],
 }
@@ -222,7 +143,7 @@ def _written(records):
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
-def test_send_line_template_matches_json_encoder(name):
+def test_written_lines_match_json_encoder(name):
     """The run writes no send line, each line is the encoder's line of its
     record, and the `i` values run 0..L-1 in line order."""
     log = run_simulation(LINE_CONFIGS[name]()).log
