@@ -23,7 +23,10 @@ silence proposes no block, equivocation sends the nodes of the other parity
 a twin block, and wrong-bit inverts the node's agreement inputs (its forged
 one-inputs carry junk certificates that verifiers reject).  Crash overrides
 the harness surface: from a given tick on, the node starts nothing, takes
-no txs and drops every envelope delivered to it.
+no txs and drops every envelope delivered to it.  A drop writes no line:
+like a send, it lists an in-memory record, and the run appends one `drops`
+record per crashed node, after the `sends` records and written the same
+way, with the number of deliveries it dropped.
 
 A foil, the mechanism one of Falcon's replaces, enters the same way:
 `SimConfig.variant` names a `Node` subclass that runs at every correct
@@ -170,12 +173,17 @@ class SimConfig:
 
 
 class CrashNode(Node):
-    """Dead from its fault's `at_time` tick on; `Node.handle` never sees what it drops."""
+    """Dead from its fault's `at_time` tick on; `Node.handle` never sees what it
+    drops.  Each drop writes no line: it lists this node's one in-memory
+    `drop` entry, which has no `t` or `i`, and counts in `dropped`, which the
+    run's `drops` summary record writes."""
 
     def __init__(self, node_id: int, config: SimConfig, registry: KeyRegistry, events: "EventLog"):
         super().__init__(node_id, config, registry, events)
         self.events = events  # the run's clock
         self.at_time = next(fs.at_time for fs in config.faults if fs.node == node_id)
+        self.drop = {"kind": "drop", "reason": "crashed", "node": node_id}
+        self.dropped = 0
 
     def start(self) -> List[Envelope]:
         return super().start() if self.events.time < self.at_time else []
@@ -187,7 +195,8 @@ class CrashNode(Node):
     def handle(self, env: Envelope) -> List[Envelope]:
         if self.events.time < self.at_time:
             return super().handle(env)
-        self.log("drop", reason="crashed")
+        self.dropped += 1
+        self.events.append(self.drop)
         return []
 
 
@@ -270,14 +279,16 @@ class EventLog:
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
 
-    `records` holds every record, and `send` records are most of it: one
-    record per envelope, its `to` the recipient or None for a broadcast,
-    listed once per delivery, so a broadcast's entries are one dict.
-    Nothing writes to a send record once it is built.  `written` holds
-    every other record: the records `to_lines` writes and `of_kind`
-    finds, so a test that plants edited records assigns them to
-    `written`.  The run's `sends` summary records count the send entries
-    per sender, protocol and body.
+    `records` holds every record, and two in-memory-only kinds are most of
+    it.  A `send` record is one per envelope, its `to` the recipient or None
+    for a broadcast, listed once per delivery, so a broadcast's entries are
+    one dict.  A crashed node's `drop` record, `reason` `crashed`, is one
+    per crashed node, listed once per delivery it drops.  Nothing writes to
+    either once it is built.  `written` holds every other record: the
+    records `to_lines` writes and `of_kind` finds, so a test that plants
+    edited records assigns them to `written`.  The run's `sends` and
+    `drops` summary records count the in-memory entries: the send entries
+    per sender, protocol and body, and the drops per crashed node.
 
     `of_kind` reads a by-kind index of `written`, built in one pass and
     again whenever `written` is another list or another length, so
@@ -292,9 +303,11 @@ class EventLog:
         self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.written, 0, {})
 
     def append(self, record: dict) -> None:
-        """Add `record` to `records`; unless it is a `send` record, also
-        number it `i`, its line in `to_lines`, and add it to `written`."""
-        if record["kind"] != "send":
+        """Add `record` to `records`; unless it is a `send` record or a
+        crashed node's `drop`, also number it `i`, its line in `to_lines`,
+        and add it to `written`."""
+        if record["kind"] != "send" and (
+                record["kind"] != "drop" or record["reason"] != "crashed"):
             record["i"] = len(self.written)
             self.written.append(record)
         self.records.append(record)
@@ -449,7 +462,8 @@ class Simulation:
 
     def run(self) -> "Simulation":
         """Deliver until no message is pending, then log the `sends` summary
-        records in (sender, proto, body) order; return this simulation, the
+        records in (sender, proto, body) order and one `drops` record per
+        crashed node in id order; return this simulation, the
         finished run, whose `config`, `log` and `nodes` the observer and
         metrics read.  An enabled cycle collector is paused meanwhile:
         reference counting alone frees a finished run (pinned in
@@ -489,6 +503,9 @@ class Simulation:
             summary = log.logger(0)
             for (sender, proto, body), count in sorted(self._sends.items()):
                 summary("sends", sender=sender, proto=proto, body=body, count=count)
+            for node in nodes.values():
+                if isinstance(node, CrashNode):
+                    summary("drops", recipient=node.node_id, reason="crashed", count=node.dropped)
             return self
         finally:
             if enabled:

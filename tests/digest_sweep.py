@@ -13,6 +13,9 @@ its own process, and compare:
     PYTHONPATH=src python tests/digest_sweep.py > parent.json     # at the parent
     PYTHONPATH=src python tests/digest_sweep.py --compare parent.json
 
+The runs go through `support.in_workers`, min(4, CPUs) spawned worker
+processes, and the output keeps config order.
+
 With `--compare FILE` it prints the name of every config whose digest
 differs from FILE's, or that only one side has, instead of the digests,
 and exits 1 if there is any.
@@ -44,6 +47,7 @@ from support import (
     crash_fuzz_config,
     delayed_index_configs,
     echo2_hold_config,
+    in_workers,
     late_proof_config,
     load_bench_module,
 )
@@ -96,7 +100,8 @@ def main() -> int:
     if args.compare is not None:  # read before the sweep, so a bad FILE fails at once
         with open(args.compare) as fh:
             saved = json.load(fh)
-    digests = {name: digest(config) for name, config in configs()}
+    names, sweep = zip(*configs())
+    digests = dict(zip(names, in_workers(digest, sweep)))
     if args.compare is None:
         json.dump(digests, sys.stdout, indent=1)
         print()

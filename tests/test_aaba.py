@@ -177,16 +177,19 @@ def test_late_engagement_replays_buffered_traffic():
     bus = LockstepBus(4, {i: handlers[i] for i in (1, 2, 3)})
     for i in (1, 2, 3):
         bus.post(i, cluster.give_input(i, Amp(0)))
-    # deliver everything among 1..3 while 4 buffers silently
-    fed = []
+    # deliver everything among 1..3; what is sent to 4 waits, unhandled
+    to_late = []
     while bus.queue:
         bus.hop = min(bus.queue)
         for sender, recipient, body in bus.queue.pop(bus.hop):
-            bus.post(recipient, handlers[recipient](sender, body))
-            fed.append((sender, body))
-    for sender, body in fed:
+            if recipient == 4:
+                to_late.append((sender, body))
+            else:
+                bus.post(recipient, handlers[recipient](sender, body))
+    # 4 handles only its own traffic, and buffers all of it before its input
+    for sender, body in to_late:
         late.handle(sender, body)
-    assert late.output is None and late.buffered
+    assert late.output is None and len(late.buffered) == len(to_late) == 15
     cluster.give_input(4, Amp(0))
     assert late.output == 0  # replay catches it up instantly
 

@@ -14,15 +14,15 @@ depends on `str` hash order fails too.  The other files `falcon-sim run`
 writes for each scenario (`metrics.csv`, `txs.csv`, `chains.txt` and
 `report.txt`) are pinned by their own digests.
 
-`to_lines` writes no `send` record, and every other record through one
-JSON encoder.  Every line of every run here must equal `json.dumps` of its
-record, in log order with the `send` records left out, and carry its line
-number as `i`; so must the lines of a hand-built log of escaped strings,
-bool, float, None, list and dict values, and lists of escaped strs, bools,
-nested or mixed items; its `send` records, odd ones included, write no
-line.  A record `json.dumps` cannot write (a `bytes` or `set` value, str
-and int keys side by side, or a tuple key) makes `to_lines` raise what
-`json.dumps` raises.
+`to_lines` writes no `send` record and no crashed node's `drop` record,
+and every other record through one JSON encoder.  Every line of every run
+here must equal `json.dumps` of its record, in log order with those two
+kinds left out, and carry its line number as `i`; so must the lines of a
+hand-built log of escaped strings, bool, float, None, list and dict values,
+and lists of escaped strs, bools, nested or mixed items; its `send` and
+crashed `drop` records, odd ones included, write no line.  A record
+`json.dumps` cannot write (a `bytes` or `set` value, str and int keys side
+by side, or a tuple key) makes `to_lines` raise what `json.dumps` raises.
 """
 
 import hashlib
@@ -41,7 +41,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WORKLOADS = load_bench_module("workloads")
 
 # sha256 over "name digest\n" for every config of the sweep, in config order
-SWEEP_PIN = "8744a4247ef80954a4ac5e69f1ff7c1be919d789e1a4a6aeb4f4e35acd4dd012"
+SWEEP_PIN = "8e22ed023ef9286a32c128ea14efcf709ab34251b2b16f7350a6f84d5fcc66a0"
 
 
 def test_sweep_digests_match_pin():
@@ -137,9 +137,11 @@ LINE_CONFIGS = {
 
 
 def _written(records):
-    """The encoder's line of each record `to_lines` writes, in log order."""
+    """The encoder's line of each record `to_lines` writes, in log order:
+    neither a send record nor a crashed node's drop record."""
     return [json.dumps(r, sort_keys=True, separators=(",", ":")).encode()
-            for r in records if r["kind"] != "send"]
+            for r in records
+            if r["kind"] != "send" and not (r["kind"] == "drop" and r["reason"] == "crashed")]
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
@@ -185,12 +187,15 @@ def test_to_lines_matches_json_encoder_on_any_record():
     log.append({"kind": "vote", "t": 1, "bit": False, "seen": [], "ids": ["a", "b"], "q_valid": True})
     log.append({"kind": "note"})
     log.append({"kind": ["not", "a", "str"], "t": 1})
-    # send records write no line, whatever their values and keys
+    # send records and crashed nodes' drop records write no line, whatever
+    # their values and keys; other drops do
     no_body = _send(extra=7)
     del no_body["body"]
+    crashed = {"kind": "drop", "reason": "crashed", "node": 4}
     for rec in (
         _send(), _send(k=True), _send(), _send(t=3.0), _send(), _send(to=True),
-        _send(extra=7), _send(k="1"), no_body, _send(to=3),
+        _send(extra=7), _send(k="1"), no_body, _send(to=3), crashed, crashed,
+        {"kind": "drop", "t": 2, "node": 3, "reason": "bad_index"}, crashed,
     ):
         log.append(rec)
     got = log.to_lines().split(b"\n")

@@ -38,7 +38,7 @@ from falcon_bft.simnet import (
     schedule,
 )
 
-from support import load_bench_module
+from support import crash_fuzz_config, load_bench_module
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -70,6 +70,12 @@ def send_records(log):
     return [r for r in log.records if r["kind"] == "send"]
 
 
+def crashed_drops(log):
+    """The log's in-memory `crashed` drop records, one per delivery a crashed
+    node refused, in log order, read as the benchmark reads them."""
+    return [r for r in log.records if r["kind"] == "drop" and r["reason"] == "crashed"]
+
+
 def test_lockstep_hop_semantics():
     res = run_simulation(favorable())
     # every proposal sent at hop 0 is received (echoed) at hop 1
@@ -81,21 +87,27 @@ def test_lockstep_hop_semantics():
 
 @pytest.mark.parametrize("at_time", [0, 5])
 def test_crashed_node_is_silent_and_unreachable(at_time):
-    """From its crash tick on, node 4 writes nothing but `crashed` drops, one
-    per envelope delivered to it, and takes no injected tx."""
+    """From its crash tick on, node 4 writes no line and takes no injected
+    tx.  Its one in-memory `crashed` drop record is listed once per envelope
+    delivered to it, and its `drops` summary record counts them."""
     cfg = favorable(instances=3, faults=(FaultSpec(4, "crash", at_time=at_time),))
     res = run_simulation(cfg)
     log = res.log
     sent_at = [r["t"] for r in send_records(log) if r["node"] == 4]
     assert all(t < at_time for t in sent_at)
     assert bool(sent_at) == (at_time > 0)  # a late crash cuts off a live node
-    after = [r for r in log.records if r["node"] == 4 and r["t"] >= at_time]
-    assert after and all(r["kind"] == "drop" and r["reason"] == "crashed" for r in after)
+    assert all(r["t"] < at_time for r in log.written if r["node"] == 4)
+    after = crashed_drops(log)
+    assert after and all(r is res.nodes[4].drop for r in after)
+    assert after[0] == {"kind": "drop", "reason": "crashed", "node": 4}
     # lockstep: an envelope sent at tick t is delivered at t + 1; each
     # envelope sent to node 4 or broadcast has one send record and reaches
     # node 4 once
     delivered = {id(r) for r in send_records(log)
                  if r["to"] in (4, None) and r["t"] + 1 >= at_time}
+    [summary] = log.of_kind("drops")
+    assert summary == {"kind": "drops", "t": log.time, "node": 0, "recipient": 4,
+                       "reason": "crashed", "count": len(delivered), "i": len(log.written) - 1}
     assert len(after) == len(delivered)
     late_txids = {r["txid"] for r in log.of_kind("inject") if r["t"] >= at_time}
     assert late_txids and late_txids.isdisjoint(txid.hex() for txid in res.nodes[4].buffer)
@@ -465,17 +477,23 @@ BENCH_CONTRACT_CONFIGS = {
     **{path.name: lambda path=path: load_scenario(path) for path in sorted(SCENARIOS.glob("*.ini"))},
     "favorable-n16": lambda: load_bench_module("workloads").favorable_n16(1)[0],
     "byzantine-n16": lambda: load_bench_module("workloads").byzantine_n16(1)[0],
+    # random mode, n=7, crashes mid-run at ticks 7, 21, 35 and 49
+    **{f"crash_fuzz_config({i})": lambda i=i: crash_fuzz_config(i) for i in (1, 3, 5, 7)},
+    # a crash tick after the last delivery: no drop, a `drops` count of 0
+    "crash_after_the_run": lambda: favorable(faults=(FaultSpec(4, "crash", at_time=10**6),)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_CONTRACT_CONFIGS))
 def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
-    """What the benchmark reads off a run: each send entry goes through
-    `EventLog.append` as looked up on the class, the send entries less the
-    `crashed` drops are the `Node.handle` calls, and the written `sends`
-    summary records count the send entries per (sender, proto, body).  Each
-    dispatched envelope has one send record, its `to` the envelope's
-    recipient, listed once per recipient."""
+    """What the benchmark reads off a run: each send entry and each crashed
+    node's drop entry goes through `EventLog.append` as looked up on the
+    class, the send entries less the drop entries are the `Node.handle`
+    calls, and the written summary records count them: `sends` the send
+    entries per (sender, proto, body), `drops` each crashed node's drop
+    entries.  Each dispatched envelope has one send record, its `to` the
+    envelope's recipient, listed once per recipient.  A crashed node writes
+    no line from its crash tick on."""
     calls = Counter()
     handle, append = Node.__dict__["handle"], EventLog.__dict__["append"]
     dispatch = Simulation.__dict__["_dispatch"]
@@ -493,6 +511,7 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
 
     def counting_append(log, record):
         calls["append"] += record["kind"] == "send"
+        calls["drop"] += record["kind"] == "drop" and record["reason"] == "crashed"
         return append(log, record)
 
     monkeypatch.setattr(Node, "handle", counting_handle)
@@ -509,8 +528,9 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
         assert entries[0]["to"] == env.recipient and entries[0]["node"] == env.sender
     if name == "byzantine-n16":  # the equivocator's Propose goes out as unicasts
         assert any(env.recipient is not None for env, _ in dispatched)
-    crashed = [r for r in log.of_kind("drop") if r["reason"] == "crashed"]
+    crashed = crashed_drops(log)
     assert calls["append"] == len(sends) > 0
+    assert calls["drop"] == len(crashed)
     assert calls["handle"] == len(sends) - len(crashed)
     summary = log.of_kind("sends")
     assert {(r["node"], r["t"]) for r in summary} == {(0, log.time)}
@@ -518,6 +538,13 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
     assert Counter({(r["sender"], r["proto"], r["body"]): r["count"] for r in summary}) == Counter(
         (r["node"], r["proto"], r["body"]) for r in sends
     )
+    crash_at = {fs.node: fs.at_time for fs in sim.config.faults if fs.kind == "crash"}
+    drops = log.of_kind("drops")
+    assert [(r["node"], r["t"], r["recipient"], r["reason"]) for r in drops] == [
+        (0, log.time, node, "crashed") for node in sorted(crash_at)]
+    assert {r["recipient"]: r["count"] for r in drops} == {
+        node: sum(r["node"] == node for r in crashed) for node in crash_at}
+    assert not [r for r in log.written if r["t"] >= crash_at.get(r["node"], log.time + 1)]
 
 
 def test_run_returns_the_simulation():
