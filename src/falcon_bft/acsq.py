@@ -146,9 +146,31 @@ class AcsqInstance:
         if g is None and not 1 <= j <= self.params.n:
             self.log("drop", k=self.k, j=j, reason="bad_index")
             return []
-        if addr.proto is not _GBC:
-            return self._handle_aaba(env)
         body = env.body
+        if addr.proto is not _GBC:  # AABA_j's bodies, routed in this one call
+            cls = type(body)
+            if cls is Assist:
+                return self._on_assist(j, body.delivery)
+            if cls is Query:
+                return self._on_query(j, env.sender, body.digest)
+            if cls is QueryResp:
+                return self._on_query_resp(j, body.block)
+            if j in self.M2:
+                # delivery assistance is all a decided index's agreement gets: answer
+                # AABA_j traffic from anyone still running it (once per peer per index)
+                if env.sender == self.node_id or (j, env.sender) in self.assist_sent:
+                    return []
+                self.assist_sent.add((j, env.sender))
+                self.log("assist_sent", k=self.k, j=j, to=env.sender)
+                return [Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender)]
+            a = self.aaba.get(j)
+            if a is None:
+                a = self.aaba_for(j)
+            sub = a.handle(env.sender, body)
+            out = self._absorb(j, sub) if sub else []
+            if j in self.pending_includes:  # the body may have carried j's certificate
+                out.extend(self._advance_includes())
+            return out
         echo = env.own_echo
         # a share counts only from its own signer (`own_echo` is 0 for any
         # other): relayed from another broadcast, it would take the signer's
@@ -165,30 +187,6 @@ class AcsqInstance:
         else:
             sub = g.on_propose(env.sender, body.block)
         return self._absorb(j, sub) if sub else []
-
-    def _handle_aaba(self, env: Envelope) -> List[Send]:
-        j = env.addr.index
-        body = env.body
-        cls = type(body)
-        if cls is Assist:
-            return self._on_assist(j, body.delivery)
-        if cls is Query:
-            return self._on_query(j, env.sender, body.digest)
-        if cls is QueryResp:
-            return self._on_query_resp(j, body.block)
-        if j in self.M2:
-            # delivery assistance is all a decided index's agreement gets: answer
-            # AABA_j traffic from anyone still running it (once per peer per index)
-            if env.sender == self.node_id or (j, env.sender) in self.assist_sent:
-                return []
-            self.assist_sent.add((j, env.sender))
-            self.log("assist_sent", k=self.k, j=j, to=env.sender)
-            return [Send(self.aaba_addr(j), Assist(self.M2[j]), to=env.sender)]
-        sub = self.aaba_for(j).handle(env.sender, body)
-        out = self._absorb(j, sub) if sub else []
-        if j in self.pending_includes:  # the body may have carried j's certificate
-            out.extend(self._advance_includes())
-        return out
 
     def _absorb(self, j: int, sub: List[object]) -> List[Send]:
         """Interpret index j's sub-machine emissions, in order: a `Send` goes

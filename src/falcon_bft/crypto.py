@@ -22,10 +22,10 @@ its receivers that one object.
 
 The registry also holds gbc's two per-run tables, since every node of a
 run shares it: `cert_tags`, each block's grade tags, and `deliveries`,
-the last graded delivery built over each tagged digest with the signer
-set of its certificate.  A certificate is a pure function of the tagged
-digest and its signers, so a node whose quorum has the same signers
-takes the stored delivery instead of combining its own.
+the first graded delivery built over each tagged digest.  Like a threshold
+signature, one value per message whoever combines it, any quorum over a
+tagged digest certifies the same thing, so every later node whose quorum
+reaches that digest takes the stored delivery, whatever its signers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 DIGEST_LEN = 32
 # SHA-256's block size and HMAC's key pads, as byte translation tables
@@ -112,8 +112,8 @@ class KeyRegistry:
         self._signed: Dict[bytes, Dict[int, bytes]] = {}
         self._accepted: Optional[PartialSig] = None
         self.cert_tags: Dict[bytes, Tuple[bytes, bytes]] = {}
-        # tagged -> (signer set, gbc's GradedDelivery whose certificate they sign)
-        self.deliveries: Dict[bytes, Tuple[FrozenSet[int], object]] = {}
+        # tagged -> the first gbc GradedDelivery built over it
+        self.deliveries: Dict[bytes, object] = {}
 
     def _mac(self, signer: int, tagged: bytes) -> bytes:
         """HMAC-SHA256 of `tagged` under the signer's key: `hmac.digest`'s bytes."""

@@ -9,9 +9,9 @@ equivocating broadcaster; a body recovered by assistance or query never
 reaches the broadcast.  The tag-2 echo is gated on the node's own grade-1
 delivery; that ordering is what makes grade-2 delivery imply that f+1
 correct nodes already delivered at grade 1.  A block's grade tags are
-hashed once per run and shared through `KeyRegistry.cert_tags`, and a
-delivery is shared through `KeyRegistry.deliveries` by every node whose
-quorum has the same tagged digest and signer set.
+hashed once per run and shared through `KeyRegistry.cert_tags`, and the
+first delivery over a tagged digest goes through `KeyRegistry.deliveries`
+to every node whose quorum reaches it: one certificate per message.
 """
 
 from __future__ import annotations
@@ -210,18 +210,16 @@ class GbcInstance:
     def _delivery(self, grade: int, tagged: bytes, pool: Dict[int, PartialSig]) -> GradedDelivery:
         """The grade-`grade` delivery of a quorum pool over `tagged`.
 
-        A pool holds one verified share per signer, and a share's MAC is a
-        pure function of its signer's key and `tagged`, which fixes this
-        broadcast, the block digest and the grade.  So a delivery another
-        node built over `tagged` from the same signers is the one this pool
-        combines to, and the registry's table hands it over; otherwise this
-        pool's delivery is built and takes the table's place for `tagged`.
+        Like a threshold signature, a certificate is one value per message:
+        `tagged` fixes this broadcast, the block digest and the grade, and
+        any quorum of verified shares over it certifies the same thing.  So
+        the first pool over `tagged` to reach a quorum builds the delivery,
+        naming its own signers, and the registry's table hands that object
+        to every later pool over `tagged`, whatever its signers.
         """
         table = self.registry.deliveries
-        stored = table.get(tagged)
-        if stored is not None and pool.keys() == stored[0]:
-            return stored[1]
-        sig = self.registry.combine(pool.values(), self.params.quorum)
-        gd = GradedDelivery(self.received_block, grade, sig)
-        table[tagged] = (frozenset(pool), gd)
+        gd = table.get(tagged)
+        if gd is None:
+            sig = self.registry.combine(pool.values(), self.params.quorum)
+            gd = table[tagged] = GradedDelivery(self.received_block, grade, sig)
         return gd

@@ -20,9 +20,11 @@ the serialise median over it, in microseconds.
 simulate is `schedule(config).run()`; observe is `observe_invariants`,
 `check_liveness`, `metrics.decompose_latency` and `metrics.tx_records`;
 serialise is `EventLog.to_lines()`: the benchmark pipeline's stages, in its
-order.  The configs are both n=16 benchmark workloads at seed 1 and
-favorable lockstep n=31 (f=10) and n=64 (f=21) with the favorable-n16
-workload's other settings: 5 instances, 8 txs per batch.  Each run
+order.  The configs are both n=16 benchmark workloads at seed 1, the
+favorable-n16 one again with random 1-5 tick delays (`favorable-n16-random`:
+the gap between the two rows' simulate columns is what random delays
+cost), and favorable lockstep n=31 (f=10) and n=64 (f=21) with the
+favorable-n16 workload's other settings: 5 instances, 8 txs per batch.  Each run
 starts after a full collection, as each benchmark pass does.  A stage's
 `gc` column is the collector time, timed from `gc.callbacks`, of the run
 that gave that stage's median (the lower one for even K).  The
@@ -58,6 +60,9 @@ def configs():
     workloads = load_bench_module("workloads")
     favorable = workloads.favorable_n16(1)[0]
     yield "favorable-n16", favorable
+    yield "favorable-n16-random", dataclasses.replace(
+        favorable, mode="random", delay_min=1, delay_max=5
+    )
     yield "byzantine-n16", workloads.byzantine_n16(1)[0]
     yield "favorable-n31", dataclasses.replace(favorable, params=SystemParams(31, 10))
     yield "favorable-n64", dataclasses.replace(favorable, params=SystemParams(64, 21))
@@ -130,7 +135,7 @@ def main() -> int:
     gc.callbacks.append(clock)
     splits = {}
     print(f"seconds rescaled to a reference of {bench_run.REFERENCE_S} s")
-    print(f"{'config':15s}" + "".join(f"{stage + '_s':>12s} {'min-max':>11s}      gc"
+    print(f"{'config':21s}" + "".join(f"{stage + '_s':>12s} {'min-max':>11s}      gc"
                                       for stage in ("simulate", "observe", "serialise"))
           + "  serialise/simulate   ref_s  peak_mb    lines  us/line")
     for name, config in configs():
@@ -147,7 +152,7 @@ def main() -> int:
                         for (seconds, gc_seconds, _), (low, high) in medians[:3])
         simulate, serialise = splits[name][0][0], splits[name][2][0]
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{name:15s}{cells} {serialise / simulate:19.1%} {statistics.median(refs):7.3f}"
+        print(f"{name:21s}{cells} {serialise / simulate:19.1%} {statistics.median(refs):7.3f}"
               f" {peak_mb:8.1f} {lines:8d} {serialise / lines * 1e6:8.2f}")
     print()
     print("observe part                   " + "".join(f"{name:>26s}" for name in splits))

@@ -13,6 +13,7 @@ from falcon_bft.acsq import AcsqInstance
 from falcon_bft.core_types import (
     Assist,
     Block,
+    Bval,
     Echo1,
     Echo2,
     Envelope,
@@ -346,18 +347,25 @@ def test_driver_keeps_at_most_two_live_instances():
 
 
 def test_out_of_range_index_dropped_without_new_state():
+    """An index outside 1..n is dropped before its body is read, whatever
+    the body: recovery traffic (`Assist`, `Query`, `QueryResp`) too, which
+    would otherwise reach its handler and be dropped for another reason."""
     res = run(instances=2)
     node = res.nodes[1]
     inst = node.instances[node.k]
     gbcs, aabas = set(inst.gbc), set(inst.aaba)
+    gd = inst.M2[1]
     bad = (0, 5, 10**6)
     for j in bad:
-        assert node.handle(Envelope(2, 1, InstanceAddr(node.k, Proto.AABA, j), Sho2(0))) == []
-        propose = Propose(Block(j, node.k, ()))
+        aaba_addr = InstanceAddr(node.k, Proto.AABA, j)
+        block = Block(j, node.k, ())
+        for body in (Sho2(0), Assist(gd), Query(block.digest), QueryResp(block), Bval(1, 0)):
+            assert node.handle(Envelope(2, 1, aaba_addr, body)) == []
+        propose = Propose(block)
         assert node.handle(Envelope(j, 1, InstanceAddr(node.k, Proto.GBC, j), propose)) == []
     assert (set(inst.gbc), set(inst.aaba)) == (gbcs, aabas)
-    drops = [r for r in res.log.of_kind("drop") if r["reason"] == "bad_index"]
-    assert [r["j"] for r in drops] == [j for j in bad for _ in range(2)]
+    drops = [r for r in res.log.of_kind("drop") if r["k"] == node.k and r.get("j") in bad]
+    assert [(r["j"], r["reason"]) for r in drops] == [(j, "bad_index") for j in bad for _ in range(6)]
 
 
 def test_instance_past_window_dropped_not_held():

@@ -9,7 +9,9 @@ verifies exactly the echo shares its deliveries need, computing no MAC
 beyond the ones its shares were signed with, comparing each echo
 envelope's MAC at most once, hashing each block's grade tags once,
 combining each grade's certificate once and building one send record per
-envelope.  Work is pinned as call and object counts, which repeat exactly
+envelope.  In random runs, where nodes gather different quorums, the one
+delivery shared per tagged digest fits every correct node that takes it,
+and is combined once.  Work is pinned as call and object counts, which repeat exactly
 where wall-clock time does not.
 """
 
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from falcon_bft import crypto, gbc, node
+from falcon_bft.acsq import AcsqInstance
 from falcon_bft.core_types import (
     Block,
     Echo1,
@@ -247,6 +250,60 @@ def test_favorable_run_work_counts(monkeypatch, n, f):
     # lockstep hands every node the same quorum, so each grade's certificate
     # of each GBC is combined once per run and its delivery shared
     assert calls["combine"] == 2 * n * (instances + 1)
+
+
+# -- one delivery per tagged digest in random runs -------------------------------------
+
+# random runs, where nodes gather different quorums: byzantine-n16 and one
+# pass of the fuzz-mix workload
+SHARED_DELIVERY_CASES = ["byzantine_n16"] + list(range(24))
+# byzantine-n16's combines at seed 1, one per tagged digest (one per quorum
+# signer set would be 1 736)
+BYZANTINE_N16_COMBINES = 142
+
+
+@pytest.mark.parametrize("case", SHARED_DELIVERY_CASES)
+def test_shared_deliveries_fit_every_correct_node(monkeypatch, case):
+    """The one delivery per tagged digest that `KeyRegistry.deliveries`
+    hands out is, at every correct node that holds it, a valid delivery of
+    that node's own broadcast, at the grade of the slot it fills and over
+    the node's own grade tag, and each is combined exactly once."""
+    instances, combines = [], Counter()
+    init, combine = AcsqInstance.__init__, KeyRegistry.combine
+
+    def recorded(self, *args, **kwargs):  # pruned instances stay readable
+        init(self, *args, **kwargs)
+        instances.append(self)
+
+    def counted(self, *args, **kwargs):
+        combines["combine"] += 1
+        return combine(self, *args, **kwargs)
+
+    monkeypatch.setattr(AcsqInstance, "__init__", recorded)
+    monkeypatch.setattr(KeyRegistry, "combine", counted)
+    config = config_for(case)
+    sim = run_simulation(config)
+    correct = set(config.correct_nodes())
+    checked = 0
+    for inst in instances:
+        if inst.node_id not in correct:
+            continue
+        slots = [(j, 1, g.delivered1) for j, g in inst.gbc.items()]
+        slots += [(j, 2, g.delivered2) for j, g in inst.gbc.items()]
+        slots += [(j, 2, gd) for j, gd in inst.M2.items()]
+        for j, grade, gd in slots:
+            if gd is None:
+                continue
+            assert gbc.verify_delivery(gd, inst.gbc_addr(j), config.params, sim.registry)
+            assert gd.grade == grade
+            g = inst.gbc.get(j)
+            if g is not None and g.tags is not None:
+                assert gd.proof.tagged == g.tags[grade - 1]
+            checked += 1
+    assert checked
+    assert combines["combine"] == len(sim.registry.deliveries)
+    if case == "byzantine_n16":
+        assert combines["combine"] == BYZANTINE_N16_COMBINES
 
 
 # -- the echo-share shortcut against the instance router -------------------------------
