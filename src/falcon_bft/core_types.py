@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .crypto import PartialSig, ThresholdSig, sha256
 
@@ -202,8 +202,9 @@ Body = Union[
 
 GBC_BODIES = (Propose, Echo1, Echo2)
 AABA_BODIES = (Amp, Sho1, Sho2, Stop, Bval, Aux, AbaDecided, Assist, Query, QueryResp)
-# the echo round of each echo body, as `Envelope.own_echo` holds it
-_ECHO_ROUNDS = {Echo1: 1, Echo2: 2}
+# each body class -> (the protocol that carries it, its echo round or 0)
+_BODY_KINDS = {cls: (Proto.AABA, 0) for cls in AABA_BODIES}
+_BODY_KINDS.update({Propose: (Proto.GBC, 0), Echo1: (Proto.GBC, 1), Echo2: (Proto.GBC, 2)})
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,8 @@ class Envelope:
     1 or 2 for an `Echo1` or `Echo2` whose share its sender signed, 0 for
     any other body.  `Node.handle` reads it to route the share.  Equality,
     hashing, `repr` and `encode_envelope` ignore it, and
-    `dataclasses.replace` derives it afresh.
+    `dataclasses.replace` derives it afresh.  `__init__` sets all five
+    fields in one `__dict__` update; the value stays frozen.
     """
 
     sender: int
@@ -224,14 +226,14 @@ class Envelope:
     body: Body
     own_echo: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        """Raise ValueError unless `body` is a message kind that `addr`'s
-        protocol carries; then set `own_echo`."""
-        body, proto = self.body, self.addr.proto
-        if not isinstance(body, GBC_BODIES if proto is Proto.GBC else AABA_BODIES):
-            raise ValueError(f"body {type(body).__name__} inconsistent with {proto}")
-        echo = _ECHO_ROUNDS.get(type(body), 0)
-        object.__setattr__(self, "own_echo", echo if echo and body.partial.signer == self.sender else 0)
+    def __init__(self, sender: int, recipient: Optional[int], addr: InstanceAddr, body: Body):
+        """Raise ValueError unless `addr`'s protocol carries `body`'s exact
+        class; then set the fields, `own_echo` derived."""
+        proto, echo = _BODY_KINDS.get(type(body), (None, 0))
+        if proto is not addr.proto:
+            raise ValueError(f"body {type(body).__name__} inconsistent with {addr.proto}")
+        self.__dict__.update(sender=sender, recipient=recipient, addr=addr, body=body,
+                             own_echo=echo if echo and body.partial.signer == sender else 0)
 
 
 # --- canonical envelope encoding -------------------------------------------
@@ -302,9 +304,9 @@ def encode_envelope(env: Envelope) -> bytes:
 # an AABA instance its `aaba.Output`.
 
 
-@dataclass(frozen=True)
-class Send:
-    """Outbound message request; recipient None means broadcast to all n."""
+class Send(NamedTuple):
+    """Outbound message request; recipient None means broadcast to all n.
+    A tuple: it lives only until `Node._wrap` makes it an `Envelope`."""
 
     addr: InstanceAddr
     body: Body

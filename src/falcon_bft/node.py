@@ -232,4 +232,4 @@ class Node:
 
         Raises ValueError for a send whose body its address does not carry.
         """
-        return [Envelope(self.node_id, send.to, send.addr, send.body) for send in sends]
+        return [Envelope(self.node_id, to, addr, body) for addr, body, to in sends]

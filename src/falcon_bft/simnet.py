@@ -9,12 +9,14 @@ so a broadcast stays one envelope.  The run delivers the smallest
 pending tick's queue front to back.  Every delay is at least one tick, so
 a tick's queue is complete before it is delivered: equal-time deliveries
 replay in send order, and a (config, seed) pair maps to exactly one event
-log, byte for byte.  Lockstep mode delivers every message one tick after it was sent,
-which makes a tick equal to one communication round; random mode draws
-each recipient's delay from the seeded generator; delay rules add extra
-ticks to matching messages.  The written log holds no `send` record: once
-the queue drains, the run appends one `sends` record per sender, protocol
-and body, written as node 0's, with the number of deliveries sent.
+log, byte for byte.  Lockstep mode delivers every message one tick after
+it was sent, which makes a tick equal to one communication round; random
+mode draws each recipient's delay from the seeded generator; delay rules
+add extra ticks to matching messages, matched once per run for each
+message shape the rules tell apart.  The written log holds no `send`
+record: once the queue drains, the run appends one `sends` record per
+sender, protocol and body, written as node 0's, with the number of
+deliveries sent.
 
 Misbehaviour enters one way: a fault plugin is a `Node` subclass that acts
 only through its own node's keys.  Silence, equivocation and wrong-bit
@@ -42,6 +44,7 @@ import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .acsq import AcsqInstance
@@ -75,6 +78,9 @@ MODES = ("lockstep", "random")
 TX_SIZE = 8
 _RULE_PROTOS = tuple(p.name.lower() for p in Proto)
 _RULE_BODIES = tuple(cls.__name__ for cls in GBC_BODIES + AABA_BODIES)
+# a `DelayRule` field other than recipient -> where an envelope holds its value
+_RULE_KEY_PATHS = {"sender": "sender", "body": "body.__class__", "acsq_id": "addr.acsq_id",
+                   "proto": "addr.proto", "index": "addr.index"}
 
 
 @dataclass(frozen=True)
@@ -313,10 +319,12 @@ class EventLog:
         self.records.append(record)
 
     def logger(self, node_id: int) -> Callable:
-        """Node `node_id`'s record function; it holds the log and nothing else."""
+        """Node `node_id`'s record function; it holds the log and nothing else.
+        A record is the call's keyword dict, given `kind`, `t` and `node`."""
 
         def log(kind: str, **fields):
-            self.append({"kind": kind, "t": self.time, "node": node_id, **fields})
+            fields["kind"], fields["t"], fields["node"] = kind, self.time, node_id
+            self.append(fields)
 
         return log
 
@@ -368,6 +376,11 @@ class Simulation:
         self._ids = tuple(config.params.node_ids())  # a broadcast's recipients
         # random mode's base delay is delay_min plus a draw below this width
         self._width = config.delay_max - config.delay_min + 1 if config.mode == "random" else 0
+        # an envelope's rule key: its fields that some rule names, else `type`
+        ruled = [path for name, path in _RULE_KEY_PATHS.items()
+                 if any(getattr(rule, name) is not None for rule in config.rules)]
+        self._rule_key = attrgetter(*ruled) if ruled else type
+        self._matched: Dict[object, Tuple[int, ...]] = {}  # rule key -> matched rules
         self._delays: Dict[Tuple[int, ...], List[int]] = {}  # matched rules -> delay by recipient
         # (sender, proto, body) -> deliveries sent, for the `sends` summary records
         self._sends: Dict[Tuple[int, str, str], int] = defaultdict(int)
@@ -390,11 +403,14 @@ class Simulation:
         mode drawn in id order as `randint(delay_min, delay_max)` draws it,
         plus the extra ticks of the first rule in file order that matches the
         envelope and names that recipient or none.  Rules are matched once per
-        envelope, and each set of matches is tabled once per run: the delay
+        rule key, and each set of matches is tabled, once per run: the delay
         of each recipient, less its random draw.
         """
         now, rules, width = self.log.time, self.config.rules, self._width
-        hits = tuple(i for i, rule in enumerate(rules) if rule.matches(env)) if rules else ()
+        hits = self._matched.get(self._rule_key(env)) if rules else ()
+        if hits is None:  # a key new to this run
+            hits = self._matched[self._rule_key(env)] = tuple(
+                i for i, rule in enumerate(rules) if rule.matches(env))
         if not (hits or width):  # lockstep and no rule: all due one tick on
             return ((now + 1, recipients),)
         delays = self._delays.get(hits)
@@ -478,6 +494,8 @@ class Simulation:
             for node in self.nodes.values():
                 self._dispatch(node.start())
             queue, nodes, log = self._queue, self.nodes, self.log
+            # each node and its `handle`, by id, bound when the run starts
+            bound = [None, *((node, node.handle) for node in nodes.values())]
             # The injection test can only turn true when some node's k grows,
             # which happens inside that node's `handle`, or right after an
             # injection (one batch per test; the next may already be due).
@@ -490,9 +508,9 @@ class Simulation:
                 while due:
                     env, recipients = due.popleft()  # freed once these recipients have it
                     for to in recipients:
-                        node = nodes[to]
+                        node, handle = bound[to]
                         k = node.k
-                        out = node.handle(env)
+                        out = handle(env)
                         if out:
                             self._dispatch(out)
                         if recheck or node.k != k:

@@ -10,22 +10,25 @@ run's seconds are scaled by `REFERENCE_S` over their mean; they read as
 seconds on a host where the kernel takes `REFERENCE_S`.  The `ref_s`
 column is the raw kernel time, the median over a config's timings.
 The `peak_mb` column is the process's peak resident memory (`ru_maxrss`,
-as the benchmark reads it) after a config's runs; the configs run in
-ascending size, so that high-water mark is each config's own peak.  The
-`lines` column is the number of lines the run's log writes, and `us/line`
-the serialise median over it, in microseconds.
+as the benchmark reads it) after a row's runs; the rows run in ascending
+size, so that high-water mark is each row's own peak, except fuzz-mix's,
+which repeats the n=16 rows' before it.  The `lines` column is the number
+of lines the run's log writes, and `us/line` the serialise median over
+it, in microseconds.
 
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
 simulate is `schedule(config).run()`; observe is `observe_invariants`,
 `check_liveness`, `metrics.decompose_latency` and `metrics.tx_records`;
 serialise is `EventLog.to_lines()`: the benchmark pipeline's stages, in its
-order.  The configs are both n=16 benchmark workloads at seed 1, the
+order.  The rows are both n=16 benchmark workloads at seed 1, the
 favorable-n16 one again with random 1-5 tick delays (`favorable-n16-random`:
 the gap between the two rows' simulate columns is what random delays
-cost), and favorable lockstep n=31 (f=10) and n=64 (f=21) with the
-favorable-n16 workload's other settings: 5 instances, 8 txs per batch.  Each run
-starts after a full collection, as each benchmark pass does.  A stage's
+cost), one pass of the fuzz-mix workload at seed 1 (its 24 runs, one
+after another, each stage and part summed over them), and favorable
+lockstep n=31 (f=10) and n=64 (f=21) with the favorable-n16 workload's
+other settings: 5 instances, 8 txs per batch.  Each row's run starts
+after a full collection, as each benchmark pass does.  A stage's
 `gc` column is the collector time, timed from `gc.callbacks`, of the run
 that gave that stage's median (the lower one for even K).  The
 serialise/simulate column is serialise as a share of simulate, from the
@@ -56,16 +59,17 @@ from support import BENCH_DIR, load_bench_module
 
 
 def configs():
-    """(name, config) for each split the script prints."""
+    """(name, the configs one run of it runs) for each row the script prints."""
     workloads = load_bench_module("workloads")
     favorable = workloads.favorable_n16(1)[0]
-    yield "favorable-n16", favorable
-    yield "favorable-n16-random", dataclasses.replace(
+    yield "favorable-n16", [favorable]
+    yield "favorable-n16-random", [dataclasses.replace(
         favorable, mode="random", delay_min=1, delay_max=5
-    )
-    yield "byzantine-n16", workloads.byzantine_n16(1)[0]
-    yield "favorable-n31", dataclasses.replace(favorable, params=SystemParams(31, 10))
-    yield "favorable-n64", dataclasses.replace(favorable, params=SystemParams(64, 21))
+    )]
+    yield "byzantine-n16", workloads.byzantine_n16(1)
+    yield "fuzz-mix", workloads.fuzz_mix(1)
+    yield "favorable-n31", [dataclasses.replace(favorable, params=SystemParams(31, 10))]
+    yield "favorable-n64", [dataclasses.replace(favorable, params=SystemParams(64, 21))]
 
 
 class CollectorClock:
@@ -95,22 +99,26 @@ def observe_parts(result):
     yield "tx_records", lambda: metrics.tx_records(result)
 
 
-def split(config, clock):
+def split(configs, clock):
     """The number of written lines, then ((seconds, collector seconds, young
     collections) of simulate, observe, serialise, then of each observe
-    part) of one pipeline run."""
+    part) of one pipeline run per config, one after another, summed."""
     gc.collect()
-    marks = [(time.perf_counter(), clock.seconds, clock.young)]
-    result = schedule(config).run()
-    marks.append((time.perf_counter(), clock.seconds, clock.young))
-    for _, call in observe_parts(result):
-        call()
+    lines, runs = 0, []
+    for config in configs:
+        marks = [(time.perf_counter(), clock.seconds, clock.young)]
+        result = schedule(config).run()
         marks.append((time.perf_counter(), clock.seconds, clock.young))
-    result.log.to_lines()
-    marks.append((time.perf_counter(), clock.seconds, clock.young))
-    steps = [tuple(b - a for a, b in zip(m0, m1)) for m0, m1 in zip(marks, marks[1:])]
+        for _, call in observe_parts(result):
+            call()
+            marks.append((time.perf_counter(), clock.seconds, clock.young))
+        result.log.to_lines()
+        marks.append((time.perf_counter(), clock.seconds, clock.young))
+        lines += len(result.log.written)
+        runs.append([tuple(b - a for a, b in zip(m0, m1)) for m0, m1 in zip(marks, marks[1:])])
+    steps = [tuple(map(sum, zip(*step))) for step in zip(*runs)]
     observe = tuple(map(sum, zip(*steps[1:-1])))
-    return len(result.log.written), (steps[0], observe, steps[-1], *steps[1:-1])
+    return lines, (steps[0], observe, steps[-1], *steps[1:-1])
 
 
 def rescaled(parts, scale):
@@ -138,10 +146,10 @@ def main() -> int:
     print(f"{'config':21s}" + "".join(f"{stage + '_s':>12s} {'min-max':>11s}      gc"
                                       for stage in ("simulate", "observe", "serialise"))
           + "  serialise/simulate   ref_s  peak_mb    lines  us/line")
-    for name, config in configs():
+    for name, row in configs():
         refs, raw = [bench_run.reference_seconds()], []
         for _ in range(args.repeats):
-            lines, parts = split(config, clock)
+            lines, parts = split(row, clock)
             raw.append(parts)
             refs.append(bench_run.reference_seconds())
         runs = [rescaled(parts, 2 * bench_run.REFERENCE_S / (before + after))

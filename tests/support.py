@@ -6,6 +6,7 @@ install with pytest's monkeypatch."""
 from __future__ import annotations
 
 import importlib.util
+import io
 import multiprocessing
 import os
 import random
@@ -16,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from unittest import mock
 
 from falcon_bft import node as node_module
+from falcon_bft import scenario as scenario_module
 from falcon_bft.aaba import AabaInstance, Output
 from falcon_bft.core_types import (
     Block,
@@ -161,6 +163,25 @@ def scenario_mutants(path: Path, count: int = 300):
         for _ in range(rng.randint(1, 3)):
             data[rng.randrange(len(data))] = rng.randrange(256)
         yield bytes(data)
+
+
+class _ScenarioBytes:
+    """Stands in for `pathlib.Path` in `falcon_bft.scenario`: `read_text`
+    reads `data` as a text file holding it reads, decoding strictly, so
+    invalid UTF-8 raises, and translating newlines."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def read_text(self, encoding: str) -> str:
+        return io.TextIOWrapper(io.BytesIO(self.data), encoding=encoding).read()
+
+
+def load_scenario_bytes(data: bytes, name: str) -> SimConfig:
+    """`load_scenario` of a file called `name` that holds `data`, read from
+    memory: nothing is written to disk."""
+    with mock.patch.object(scenario_module, "Path", lambda path: _ScenarioBytes(data)):
+        return scenario_module.load_scenario(name)
 
 
 def make_registry(n: int, seed: bytes = b"test") -> KeyRegistry:

@@ -1,7 +1,7 @@
 import copy
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from typing import get_args
 
 import pytest
@@ -23,6 +23,7 @@ from falcon_bft.core_types import (
     Proto,
     Query,
     QueryResp,
+    Send,
     Sho1,
     Sho2,
     Stop,
@@ -109,6 +110,28 @@ def test_envelope_body_addr_consistency():
         Envelope(1, 2, aaba, Propose(Block(2, 1, ())))
     with pytest.raises(ValueError):  # a broadcast is checked like a unicast
         Envelope(1, None, gbc, Sho2(0))
+    for addr in (gbc, aaba):  # a value that is no message body
+        with pytest.raises(ValueError):
+            Envelope(1, 2, addr, Block(2, 1, ()))
+
+
+def test_message_values_are_immutable():
+    """An envelope, shared by all its recipients, stays frozen; a send is a
+    tuple whose recipient defaults to None, a broadcast."""
+    gbc = InstanceAddr(1, Proto.GBC, 2)
+    ps = make_registry(4).partial_sign(3, tagged_digest(b"m", 1))
+    env = Envelope(3, None, gbc, Echo1(ps))
+    for name, value in [("sender", 4), ("recipient", 1), ("addr", gbc), ("body", Echo2(ps)),
+                        ("own_echo", 0)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(env, name, value)
+    assert (env.sender, env.recipient, env.body, env.own_echo) == (3, None, Echo1(ps), 1)
+    send = Send(gbc, Echo1(ps))
+    for name in ("addr", "body", "to"):
+        with pytest.raises(AttributeError):
+            setattr(send, name, None)
+    assert send == Send(gbc, Echo1(ps), None) and hash(send) == hash(Send(gbc, Echo1(ps), None))
+    assert send.to is None and Send(gbc, Echo1(ps), to=2) != send
 
 
 def test_own_echo_is_derived_and_ignored_by_equality_hash_repr_and_encoding():

@@ -11,7 +11,8 @@ envelope's MAC at most once, hashing each block's grade tags once,
 combining each grade's certificate once and building one send record per
 envelope.  In random runs, where nodes gather different quorums, the one
 delivery shared per tagged digest fits every correct node that takes it,
-and is combined once.  Work is pinned as call and object counts, which repeat exactly
+and is combined once, and delay rules are matched once per rule key, not
+once per envelope.  Work is pinned as call and object counts, which repeat exactly
 where wall-clock time does not.
 """
 
@@ -304,6 +305,39 @@ def test_shared_deliveries_fit_every_correct_node(monkeypatch, case):
     assert combines["combine"] == len(sim.registry.deliveries)
     if case == "byzantine_n16":
         assert combines["combine"] == BYZANTINE_N16_COMBINES
+
+
+# -- delay rules matched once per rule key ---------------------------------------------
+
+# byzantine-n16's rule matches at seed 1: its two rules once for each of 71
+# rule keys (matching both rules on every envelope dispatched made 7 262)
+BYZANTINE_N16_RULE_MATCHES = 142
+
+
+@pytest.mark.parametrize("case", SHARED_DELIVERY_CASES)
+def test_rules_are_matched_once_per_rule_key(monkeypatch, case):
+    """`DelayRule.matches` runs only for a rule key new to the run: at most
+    once per rule for each key `Simulation._matched` holds, and fewer times
+    than envelopes are dispatched."""
+    calls = Counter()
+    matches, dispatch = DelayRule.matches, Simulation._dispatch
+
+    def counted_matches(self, env):
+        calls["matches"] += 1
+        return matches(self, env)
+
+    def counted_dispatch(self, envelopes):
+        calls["envelopes"] += len(envelopes)
+        return dispatch(self, envelopes)
+
+    monkeypatch.setattr(DelayRule, "matches", counted_matches)
+    monkeypatch.setattr(Simulation, "_dispatch", counted_dispatch)
+    config = config_for(case)
+    sim = run_simulation(config)
+    assert 0 < calls["matches"] <= len(config.rules) * len(sim._matched)
+    assert calls["matches"] < calls["envelopes"]
+    if case == "byzantine_n16":
+        assert calls["matches"] == BYZANTINE_N16_RULE_MATCHES
 
 
 # -- the echo-share shortcut against the instance router -------------------------------
