@@ -73,7 +73,9 @@ class AcsqInstance:
         self.agreement_started = False
         self.returned = False
 
-        self.gbc: Dict[int, GbcInstance] = {}
+        # one broadcast per index, silent until `activate`
+        self.gbc = {j: GbcInstance(self.gbc_addr(j), node_id, params, registry)
+                    for j in params.node_ids()}
         self.aaba: Dict[int, AabaInstance] = {}
         self.M2: Dict[int, GradedDelivery] = {}
         # each decided index -> its block if included, None if excluded
@@ -93,22 +95,6 @@ class AcsqInstance:
     def aaba_addr(self, j: int) -> InstanceAddr:
         return InstanceAddr(self.k, Proto.AABA, j)
 
-    def delivered1(self, j: int) -> Optional[GradedDelivery]:
-        """Index j's grade-1 delivery, if its broadcast has made one here."""
-        return self.gbc[j].delivered1 if j in self.gbc else None
-
-    def gbc_for(self, j: int) -> GbcInstance:
-        g = self.gbc.get(j)
-        if g is None:
-            g = self.gbc[j] = GbcInstance(
-                self.gbc_addr(j),
-                self.node_id,
-                self.params,
-                self.registry,
-                silenced=(not self.active) or self.agreement_started,
-            )
-        return g
-
     def aaba_for(self, j: int) -> AabaInstance:
         if j not in self.aaba:
             self.aaba[j] = AabaInstance(self.aaba_addr(j), self.params, self.registry)
@@ -123,10 +109,10 @@ class AcsqInstance:
         self.active = True
         self.log("activate", k=self.k)
         out: List[Send] = []
-        for j in sorted(self.gbc):
-            out.extend(self._absorb(j, self.gbc[j].unsilence()))
+        for j, g in self.gbc.items():
+            out.extend(self._absorb(j, g.unsilence()))
         if own_block is not None:
-            out.extend(self._absorb(self.node_id, self.gbc_for(self.node_id).start(own_block)))
+            out.extend(self._absorb(self.node_id, self.gbc[self.node_id].start(own_block)))
         out.extend(self._check_stage())
         return out
 
@@ -142,8 +128,8 @@ class AcsqInstance:
     def handle(self, env: Envelope) -> List[Send]:
         addr = env.addr
         j = addr.index
-        g = self.gbc.get(j)  # a live broadcast's index is in range
-        if g is None and not 1 <= j <= self.params.n:
+        g = self.gbc.get(j)  # every index in range has its broadcast
+        if g is None:
             self.log("drop", k=self.k, j=j, reason="bad_index")
             return []
         body = env.body
@@ -178,8 +164,6 @@ class AcsqInstance:
         if not echo and type(body) is not Propose:
             self.log("drop", k=self.k, j=j, reason="bad_signer")
             return []
-        if g is None:
-            g = self.gbc_for(j)
         if echo == 1:
             sub = g.on_echo1(body.partial)
         elif echo:
@@ -295,7 +279,7 @@ class AcsqInstance:
 
     def honest_input(self, j: int) -> List[Send]:
         """Honest input rule: grade-1 delivery turns into a certified one-input."""
-        m1 = self.delivered1(j)
+        m1 = self.gbc[j].delivered1
         return self.give_input(j, Amp(0) if m1 is None else Amp(1, m1.block.digest, m1.proof))
 
     def give_input(self, j: int, value: Amp) -> List[Send]:
@@ -326,7 +310,7 @@ class AcsqInstance:
         certificate its AABA saw; both certify the one digest j can have."""
         out: List[Send] = []
         for j in sorted(self.pending_includes):
-            m1 = self.delivered1(j)
+            m1 = self.gbc[j].delivered1
             if m1 is not None:
                 digest = m1.block.digest
             elif self.aaba[j].known_proof is not None:

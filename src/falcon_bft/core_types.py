@@ -238,10 +238,7 @@ class Envelope:
 
 # --- canonical envelope encoding -------------------------------------------
 
-_BODY_TAGS = {
-    Propose: 1, Echo1: 2, Echo2: 3, Amp: 4, Sho1: 5, Sho2: 6, Stop: 7,
-    Bval: 8, Aux: 9, AbaDecided: 10, Assist: 11, Query: 12, QueryResp: 13,
-}
+_BODY_TAGS = {cls: tag for tag, cls in enumerate(GBC_BODIES + AABA_BODIES, 1)}
 
 
 def _enc_partial(ps: PartialSig) -> bytes:

@@ -56,11 +56,12 @@ def verify_delivery(
 class GbcInstance:
     """Per-node state machine for one graded-broadcast instance.
 
-    `silenced` covers both the pre-activation passive mode and the mute that
-    starts when the instance enters agreement (its trigger has fired and it
-    holds a grade-2 quorum; `AcsqInstance._enter_agreement`): no new partial
-    signatures are emitted, but pools still accumulate and deliveries still
-    complete.
+    A broadcast starts silent: `unsilence`, when its ACSQ instance
+    activates, is the one way it starts echoing, and the instance mutes it
+    again on entering agreement (its trigger has fired and it holds a
+    grade-2 quorum; `AcsqInstance._enter_agreement`).  While `silenced`, no
+    new partial signatures are emitted, but pools still accumulate and
+    deliveries still complete.
     """
 
     def __init__(
@@ -69,13 +70,12 @@ class GbcInstance:
         node_id: int,
         params: SystemParams,
         registry: KeyRegistry,
-        silenced: bool = False,
     ):
         self.addr = addr
         self.node_id = node_id
         self.params = params
         self.registry = registry
-        self.silenced = silenced
+        self.silenced = True
 
         self.started = False
         self.received_block: Optional[Block] = None

@@ -86,11 +86,11 @@ class Node:
     def handle(self, env: Envelope) -> List[Envelope]:
         """Take one delivery of `env`; return the envelopes the node sends.
 
-        An echo share from its own signer to a live broadcast, which
-        `env.own_echo` says once per envelope, goes straight to that
-        broadcast's `on_echo1` or `on_echo2`.  Every other envelope, relayed
-        shares included, goes through `AcsqInstance.handle`, which routes
-        and tests it.
+        An echo share from its own signer, which `env.own_echo` says once
+        per envelope, to an in-range index, whose broadcast exists from the
+        instance's start, goes straight to that broadcast's `on_echo1` or
+        `on_echo2`.  Every other envelope, relayed shares included, goes
+        through `AcsqInstance.handle`, which routes and tests it.
         """
         k = env.addr.acsq_id
         inst = self.instances.get(k)

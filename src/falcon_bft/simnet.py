@@ -247,7 +247,7 @@ class WrongBitNode(Node):
 
     @staticmethod
     def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
-        if inst.delivered1(j) is not None:
+        if inst.gbc[j].delivered1 is not None:
             return inst.give_input(j, Amp(0))
         junk = sha256(b"forged:%d:%d:%d" % (inst.node_id, inst.k, j))
         proof = ThresholdSig(tagged=junk, parts=((inst.node_id, junk),))

@@ -11,21 +11,20 @@ seconds on a host where the kernel takes `REFERENCE_S`.  The `ref_s`
 column is the raw kernel time, the median over a config's timings.
 The `peak_mb` column is the process's peak resident memory (`ru_maxrss`,
 as the benchmark reads it) after a row's runs; the rows run in ascending
-size, so that high-water mark is each row's own peak, except fuzz-mix's,
-which repeats the n=16 rows' before it.  The `lines` column is the number
-of lines the run's log writes, and `us/line` the serialise median over
-it, in microseconds.
+peak, so that high-water mark is each row's own.  The `lines` column is
+the number of lines the run's log writes, and `us/line` the serialise
+median over it, in microseconds.
 
     PYTHONPATH=src python tests/stage_split.py [--repeats K]
 
 simulate is `schedule(config).run()`; observe is `observe_invariants`,
 `check_liveness`, `metrics.decompose_latency` and `metrics.tx_records`;
 serialise is `EventLog.to_lines()`: the benchmark pipeline's stages, in its
-order.  The rows are both n=16 benchmark workloads at seed 1, the
-favorable-n16 one again with random 1-5 tick delays (`favorable-n16-random`:
-the gap between the two rows' simulate columns is what random delays
-cost), one pass of the fuzz-mix workload at seed 1 (its 24 runs, one
-after another, each stage and part summed over them), and favorable
+order.  The rows are one pass of the fuzz-mix workload at seed 1 (its 24
+runs, one after another, each stage and part summed over them), both n=16
+benchmark workloads at seed 1, the favorable-n16 one again with random 1-5
+tick delays (`favorable-n16-random`: the gap between the two rows'
+simulate columns is what random delays cost), and favorable
 lockstep n=31 (f=10) and n=64 (f=21) with the favorable-n16 workload's
 other settings: 5 instances, 8 txs per batch.  Each row's run starts
 after a full collection, as each benchmark pass does.  A stage's
@@ -62,12 +61,12 @@ def configs():
     """(name, the configs one run of it runs) for each row the script prints."""
     workloads = load_bench_module("workloads")
     favorable = workloads.favorable_n16(1)[0]
+    yield "fuzz-mix", workloads.fuzz_mix(1)
     yield "favorable-n16", [favorable]
     yield "favorable-n16-random", [dataclasses.replace(
         favorable, mode="random", delay_min=1, delay_max=5
     )]
     yield "byzantine-n16", workloads.byzantine_n16(1)
-    yield "fuzz-mix", workloads.fuzz_mix(1)
     yield "favorable-n31", [dataclasses.replace(favorable, params=SystemParams(31, 10))]
     yield "favorable-n64", [dataclasses.replace(favorable, params=SystemParams(64, 21))]
 

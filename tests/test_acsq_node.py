@@ -464,14 +464,15 @@ def test_no_node_holds_an_instance_past_the_window_or_k_plus_one(monkeypatch):
 
 
 def test_lone_instance_with_a_live_broadcast_still_drops_bad_signer_and_bad_index():
-    """Once index 2's broadcast is live, a share its sender did not sign is
-    still dropped as `bad_signer`, and an index out of range, on a GBC or
-    an AABA address, as `bad_index` ahead of any signer test."""
+    """Once index 2's broadcast holds its body, a share its sender did not
+    sign is still dropped as `bad_signer`, and an index out of range, on a
+    GBC or an AABA address, as `bad_index` ahead of any signer test, adding
+    no broadcast or agreement."""
     inst, registry, records = _lone_instance()
     addr = InstanceAddr(1, Proto.GBC, 2)
     block = Block(2, 1, (Transaction(b"tx"),))
     inst.handle(Envelope(2, 1, addr, Propose(block)))
-    assert set(inst.gbc) == {2}
+    assert inst.gbc[2].received_block == block
     share = registry.partial_sign(3, cert_tag(addr, block.digest, 1))
     assert inst.handle(Envelope(4, 1, addr, Echo1(share))) == []
     assert inst.gbc[2].pool1 == {}
@@ -479,7 +480,7 @@ def test_lone_instance_with_a_live_broadcast_still_drops_bad_signer_and_bad_inde
         assert inst.handle(Envelope(4, 1, InstanceAddr(1, Proto.GBC, j), Echo1(share))) == []
         assert inst.handle(Envelope(4, 1, InstanceAddr(1, Proto.AABA, j), Sho2(0))) == []
     assert _drops(records) == ["bad_signer"] + ["bad_index"] * 6
-    assert set(inst.gbc) == {2} and inst.aaba == {}
+    assert set(inst.gbc) == {1, 2, 3, 4} and inst.aaba == {}
 
 
 @pytest.mark.parametrize("to", [None, 3])
@@ -626,7 +627,7 @@ def test_assisted_body_stays_out_of_the_broadcast():
     gd = GradedDelivery(block, 2, registry.combine([registry.partial_sign(i, tagged) for i in (1, 2, 3)], 3))
     inst.handle(Envelope(3, 1, InstanceAddr(1, Proto.AABA, 2), Assist(gd)))
     assert inst.M2 == {2: gd} and inst.known_blocks == {block.digest: block}
-    assert inst.gbc_for(2).received_block is None
+    assert inst.gbc[2].received_block is None
 
 
 def _echo1_tags(out):
@@ -637,7 +638,7 @@ def test_unsolicited_query_resp_leaves_the_broadcast_to_its_propose():
     inst, _, _ = _lone_instance()
     inst.activate(None)
     inst.handle(Envelope(3, 1, InstanceAddr(1, Proto.AABA, 2), QueryResp(_forged(2))))
-    assert inst.gbc_for(2).received_block is None
+    assert inst.gbc[2].received_block is None
     block = Block(2, 1, (Transaction(b"tx"),))
     out = inst.handle(Envelope(2, 1, InstanceAddr(1, Proto.GBC, 2), Propose(block)))
     assert inst.gbc[2].received_block == block

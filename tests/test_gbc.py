@@ -26,8 +26,11 @@ PARAMS = SystemParams(4, 1)
 ADDR = InstanceAddr(1, Proto.GBC, 1)
 
 
-def make_instance(node_id=2, **kwargs):
-    return GbcInstance(ADDR, node_id, PARAMS, make_registry(4), **kwargs)
+def make_instance(node_id=2, registry=None):
+    """A broadcast at `node_id` whose ACSQ instance has activated: it echoes."""
+    g = GbcInstance(ADDR, node_id, PARAMS, registry or make_registry(4))
+    g.unsilence()
+    return g
 
 
 def make_block(creator=1, instance=1, payload=b"tx"):
@@ -85,7 +88,7 @@ def test_propose_from_non_broadcaster_dropped():
 
 
 def test_muted_propose_records_but_stays_silent():
-    g = make_instance(silenced=True)
+    g = GbcInstance(ADDR, 2, PARAMS, make_registry(4))  # a broadcast starts silent
     out = g.on_propose(1, make_block())
     assert sends(out) == []
     assert g.received_block is not None  # body still counts as received
@@ -93,7 +96,7 @@ def test_muted_propose_records_but_stays_silent():
 
 def test_grade1_delivery_and_echo2():
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     g.on_propose(1, block)
     out = []
@@ -109,7 +112,7 @@ def test_grade1_delivery_and_echo2():
 def test_equivocation_split_never_delivers():
     # 2+1 echo split across two digests stays below the quorum of 3
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block_a = make_block(payload=b"a")
     block_b = make_block(payload=b"b")
     g.on_propose(1, block_a)
@@ -122,7 +125,7 @@ def test_equivocation_split_never_delivers():
 
 def test_duplicate_partial_does_not_advance_pool():
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     g.on_propose(1, block)
     out = []
@@ -134,7 +137,7 @@ def test_duplicate_partial_does_not_advance_pool():
 def test_invalid_partial_dropped():
     registry = make_registry(4)
     other = make_registry(4, seed=b"other")
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     g.on_propose(1, block)
     out = []
@@ -145,7 +148,7 @@ def test_invalid_partial_dropped():
 
 def test_grade2_delivery_after_grade1():
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     g.on_propose(1, block)
     for signer in (1, 2, 3):
@@ -161,7 +164,7 @@ def test_grade2_delivery_after_grade1():
 
 def test_echo2_quorum_before_body_buffers():
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     out = []
     for signer in (1, 2, 3):
@@ -175,7 +178,7 @@ def test_echo2_quorum_before_body_buffers():
 
 def test_at_most_one_echo_each():
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     emitted = []
     emitted += g.on_propose(1, block)
@@ -191,7 +194,7 @@ def test_at_most_one_echo_each():
 
 def test_unsilence_catches_up():
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry, silenced=True)
+    g = GbcInstance(ADDR, 2, PARAMS, registry)
     block = make_block()
     assert sends(g.on_propose(1, block)) == []
     out = sends(g.unsilence())
@@ -219,7 +222,7 @@ def test_verify_delivery_rejects_wrong_grade_and_subquorum():
 def test_one_signer_cannot_grow_the_pool():
     # validly signed echoes over 10 000 distinct digests: only the first is kept
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     for i in range(10_000):
         g.on_echo1(registry.partial_sign(4, tagged_digest(b"junk:%d" % i, 1)))
     assert sum(4 in pool for pool in g.pool1.values()) <= 1
@@ -229,7 +232,7 @@ def test_one_signer_cannot_grow_the_pool():
 def test_forged_share_does_not_shut_out_the_real_one():
     registry = make_registry(4)
     other = make_registry(4, seed=b"other")
-    g = GbcInstance(ADDR, 1, PARAMS, registry)
+    g = make_instance(1, registry)
     block = make_block()
     g.on_propose(1, block)
     g.on_echo1(other.partial_sign(2, cert_tag(ADDR, block.digest, 1)))
@@ -240,7 +243,7 @@ def test_forged_share_does_not_shut_out_the_real_one():
 
 def test_late_echoes_dropped_unverified(monkeypatch):
     registry = make_registry(4)
-    g = GbcInstance(ADDR, 2, PARAMS, registry)
+    g = make_instance(2, registry)
     block = make_block()
     g.on_propose(1, block)
     for signer in (1, 2, 3):
@@ -261,7 +264,7 @@ def test_late_echoes_dropped_unverified(monkeypatch):
 def deliver_both(registry, node_id, block, signers):
     """A fresh instance at `node_id` given `block` and both grades' echoes
     from `signers`, in that order: its grade-1 and grade-2 deliveries."""
-    g = GbcInstance(ADDR, node_id, PARAMS, registry)
+    g = make_instance(node_id, registry)
     g.on_propose(1, block)
     for signer in signers:
         g.on_echo1(echo1_for(registry, signer, block))

@@ -1,8 +1,9 @@
 """Properties the delivery path's shortcuts rely on, and the work they save.
 
-An echo share from its own signer to a live broadcast skips the instance
-router and gives what the router gives, the node driver runs only when a
-handled instance made progress, a run's objects are freed by reference
+An echo share from its own signer to an in-range index, whose broadcast
+exists from the instance's start, skips the instance router and gives
+what the router gives, the node driver runs only when a handled
+instance made progress, a run's objects are freed by reference
 counting alone, which is what lets `Simulation.run` pause the cycle
 collector, and a favorable lockstep run
 verifies exactly the echo shares its deliveries need, computing no MAC
@@ -297,8 +298,8 @@ def test_shared_deliveries_fit_every_correct_node(monkeypatch, case):
                 continue
             assert gbc.verify_delivery(gd, inst.gbc_addr(j), config.params, sim.registry)
             assert gd.grade == grade
-            g = inst.gbc.get(j)
-            if g is not None and g.tags is not None:
+            g = inst.gbc[j]
+            if g.tags is not None:
                 assert gd.proof.tagged == g.tags[grade - 1]
             checked += 1
     assert checked
@@ -412,6 +413,59 @@ def test_every_handled_envelope_carries_its_own_echo_value(monkeypatch, case):
     monkeypatch.setattr(Node, "handle", checked)
     run_simulation(config)
     assert seen[0] and seen[1] and seen[2]
+
+
+@pytest.mark.parametrize("case", [1, "byzantine_n16"])
+def test_every_own_echo_in_range_skips_the_instance_router(monkeypatch, case):
+    """An ACSQ instance starts with one silent broadcast at every index
+    1..n and none outside it; activation unsilences all n and entering
+    agreement mutes them all.  So each own-signed echo `Node.handle` takes
+    for an in-range index, one that arrives before its `Propose` too, goes
+    straight to its broadcast: none reaches `AcsqInstance.handle`."""
+    config = config_for(case)
+    ids = list(config.params.node_ids())
+    init, activate, enter = AcsqInstance.__init__, AcsqInstance.activate, AcsqInstance._enter_agreement
+    route, handle = AcsqInstance.handle, Node.handle
+    current = [None]
+    seen = Counter()
+
+    def checked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        assert list(self.gbc) == ids and all(g.silenced for g in self.gbc.values())
+
+    def checked_activate(self, own_block):
+        out = activate(self, own_block)
+        assert {g.silenced for g in self.gbc.values()} == {self.agreement_started}
+        seen["activations"] += 1
+        return out
+
+    def checked_enter(self):
+        out = enter(self)
+        assert all(g.silenced for g in self.gbc.values())
+        seen["agreements"] += 1
+        return out
+
+    def counted_route(self, env):
+        if env is current[0] and env.own_echo and 1 <= env.addr.index <= self.params.n:
+            seen["routed_echoes"] += 1
+        return route(self, env)
+
+    def counted_handle(self, env):
+        if env.own_echo:
+            inst = self.instances.get(env.addr.acsq_id)
+            g = None if inst is None else inst.gbc.get(env.addr.index)
+            seen["early_echoes"] += g is not None and g.received_block is None
+        current[0] = env
+        return handle(self, env)
+
+    monkeypatch.setattr(AcsqInstance, "__init__", checked_init)
+    monkeypatch.setattr(AcsqInstance, "activate", checked_activate)
+    monkeypatch.setattr(AcsqInstance, "_enter_agreement", checked_enter)
+    monkeypatch.setattr(AcsqInstance, "handle", counted_route)
+    monkeypatch.setattr(Node, "handle", counted_handle)
+    run_simulation(config)
+    assert seen["activations"] and seen["agreements"] and seen["early_echoes"]
+    assert seen["routed_echoes"] == 0
 
 
 @pytest.mark.parametrize("relayed, tag", [(Echo1, 1), (Echo2, 2)])
