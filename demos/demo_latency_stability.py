@@ -15,7 +15,7 @@ def run(variant):
         seed=5,
         num_instances=3,
         tx_load=40,
-        rules=(DelayRule(body="Echo2", proto="gbc", index=4, delay=40),),
+        rules=(DelayRule(body="Echo2", index=4, delay=40),),
         variant=variant,
     )
     return stability_report(tx_records(run_simulation(cfg)))

@@ -18,7 +18,7 @@ Example::
 
     [adversary]
     rule1 = body=Echo1 delay=10
-    rule2 = to=2 acsq=1 proto=gbc index=1 delay=5
+    rule2 = to=2 acsq=1 body=Propose index=1 delay=5
 
 [adversary] rules are tried in the order the file lists them, whatever
 their keys are named; the first rule that matches a message sets its extra
@@ -75,7 +75,6 @@ _KEYS = {
         "to": ("recipient", _int),
         "body": ("body", str),
         "acsq": ("acsq_id", _int),
-        "proto": ("proto", str),
         "index": ("index", _int),
         "delay": ("delay", _int),
     },

@@ -55,7 +55,6 @@ from .core_types import (
     Block,
     Envelope,
     Propose,
-    Proto,
     Send,
     SystemParams,
     Transaction,
@@ -76,11 +75,10 @@ class QuiesceError(RuntimeError):
 MODES = ("lockstep", "random")
 # zero bytes that pad each injected transaction's payload
 TX_SIZE = 8
-_RULE_PROTOS = tuple(p.name.lower() for p in Proto)
 _RULE_BODIES = tuple(cls.__name__ for cls in GBC_BODIES + AABA_BODIES)
 # a `DelayRule` field other than recipient -> where an envelope holds its value
-_RULE_KEY_PATHS = {"sender": "sender", "body": "body.__class__", "acsq_id": "addr.acsq_id",
-                   "proto": "addr.proto", "index": "addr.index"}
+_RULE_KEY_PATHS = {"sender": "sender", "body": "body.__class__.__name__",
+                   "acsq_id": "addr.acsq_id", "index": "addr.index"}
 
 
 @dataclass(frozen=True)
@@ -91,23 +89,13 @@ class DelayRule:
     recipient: Optional[int] = None
     body: Optional[str] = None  # body class name, e.g. "Echo1"
     acsq_id: Optional[int] = None
-    proto: Optional[str] = None  # "gbc" | "aaba"
     index: Optional[int] = None
     delay: int = 0
 
     def matches(self, env: Envelope) -> bool:
         """Every field but `recipient`, which is compared per recipient."""
-        if self.sender is not None and env.sender != self.sender:
-            return False
-        if self.body is not None and type(env.body).__name__ != self.body:
-            return False
-        if self.acsq_id is not None and env.addr.acsq_id != self.acsq_id:
-            return False
-        if self.proto is not None and env.addr.proto._name_.lower() != self.proto:
-            return False
-        if self.index is not None and env.addr.index != self.index:
-            return False
-        return True
+        return all(getattr(self, name) in (None, attrgetter(path)(env))
+                   for name, path in _RULE_KEY_PATHS.items())
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ class SimConfig:
         # a rule field set outside these values would match no message
         ids = self.params.node_ids()
         domains = (
-            ("sender", ids), ("recipient", ids), ("index", ids), ("proto", _RULE_PROTOS),
+            ("sender", ids), ("recipient", ids), ("index", ids),
             ("acsq_id", range(1, self.num_instances + 2)), ("body", _RULE_BODIES),
         )
         for rule in self.rules:
@@ -380,8 +368,7 @@ class Simulation:
         ruled = [path for name, path in _RULE_KEY_PATHS.items()
                  if any(getattr(rule, name) is not None for rule in config.rules)]
         self._rule_key = attrgetter(*ruled) if ruled else type
-        self._matched: Dict[object, Tuple[int, ...]] = {}  # rule key -> matched rules
-        self._delays: Dict[Tuple[int, ...], List[int]] = {}  # matched rules -> delay by recipient
+        self._delays: Dict[object, List[int]] = {}  # rule key -> delay by recipient
         # (sender, proto, body) -> deliveries sent, for the `sends` summary records
         self._sends: Dict[Tuple[int, str, str], int] = defaultdict(int)
         plugins = {fs.node: _FAULT_NODE_CLASSES[fs.kind] for fs in config.faults}
@@ -402,21 +389,18 @@ class Simulation:
         A recipient's delay is its base delay, 1 in lockstep and in random
         mode drawn in id order as `randint(delay_min, delay_max)` draws it,
         plus the extra ticks of the first rule in file order that matches the
-        envelope and names that recipient or none.  Rules are matched once per
-        rule key, and each set of matches is tabled, once per run: the delay
-        of each recipient, less its random draw.
+        envelope and names that recipient or none.  The rules are matched
+        once per rule key, the first time the run meets that key, which
+        tables the delay of each recipient, less its random draw.
         """
         now, rules, width = self.log.time, self.config.rules, self._width
-        hits = self._matched.get(self._rule_key(env)) if rules else ()
-        if hits is None:  # a key new to this run
-            hits = self._matched[self._rule_key(env)] = tuple(
-                i for i, rule in enumerate(rules) if rule.matches(env))
-        if not (hits or width):  # lockstep and no rule: all due one tick on
+        if not (rules or width):  # lockstep and no rule: all due one tick on
             return ((now + 1, recipients),)
-        delays = self._delays.get(hits)
-        if delays is None:
-            matched = [rules[i] for i in hits]
-            delays = self._delays[hits] = [(self.config.delay_min if width else 1) + next(
+        key = self._rule_key(env)
+        delays = self._delays.get(key)
+        if delays is None:  # a key new to this run
+            matched = [rule for rule in rules if rule.matches(env)]
+            delays = self._delays[key] = [(self.config.delay_min if width else 1) + next(
                 (rule.delay for rule in matched if rule.recipient in (None, to)), 0
             ) for to in range(len(self._ids) + 1)]
         groups: Dict[int, List[int]] = defaultdict(list)

@@ -80,10 +80,10 @@ def delayed_index_configs(variant: str) -> Tuple[SimConfig, SimConfig]:
     instances with 40."""
     return (
         SimConfig(params=SystemParams(4, 1), seed=5, num_instances=1, tx_load=4,
-                  rules=(DelayRule(body="Echo2", proto="gbc", index=4, acsq_id=1, delay=40),),
+                  rules=(DelayRule(body="Echo2", index=4, acsq_id=1, delay=40),),
                   variant=variant),
         SimConfig(params=SystemParams(4, 1), seed=5, num_instances=3, tx_load=40,
-                  rules=(DelayRule(body="Echo2", proto="gbc", index=4, delay=40),),
+                  rules=(DelayRule(body="Echo2", index=4, delay=40),),
                   variant=variant),
     )
 

@@ -218,7 +218,7 @@ def test_criterion_6_partial_sort_progressiveness():
             seed=5,
             num_instances=1,
             tx_load=4,
-            rules=(DelayRule(body="Echo2", proto="gbc", index=4, acsq_id=1, delay=40),),
+            rules=(DelayRule(body="Echo2", index=4, acsq_id=1, delay=40),),
             variant=variant,
         )
         return run_simulation(cfg)
@@ -250,7 +250,7 @@ def test_criterion_6_partial_sort_progressiveness():
             seed=5,
             num_instances=3,
             tx_load=40,
-            rules=(DelayRule(body="Echo2", proto="gbc", index=4, delay=40),),
+            rules=(DelayRule(body="Echo2", index=4, delay=40),),
             variant=variant,
         )
         return stability_report(tx_records(run_simulation(cfg)))
@@ -356,7 +356,7 @@ def test_criterion_9_mutation_sanity(monkeypatch):
     sort_cfg = SimConfig(
         params=SystemParams(4, 1), seed=3, num_instances=2, tx_load=2,
         rules=(
-            DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),
+            DelayRule(body="Echo2", acsq_id=1, index=4, delay=40),
             DelayRule(recipient=2, body="Echo2", acsq_id=2, delay=10),
         ),
     )

@@ -84,7 +84,7 @@ def test_agreement_inputs_follow_grade1_state():
     # so each enters the agreement stage with a certified one-input
     res = run(
         seed=3,
-        rules=(DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=60),),
+        rules=(DelayRule(body="Echo2", acsq_id=1, index=4, delay=60),),
     )
     assert clean(res) == []
     inputs = [r for r in res.log.of_kind("aaba_input") if r["k"] == 1 and r["j"] == 4]
@@ -96,7 +96,7 @@ def test_agreement_inputs_follow_grade1_state():
 def test_delivery_assistance_rescues_lagging_node():
     res = run(
         seed=6,
-        rules=(DelayRule(recipient=3, body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),),
+        rules=(DelayRule(recipient=3, body="Echo2", acsq_id=1, index=4, delay=40),),
     )
     assert clean(res) == []
     adopts = res.log.of_kind("da_adopt")
@@ -112,8 +112,8 @@ def test_query_recovers_missing_body():
     res = run(
         seed=7,
         rules=(
-            DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=60),
-            DelayRule(recipient=3, body="Propose", acsq_id=1, index=4, proto="gbc", delay=60),
+            DelayRule(body="Echo2", acsq_id=1, index=4, delay=60),
+            DelayRule(recipient=3, body="Propose", acsq_id=1, index=4, delay=60),
         ),
     )
     assert clean(res) == []
@@ -206,7 +206,7 @@ def test_trigger_fires_at_lagging_node_via_passive_instance():
     # passively and still fire its trigger
     res = run(
         seed=5,
-        rules=(DelayRule(recipient=2, proto="gbc", acsq_id=1, body="Echo2", delay=9),),
+        rules=(DelayRule(recipient=2, acsq_id=1, body="Echo2", delay=9),),
     )
     assert clean(res) == []
     trig = [r for r in res.log.of_kind("trigger") if r["node"] == 2]
@@ -247,8 +247,8 @@ def test_late_grade1_never_rewrites_agreement_input():
     res = run(
         seed=8,
         rules=(
-            DelayRule(recipient=2, body="Propose", acsq_id=1, index=4, proto="gbc", delay=30),
-            DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=30),
+            DelayRule(recipient=2, body="Propose", acsq_id=1, index=4, delay=30),
+            DelayRule(body="Echo2", acsq_id=1, index=4, delay=30),
         ),
     )
     assert clean(res) == []
@@ -305,7 +305,7 @@ def test_block_cap_limits_proposals():
 def test_assist_served_from_returned_instance():
     res = run(
         seed=6,
-        rules=(DelayRule(recipient=3, body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),),
+        rules=(DelayRule(recipient=3, body="Echo2", acsq_id=1, index=4, delay=40),),
     )
     returns = {
         (r["node"], r["k"]): r["t"] for r in res.log.of_kind("instance_return")

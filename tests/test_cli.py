@@ -79,8 +79,8 @@ def test_malformed_scenario_nonzero_exit_no_outputs(tmp_path, capsys):
 
 
 def test_mistyped_rule_nonzero_exit_no_outputs(tmp_path):
-    # upper-case proto would match no message; it must not run as a no-op rule
-    text = FAVORABLE + "\n[adversary]\nrule1 = proto=GBC delay=5\n"
+    # a lower-case body would match no message; it must not run as a no-op rule
+    text = FAVORABLE + "\n[adversary]\nrule1 = body=echo1 delay=5\n"
     scenario = write(tmp_path, text, "typo.ini")
     out_dir = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out_dir)]) == 2

@@ -32,7 +32,7 @@ def test_gbc_decided_blocks_have_zero_agreement_time():
 def test_stage_partition_sums_to_total():
     res = run(
         seed=3,
-        rules=(DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),),
+        rules=(DelayRule(body="Echo2", acsq_id=1, index=4, delay=40),),
     )
     activate = {
         (r["node"], r["k"]): r["t"] for r in res.log.of_kind("activate")
@@ -51,7 +51,7 @@ def test_stage_partition_sums_to_total():
 def test_blocks_above_a_gap_accrue_sorting_time():
     res = run(
         seed=3,
-        rules=(DelayRule(body="Echo2", acsq_id=1, index=2, proto="gbc", delay=40),),
+        rules=(DelayRule(body="Echo2", acsq_id=1, index=2, delay=40),),
     )
     rows = {(r.node, r.k, r.j): r for r in decompose_latency(res)}
     # indices above the delayed one wait for its decision before committing
@@ -118,7 +118,7 @@ def test_post_run_tables_follow_every_change_to_the_log():
     change: a new list without a record, a new list of the same length with
     a record changed, and an append.  Each call hands out lists of its own."""
     # index 4 of instance 1 is decided by agreement, so its stages differ
-    res = run(seed=3, rules=(DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),))
+    res = run(seed=3, rules=(DelayRule(body="Echo2", acsq_id=1, index=4, delay=40),))
     log = res.log
     stages, txs = decompose_latency(res), tx_records(res)
     assert (stages, txs) == _on_a_new_log(res)

@@ -130,7 +130,7 @@ def test_q_check_mutation_breaks_one_validity(monkeypatch):
 
 def test_sort_gate_mutation_breaks_chain_safety(monkeypatch):
     rules = (
-        DelayRule(body="Echo2", acsq_id=1, index=4, proto="gbc", delay=40),
+        DelayRule(body="Echo2", acsq_id=1, index=4, delay=40),
         DelayRule(recipient=2, body="Echo2", acsq_id=2, delay=10),
     )
     cfg = favorable(seed=3, rules=rules)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from falcon_bft.scenario import ScenarioError, load_scenario
-from falcon_bft.simnet import InvalidConfig
+from falcon_bft.simnet import DelayRule, InvalidConfig
 from support import load_scenario_bytes, scenario_mutants
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -25,7 +25,7 @@ mode = lockstep
 
 [adversary]
 rule1 = body=Echo1 delay=10
-rule2 = to=2 acsq=1 proto=gbc index=1 delay=5
+rule2 = to=2 acsq=1 body=Propose index=1 delay=5
 """
 
 
@@ -42,7 +42,7 @@ def test_parse_full_scenario(tmp_path):
     assert config.num_instances == 3
     assert {f.node: f.kind for f in config.faults} == {4: "crash"}
     assert config.rules[0].body == "Echo1" and config.rules[0].delay == 10
-    assert config.rules[1].recipient == 2 and config.rules[1].proto == "gbc"
+    assert config.rules[1] == DelayRule(recipient=2, acsq_id=1, body="Propose", index=1, delay=5)
     config.validate()
 
 
@@ -82,8 +82,10 @@ def test_bad_fault_rejected(tmp_path):
 
 
 def test_bad_rule_rejected(tmp_path):
-    with pytest.raises(ScenarioError):
-        load_scenario(write(tmp_path, "[adversary]\nrule1 = wat=1\n"))
+    # a rule has no protocol key: its body class names the protocol
+    for rule in ("wat=1", "proto=gbc delay=5"):
+        with pytest.raises(ScenarioError, match="unknown rule key"):
+            load_scenario(write(tmp_path, f"[adversary]\nrule1 = {rule}\n"))
 
 
 def test_malformed_params_rejected(tmp_path):

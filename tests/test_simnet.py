@@ -154,7 +154,6 @@ def _old_delay_for(config, rng, env):
         "recipient": env.recipient,
         "body": type(env.body).__name__,
         "acsq_id": env.addr.acsq_id,
-        "proto": env.addr.proto.name.lower(),
         "index": env.addr.index,
     }
     for rule in config.rules:
@@ -177,7 +176,6 @@ def _random_rules(rng, n):
             ("index", range(1, n + 1)),
             ("acsq_id", (1, 2)),
             ("sender", range(1, n + 1)),
-            ("proto", ("gbc", "aaba")),
         ):
             if rng.random() < 0.3:
                 fields[name] = rng.choice(domain)
@@ -303,7 +301,6 @@ def test_config_validation():
             SimConfig(params=SystemParams(4, 1), variant=variant).validate()
     # mistyped delay rules would otherwise match nothing and be ignored
     for rule in (
-        DelayRule(proto="GBC", delay=5),
         DelayRule(body="Echo3", delay=5),
         DelayRule(body="echo1", delay=5),
     ):
