@@ -5,7 +5,9 @@ grade-2 quorum the node activates k+1 (proposing its next block), and the
 first grade-2 delivery inside k+1 fires k's agreement trigger.  Messages
 for k+1 arriving before local activation are processed passively: pools
 fill and deliveries can complete, but no partial signatures leave the node.
-Messages beyond k+1 wait in a holding area; messages past the last instance
+Messages beyond k+1 wait in a holding area; a hold writes no line, but lists
+the node's one in-memory `held` entry and counts in `holds` per (k, body),
+which the run's `holds` records write.  Messages past the last instance
 the run can activate are dropped.  A live instance has passed those tests
 and the pruning test (`k` only grows), so only a new instance is tested.
 
@@ -34,8 +36,9 @@ subclasses that swap one of Falcon's mechanisms for the one it replaces.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .acsq import AcsqInstance
 from .core_types import Block, Envelope, Send, Transaction
@@ -63,6 +66,7 @@ class Node:
         self.config = config
         self.params = config.params
         self.registry = registry
+        self.events = events  # the run's clock and records
         self.log = events.logger(node_id)
         # the last instance this run activates, one past the measured window
         self.last_instance = config.num_instances + 1
@@ -73,6 +77,9 @@ class Node:
         self.k = 1
         self.instances: Dict[int, AcsqInstance] = {}
         self.held: Dict[int, List[Envelope]] = {}
+        # (k, body) -> envelopes held, which the run's `holds` records write
+        self.holds: Dict[Tuple[int, str], int] = defaultdict(int)
+        self.hold = {"kind": "held", "node": node_id}  # listed once per hold
         self.pruned_below = 1
 
     # -- harness surface ---------------------------------------------------------
@@ -100,7 +107,8 @@ class Node:
                 return []
             if k > self.k + 1:
                 self.held.setdefault(k, []).append(env)
-                self.log("held", k=k, body=type(env.body).__name__)
+                self.holds[k, type(env.body).__name__] += 1
+                self.events.append(self.hold)
                 return []
             if k < self.pruned_below:
                 self.log("drop", k=k, reason="pruned_instance")

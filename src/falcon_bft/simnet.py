@@ -28,7 +28,9 @@ the harness surface: from a given tick on, the node starts nothing, takes
 no txs and drops every envelope delivered to it.  A drop writes no line:
 like a send, it lists an in-memory record, and the run appends one `drops`
 record per crashed node, after the `sends` records and written the same
-way, with the number of deliveries it dropped.
+way, with the number of deliveries it dropped.  So does a node's hold of
+an envelope for an instance past its next: after the `drops` come one
+`holds` record per recipient, instance and body, with the number held.
 
 A foil, the mechanism one of Falcon's replaces, enters the same way:
 `SimConfig.variant` names a `Node` subclass that runs at every correct
@@ -170,11 +172,10 @@ class CrashNode(Node):
     """Dead from its fault's `at_time` tick on; `Node.handle` never sees what it
     drops.  Each drop writes no line: it lists this node's one in-memory
     `drop` entry, which has no `t` or `i`, and counts in `dropped`, which the
-    run's `drops` summary record writes."""
+    run's `drops` summary record writes; `Node.events` is the run's clock."""
 
     def __init__(self, node_id: int, config: SimConfig, registry: KeyRegistry, events: "EventLog"):
         super().__init__(node_id, config, registry, events)
-        self.events = events  # the run's clock
         self.at_time = next(fs.at_time for fs in config.faults if fs.node == node_id)
         self.drop = {"kind": "drop", "reason": "crashed", "node": node_id}
         self.dropped = 0
@@ -273,16 +274,18 @@ class EventLog:
     The log owns the run's clock: `time` is the current tick, and every
     record a node writes through its `logger` is stamped with it.
 
-    `records` holds every record, and two in-memory-only kinds are most of
+    `records` holds every record, and three in-memory-only kinds are most of
     it.  A `send` record is one per envelope, its `to` the recipient or None
     for a broadcast, listed once per delivery, so a broadcast's entries are
     one dict.  A crashed node's `drop` record, `reason` `crashed`, is one
-    per crashed node, listed once per delivery it drops.  Nothing writes to
-    either once it is built.  `written` holds every other record: the
-    records `to_lines` writes and `of_kind` finds, so a test that plants
-    edited records assigns them to `written`.  The run's `sends` and
-    `drops` summary records count the in-memory entries: the send entries
-    per sender, protocol and body, and the drops per crashed node.
+    per crashed node, listed once per delivery it drops; a node's `held`
+    entry is one per node, listed once per envelope it holds.  Nothing
+    writes to any of them once it is built.  `written` holds every other
+    record: the records `to_lines` writes and `of_kind` finds, so a test
+    that plants edited records assigns them to `written`.  The run's
+    `sends`, `drops` and `holds` summary records count the in-memory
+    entries: the send entries per sender, protocol and body, the drops per
+    crashed node, and the holds per recipient, instance and body.
 
     `of_kind` reads a by-kind index of `written`, built in one pass and
     again whenever `written` is another list or another length, so
@@ -297,11 +300,11 @@ class EventLog:
         self._index: Tuple[List[dict], int, Dict[str, List[dict]]] = (self.written, 0, {})
 
     def append(self, record: dict) -> None:
-        """Add `record` to `records`; unless it is a `send` record or a
-        crashed node's `drop`, also number it `i`, its line in `to_lines`,
-        and add it to `written`."""
-        if record["kind"] != "send" and (
-                record["kind"] != "drop" or record["reason"] != "crashed"):
+        """Add `record` to `records`; unless it is a `send` record, a `held`
+        entry or a crashed node's `drop`, also number it `i`, its line in
+        `to_lines`, and add it to `written`."""
+        kind = record["kind"]
+        if kind != "send" and kind != "held" and (kind != "drop" or record["reason"] != "crashed"):
             record["i"] = len(self.written)
             self.written.append(record)
         self.records.append(record)
@@ -462,8 +465,9 @@ class Simulation:
 
     def run(self) -> "Simulation":
         """Deliver until no message is pending, then log the `sends` summary
-        records in (sender, proto, body) order and one `drops` record per
-        crashed node in id order; return this simulation, the
+        records in (sender, proto, body) order, one `drops` record per
+        crashed node in id order and the `holds` records in (recipient, k,
+        body) order; return this simulation, the
         finished run, whose `config`, `log` and `nodes` the observer and
         metrics read.  An enabled cycle collector is paused meanwhile:
         reference counting alone frees a finished run (pinned in
@@ -508,6 +512,9 @@ class Simulation:
             for node in nodes.values():
                 if isinstance(node, CrashNode):
                     summary("drops", recipient=node.node_id, reason="crashed", count=node.dropped)
+            for node in nodes.values():
+                for (k, body), count in sorted(node.holds.items()):
+                    summary("holds", recipient=node.node_id, k=k, body=body, count=count)
             return self
         finally:
             if enabled:

@@ -14,15 +14,16 @@ depends on `str` hash order fails too.  The other files `falcon-sim run`
 writes for each scenario (`metrics.csv`, `txs.csv`, `chains.txt` and
 `report.txt`) are pinned by their own digests.
 
-`to_lines` writes no `send` record and no crashed node's `drop` record,
-and every other record through one JSON encoder.  Every line of every run
-here must equal `json.dumps` of its record, in log order with those two
-kinds left out, and carry its line number as `i`; so must the lines of a
-hand-built log of escaped strings, bool, float, None, list and dict values,
-and lists of escaped strs, bools, nested or mixed items; its `send` and
-crashed `drop` records, odd ones included, write no line.  A record
-`json.dumps` cannot write (a `bytes` or `set` value, str and int keys side
-by side, or a tuple key) makes `to_lines` raise what `json.dumps` raises.
+`to_lines` writes no `send` record, no `held` entry and no crashed node's
+`drop` record, and every other record through one JSON encoder.  Every
+line of every run here must equal `json.dumps` of its record, in log order
+with those three kinds left out, and carry its line number as `i`; so must
+the lines of a hand-built log of escaped strings, bool, float, None, list
+and dict values, and lists of escaped strs, bools, nested or mixed items;
+its `send`, `held` and crashed `drop` records, odd ones included, write no
+line.  A record `json.dumps` cannot write (a `bytes` or `set` value, str
+and int keys side by side, or a tuple key) makes `to_lines` raise what
+`json.dumps` raises.
 """
 
 import hashlib
@@ -41,7 +42,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WORKLOADS = load_bench_module("workloads")
 
 # sha256 over "name digest\n" for every config of the sweep, in config order
-SWEEP_PIN = "8e22ed023ef9286a32c128ea14efcf709ab34251b2b16f7350a6f84d5fcc66a0"
+SWEEP_PIN = "aea344e07e841250950d22a8e49024af7b7a81a906bc8777fbca84b5717eb66c"
 
 
 def test_sweep_digests_match_pin():
@@ -138,10 +139,11 @@ LINE_CONFIGS = {
 
 def _written(records):
     """The encoder's line of each record `to_lines` writes, in log order:
-    neither a send record nor a crashed node's drop record."""
+    neither a send record, a held entry nor a crashed node's drop record."""
     return [json.dumps(r, sort_keys=True, separators=(",", ":")).encode()
             for r in records
-            if r["kind"] != "send" and not (r["kind"] == "drop" and r["reason"] == "crashed")]
+            if r["kind"] not in ("send", "held")
+            and not (r["kind"] == "drop" and r["reason"] == "crashed")]
 
 
 @pytest.mark.parametrize("name", sorted(LINE_CONFIGS))
@@ -187,15 +189,18 @@ def test_to_lines_matches_json_encoder_on_any_record():
     log.append({"kind": "vote", "t": 1, "bit": False, "seen": [], "ids": ["a", "b"], "q_valid": True})
     log.append({"kind": "note"})
     log.append({"kind": ["not", "a", "str"], "t": 1})
-    # send records and crashed nodes' drop records write no line, whatever
-    # their values and keys; other drops do
+    # send records, held entries and crashed nodes' drop records write no
+    # line, whatever their values and keys; other drops and `holds` do
     no_body = _send(extra=7)
     del no_body["body"]
     crashed = {"kind": "drop", "reason": "crashed", "node": 4}
+    held = {"kind": "held", "node": 2}
     for rec in (
         _send(), _send(k=True), _send(), _send(t=3.0), _send(), _send(to=True),
         _send(extra=7), _send(k="1"), no_body, _send(to=3), crashed, crashed,
-        {"kind": "drop", "t": 2, "node": 3, "reason": "bad_index"}, crashed,
+        {"kind": "drop", "t": 2, "node": 3, "reason": "bad_index"}, crashed, held, held,
+        {"kind": "held", "t": 2, "node": 3, "k": 4, "body": "Amp"}, held,
+        {"kind": "holds", "t": 2, "node": 0, "recipient": 2, "k": 4, "body": "Amp", "count": 3},
     ):
         log.append(rec)
     got = log.to_lines().split(b"\n")

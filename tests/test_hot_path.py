@@ -363,7 +363,8 @@ def _handle_reference(self, env):
             return []
         if k > self.k + 1:
             self.held.setdefault(k, []).append(env)
-            self.log("held", k=k, body=type(env.body).__name__)
+            self.holds[k, type(env.body).__name__] += 1
+            self.events.append(self.hold)
             return []
         if k < self.pruned_below:
             self.log("drop", k=k, reason="pruned_instance")

@@ -1,11 +1,12 @@
 """The event log's readers in `src/` read only its written records, and
 the tests plant edited records into that list.
 
-`EventLog.records` keeps every record, the two in-memory-only kinds
-included, for the benchmark's counts: the `send` records and crashed
-nodes' `drop` records.  `EventLog.written` holds the records the log
-writes and `of_kind` finds.  Only `EventLog` itself may touch `records`
-(a crashed node lists its drops through `append`), and only `append` may
+`EventLog.records` keeps every record, the three in-memory-only kinds
+included, for the benchmark's counts: the `send` records, crashed nodes'
+`drop` records and the `held` entries.  `EventLog.written` holds the
+records the log writes and `of_kind` finds.  Only `EventLog` itself may
+touch `records` (a crashed node lists its drops, and a node its holds,
+through `append`), and only `append` may
 test a record's kind against `send`: a reader that filtered `send`
 records would mean one that could see them.  A test that planted records
 by changing `records` would reach no reader and so test nothing; plants go

@@ -483,15 +483,19 @@ BENCH_CONTRACT_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(BENCH_CONTRACT_CONFIGS))
 def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
-    """What the benchmark reads off a run: each send entry and each crashed
-    node's drop entry goes through `EventLog.append` as looked up on the
-    class, the send entries less the drop entries are the `Node.handle`
-    calls, and the written summary records count them: `sends` the send
+    """What the benchmark reads off a run: each send entry, each crashed
+    node's drop entry and each held entry goes through `EventLog.append` as
+    looked up on the class, the send entries less the drop entries are the
+    `Node.handle` calls, the held entries are the calls that hold an
+    envelope, and the written summary records count them: `sends` the send
     entries per (sender, proto, body), `drops` each crashed node's drop
-    entries.  Each dispatched envelope has one send record, its `to` the
-    envelope's recipient, listed once per recipient.  A crashed node writes
-    no line from its crash tick on."""
+    entries, `holds` the envelopes each node held per (k, body).  They are
+    the last lines, in that order.  Each dispatched envelope has one send
+    record, its `to` the envelope's recipient, listed once per recipient.
+    No `held` line is written, and a crashed node writes no line from its
+    crash tick on."""
     calls = Counter()
+    holds = Counter()  # (recipient, k, body) -> `Node.handle` calls that held
     handle, append = Node.__dict__["handle"], EventLog.__dict__["append"]
     dispatch = Simulation.__dict__["_dispatch"]
     dispatched = []  # (envelope, the send entries its dispatch added)
@@ -504,11 +508,17 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
 
     def counting_handle(node, env):
         calls["handle"] += 1
-        return handle(node, env)
+        k = env.addr.acsq_id
+        before = len(node.held.get(k, ()))
+        out = handle(node, env)
+        if len(node.held.get(k, ())) > before:
+            holds[node.node_id, k, type(env.body).__name__] += 1
+        return out
 
     def counting_append(log, record):
         calls["append"] += record["kind"] == "send"
         calls["drop"] += record["kind"] == "drop" and record["reason"] == "crashed"
+        calls["held"] += record["kind"] == "held"
         return append(log, record)
 
     monkeypatch.setattr(Node, "handle", counting_handle)
@@ -542,6 +552,52 @@ def test_send_records_count_deliveries_and_match_the_summary(name, monkeypatch):
     assert {r["recipient"]: r["count"] for r in drops} == {
         node: sum(r["node"] == node for r in crashed) for node in crash_at}
     assert not [r for r in log.written if r["t"] >= crash_at.get(r["node"], log.time + 1)]
+    held = [r for r in log.records if r["kind"] == "held"]
+    assert all(r is sim.nodes[r["node"]].hold for r in held)
+    assert calls["held"] == sum(holds.values()) == len(held)
+    per_node = Counter()
+    for (recipient, _, _), count in holds.items():
+        per_node[recipient] += count
+    assert Counter(r["node"] for r in held) == per_node
+    if name == "byzantine-n16":  # the lagging node holds traffic
+        assert held
+    assert not [r for r in log.written if r["kind"] == "held"]
+    held_summary = log.of_kind("holds")
+    assert log.written[-len(summary) - len(drops) - len(held_summary):] == summary + drops + held_summary
+    assert {(r["node"], r["t"]) for r in held_summary} <= {(0, log.time)}
+    keys = [(r["recipient"], r["k"], r["body"]) for r in held_summary]
+    assert keys == sorted(set(keys))
+    assert {key: r["count"] for key, r in zip(keys, held_summary)} == holds
+
+
+def test_a_flood_of_held_envelopes_writes_one_line():
+    """A flood of held traffic costs the written log one line: before a
+    lockstep n=4 run starts, node 1 takes 1 000 envelopes for its instance
+    k+2.  Each lists the node's one `held` entry in `records` and writes no
+    line; the run writes one `holds` record that counts them.  The
+    envelopes are proposals from a node that is not the broadcaster, which
+    the broadcast ignores once they are released, so every other line is
+    the unflooded run's."""
+    config = favorable()
+    want = run_simulation(config).log.to_lines().splitlines()
+    sim = Simulation(config)
+    node, log = sim.nodes[1], sim.log
+    k = node.k + 2
+    assert k == node.last_instance
+    env = Envelope(2, 1, InstanceAddr(k, Proto.GBC, 3), Propose(Block(3, k, ())))
+    written, records = len(log.written), len(log.records)
+    for _ in range(1000):
+        assert node.handle(env) == []
+    assert len(log.written) == written
+    assert len(log.records) == records + 1000
+    assert all(r is node.hold for r in log.records[records:])
+    assert node.held == {k: [env] * 1000}
+    sim.run()
+    assert [(r["node"], r["t"], r["recipient"], r["k"], r["body"], r["count"])
+            for r in log.of_kind("holds")] == [(0, log.time, 1, k, "Propose", 1000)]
+    assert log.of_kind("held") == []
+    lines = log.to_lines().splitlines()
+    assert lines[:-1] == want and json.loads(lines[-1])["kind"] == "holds"
 
 
 def test_run_returns_the_simulation():
