@@ -5,9 +5,8 @@ The broadcast stage runs until either all n blocks are grade-2 delivered
 (agreement skipped entirely) or the driver fires this instance's trigger,
 after which the node waits for a grade-2 quorum, mutes its broadcast-stage
 partial signatures, and opens one AABA instance per missing index.  The
-driver's `input_policy` gives each its input; the honest rule
-(`honest_input`) is ⟨1, digest, cert⟩ when the block was grade-1 delivered,
-0 otherwise.
+node's `input_policy` gives each its input through `give_input`; the
+honest rule is `Node._agreement_input`.
 
 Any grade-2 certificate adopted later, from a peer's assistance message or
 from pools completing after the mute, immediately decides that index and
@@ -276,11 +275,6 @@ class AcsqInstance:
                 continue
             out.extend(self.input_policy(self, j))
         return out
-
-    def honest_input(self, j: int) -> List[Send]:
-        """Honest input rule: grade-1 delivery turns into a certified one-input."""
-        m1 = self.gbc[j].delivered1
-        return self.give_input(j, Amp(0) if m1 is None else Amp(1, m1.block.digest, m1.proof))
 
     def give_input(self, j: int, value: Amp) -> List[Send]:
         """Give index j's agreement its input `value`, and log it."""

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Dict
 
 from . import metrics
 from .observer import check_liveness, observe_invariants
@@ -23,27 +24,26 @@ from .simnet import InvalidConfig, QuiesceError, schedule
 from .sorter import chain_digest
 
 
-def _write_outputs(out_dir: Path, run, violations) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "events.log").write_bytes(run.log.to_lines())
+def run_outputs(run, violations) -> Dict[str, bytes]:
+    """Each file `falcon-sim run` writes, name -> bytes, in writing order."""
     stage_rows = metrics.decompose_latency(run)
-    (out_dir / "metrics.csv").write_text(metrics.stages_csv(stage_rows))
     txs = metrics.tx_records(run)
-    (out_dir / "txs.csv").write_text(metrics.txs_csv(txs, stage_rows))
-    chain_lines = [
-        f"node={i} chain_len={len(node.chain)} digest={chain_digest(node.chain).hex()}"
+    chains = "".join(
+        f"node={i} chain_len={len(node.chain)} digest={chain_digest(node.chain).hex()}\n"
         for i, node in sorted(run.nodes.items())
-    ]
-    (out_dir / "chains.txt").write_text("\n".join(chain_lines) + "\n")
-    report = [f"violations={len(violations)}"]
-    for v in violations:
-        report.append(str(v))
+    )
+    report = [f"violations={len(violations)}", *map(str, violations)]
     try:
-        stability = metrics.stability_report(txs)
-        report.append(f"stability={stability}")
+        report.append(f"stability={metrics.stability_report(txs)}")
     except metrics.InsufficientData as exc:
         report.append(f"stability=insufficient data ({exc})")
-    (out_dir / "report.txt").write_text("\n".join(report) + "\n")
+    return {
+        "events.log": run.log.to_lines(),
+        "metrics.csv": metrics.stages_csv(stage_rows).encode(),
+        "txs.csv": metrics.txs_csv(txs, stage_rows).encode(),
+        "chains.txt": chains.encode(),
+        "report.txt": "".join(line + "\n" for line in report).encode(),
+    }
 
 
 def run_one(path: Path, args, nested: bool = False) -> int:
@@ -66,7 +66,9 @@ def run_one(path: Path, args, nested: bool = False) -> int:
     else:
         out_dir = path.with_suffix(".out")
     try:
-        _write_outputs(out_dir, simulation, violations)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in run_outputs(simulation, violations).items():
+            (out_dir / name).write_bytes(data)
     except OSError as exc:
         print(f"{path}: cannot write outputs: {exc}", file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .acsq import AcsqInstance
-from .core_types import Block, Envelope, Send, Transaction
+from .core_types import Amp, Block, Envelope, Send, Transaction
 from .crypto import KeyRegistry
 from .sorter import SortCursor, partial_sort
 
@@ -176,12 +176,13 @@ class Node:
 
     @staticmethod
     def _agreement_input(inst: AcsqInstance, j: int) -> List[Send]:
-        """Give index j's agreement its input once instance `inst` enters agreement.
-
-        A static method, so the instance holding it holds no reference back
-        to its node.
+        """Give index j's agreement its input once instance `inst` enters
+        agreement: ⟨1, digest, cert⟩ when the block was grade-1 delivered, 0
+        otherwise.  A static method, so the instance holding it holds no
+        reference back to its node.
         """
-        return inst.honest_input(j)
+        m1 = inst.gbc[j].delivered1
+        return inst.give_input(j, Amp(0) if m1 is None else Amp(1, m1.block.digest, m1.proof))
 
     def _release_held(self) -> List[Send]:
         out: List[Send] = []

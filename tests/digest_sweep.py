@@ -1,14 +1,16 @@
 """Print one sha256 per sweep config over its run's outputs, as one JSON object.
 
-Each digest covers the config's event log, its two CSVs, every line of its
-`observe_invariants` + `check_liveness` report (with `str`, as `report.txt`
-writes it) and each node's `chain_digest`, in node id order.  A pure
-refactor must leave all of them byte-identical.
+Each digest covers every byte of the five files `falcon-sim run` writes for
+the config's run (`cli.run_outputs`, in writing order: `events.log`,
+`metrics.csv`, `txs.csv`, `chains.txt` and `report.txt`); `judged` gives it
+with the count of each check the run's report lists.  A pure refactor must
+leave all of them byte-identical.
 `tests/test_golden_logs.py::test_sweep_digests_match_pin` checks that in
 every test run: it hashes the `name digest` lines of every config, in
-config order, into one pin.  When the pin moves, this script names the
-configs that moved.  Run it at the parent commit and at the change, each in
-its own process, and compare:
+config order, into one pin, and asserts that only the one known config
+breaks a check.  When the pin moves, this script names the configs that
+moved.  Run it at the parent commit and at the change, each in its own
+process, and compare:
 
     PYTHONPATH=src python tests/digest_sweep.py > parent.json     # at the parent
     PYTHONPATH=src python tests/digest_sweep.py --compare parent.json
@@ -35,14 +37,15 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Tuple
 
+from falcon_bft.cli import run_outputs
 from falcon_bft.core_types import SystemParams
-from falcon_bft.metrics import decompose_latency, stages_csv, tx_records, txs_csv
 from falcon_bft.observer import check_liveness, observe_invariants
 from falcon_bft.scenario import load_scenario
 from falcon_bft.simnet import run_simulation
-from falcon_bft.sorter import chain_digest
 from support import (
     crash_fuzz_config,
     delayed_index_configs,
@@ -79,18 +82,24 @@ def configs():
             yield f"delayed_index_configs({variant})[{i}]", config
 
 
-def digest(config) -> str:
-    """sha256 over one run's log, CSVs, report lines and chain digests."""
+def judged(config) -> Tuple[str, Counter]:
+    """One run's digest, and how many violations of each check its report lists.
+
+    The digest is sha256 over each file `falcon-sim run` writes
+    (`cli.run_outputs`), in writing order: its name and length on one line,
+    then its bytes.
+    """
     run = run_simulation(config)
-    h = hashlib.sha256(run.log.to_lines())
-    stage_rows = decompose_latency(run)
-    h.update(stages_csv(stage_rows).encode())
-    h.update(txs_csv(tx_records(run), stage_rows).encode())
-    for v in observe_invariants(run) + check_liveness(run):
-        h.update(b"%s\n" % str(v).encode())
-    for i in sorted(run.nodes):
-        h.update(b"%s\n" % chain_digest(run.nodes[i].chain).hex().encode())
-    return h.hexdigest()
+    violations = observe_invariants(run) + check_liveness(run)
+    h = hashlib.sha256()
+    for name, data in run_outputs(run, violations).items():
+        h.update(b"%s %d\n" % (name.encode(), len(data)))
+        h.update(data)
+    return h.hexdigest(), Counter(v["check"] for v in violations)
+
+
+def digest(config) -> str:
+    return judged(config)[0]
 
 
 def main() -> int:

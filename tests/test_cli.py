@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from falcon_bft.cli import main, run_one
-from falcon_bft.scenario import ScenarioError
-from falcon_bft.simnet import InvalidConfig, Simulation
+from falcon_bft.cli import main, run_one, run_outputs
+from falcon_bft.observer import check_liveness, observe_invariants
+from falcon_bft.scenario import ScenarioError, load_scenario
+from falcon_bft.simnet import InvalidConfig, Simulation, run_simulation
 from support import load_scenario_bytes, scenario_mutants
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,6 +61,19 @@ def test_run_favorable_exits_zero(tmp_path, capsys):
     digests = {line.split("digest=")[1] for line in chains}
     assert len(digests) == 1
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["favorable_4.ini", "crash_4.ini"])
+def test_run_writes_what_the_sweep_pins(tmp_path, name):
+    """`--out` holds the files of `run_outputs` for the same run, no more and
+    no fewer, byte for byte, so the sweep's digests cover all that `run`
+    writes.  favorable_4 commits 128 txs, so its stability line is computed;
+    crash_4's 72 give the insufficient-data line."""
+    assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path)]) == 0
+    run = run_simulation(load_scenario(SCENARIOS / name))
+    want = run_outputs(run, observe_invariants(run) + check_liveness(run))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
+    assert {f: (tmp_path / f).read_bytes() for f in want} == want
 
 
 def test_run_crashed_scenario_uses_shortcut(tmp_path, capsys):
